@@ -36,7 +36,7 @@ def main() -> None:
     opts = LineListOptions(gamma="computed")
     initial = LevelId(ds.ground_label, 0, 0, 0)
     nus = np.arange(8600.0, 10400.0, 0.5)
-    spec = scan_spectrum(ds, initial, Polarization.parse("sigma_z"), nus, opts, jobs=4)
+    spec = scan_spectrum(ds, initial, Polarization.parse("sigma_z"), nus, opts)
 
     np.savetxt(
         OUT / "alpha.dat",

@@ -4,9 +4,10 @@ Subcommands: validate, levels, fcf, alpha, magic, dress, plan, windows.
 Exit codes: 0 success, 2 usage, 3 bad data, 4 numerical failure.
 
 All numeric output is formatted to 12 significant digits with fixed field and
-row order, so identical inputs produce byte-identical files regardless of
---jobs. Frequency ranges are lo:hi:step in cm^-1 (inclusive endpoints when
-the step divides evenly); pass --nm to give the same range in nanometers.
+row order, so identical inputs produce byte-identical files (--jobs is
+accepted and has no effect). Frequency ranges are lo:hi:step in cm^-1
+(inclusive endpoints when the step divides evenly); pass --nm to give the
+same range in nanometers.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _parse_range(text: str, in_nm: bool) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise DataError(f"range must be lo:hi:step, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise DataError(f"range needs hi >= lo and step > 0, got {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise DataError(f"range needs finite values, hi >= lo and step > 0, got {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     grid = lo + step * np.arange(count)
     if in_nm:
@@ -118,9 +119,12 @@ def _parse_gamma(text: str):
     if text in ("computed", "default"):
         return text
     try:
-        return float(text)
+        gamma = float(text)
     except ValueError:
-        raise DataError(f"--gamma must be 'computed', 'default', or a value in MHz, got {text!r}")
+        gamma = math.nan
+    if not 0.0 <= gamma < math.inf:
+        raise DataError(f"--gamma must be 'computed', 'default', or a finite value >= 0 in MHz, got {text!r}")
+    return gamma
 
 
 def _dataset(args):
@@ -222,7 +226,7 @@ def cmd_alpha(args) -> int:
     initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)
     pol = Polarization.parse(args.pol)
     nus = _parse_range(args.nu, args.nm)
-    spec = scan_spectrum(ds, initial, pol, nus, opts, jobs=args.jobs)
+    spec = scan_spectrum(ds, initial, pol, nus, opts)
     out = _outdir(args)
     _write_csv(
         out / "alpha.csv",
@@ -382,7 +386,7 @@ def cmd_windows(args) -> int:
     initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)
     pol = Polarization.parse(args.pol)
     nus = _parse_range(args.nu, args.nm)
-    spec = scan_spectrum(ds, initial, pol, nus, opts, jobs=args.jobs)
+    spec = scan_spectrum(ds, initial, pol, nus, opts)
     wins = find_windows(spec, args.min_width, args.flatness_cap, args.ratio_floor)
     out = _outdir(args)
     _write_csv(
@@ -442,21 +446,35 @@ def _add_dataset_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_level_args(p: argparse.ArgumentParser) -> None:
+POLARIZATIONS = ("sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1")
+
+
+def _add_state_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", default=None, help="electronic state label (default: ground state)")
-    p.add_argument("--v", type=int, default=0, help="vibrational index (default: 0)")
-    p.add_argument("--J", type=int, default=0, help="rotational quantum number (default: 0)")
-    p.add_argument("--M", type=int, default=0, help="magnetic quantum number (default: 0)")
+
+
+def _add_grid_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid", default=None, help="radial grid rmin:rmax:n in Bohr (default: auto)")
+
+
+def _add_level_args(p: argparse.ArgumentParser, tag: str = "", J: int = 0) -> None:
+    """--state plus one level's --v/--J/--M/--pol; magic adds two tagged levels (--va ... --pol-a)."""
+    if not tag:
+        _add_state_arg(p)
+    about = f"level {tag}: " if tag else ""
+    p.add_argument(f"--v{tag}", type=int, default=0, help=f"{about}vibrational index (default: 0)")
+    p.add_argument(f"--J{tag}", type=int, default=J, help=f"{about}rotational quantum number (default: {J})")
+    p.add_argument(f"--M{tag}", type=int, default=0, help=f"{about}magnetic quantum number (default: 0)")
     p.add_argument(
-        "--pol",
+        f"--pol-{tag}" if tag else "--pol",
         default="sigma_z",
-        choices=["sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1"],
-        help="lab polarization (default: sigma_z)",
+        choices=POLARIZATIONS,
+        help=f"{about}lab polarization (default: sigma_z)",
     )
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", default=None, help="radial grid rmin:rmax:n in Bohr (default: auto)")
+    _add_grid_arg(p)
     p.add_argument("--max-levels", type=int, default=64, help="bound levels kept per state and J (default: 64)")
     p.add_argument(
         "--gamma",
@@ -468,9 +486,10 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v-max", type=int, default=None, help="cap on final v per state (default: all bound)")
 
 
-def _add_out_args(p: argparse.ArgumentParser) -> None:
+def _add_out_args(p: argparse.ArgumentParser, plot: bool = True) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
-    p.add_argument("--plot", action="store_true", help="also write plot-ready .dat files")
+    if plot:
+        p.add_argument("--plot", action="store_true", help="also write plot-ready .dat files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,12 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levels", help="bound rovibrational levels at fixed J")
     _add_dataset_arg(p)
-    p.add_argument("--state", default=None, help="electronic state label (default: ground state)")
+    _add_state_arg(p)
     p.add_argument("--J", type=int, default=0, help="rotational quantum number (default: 0)")
-    p.add_argument("--grid", default=None, help="radial grid rmin:rmax:n in Bohr (default: auto)")
+    _add_grid_arg(p)
     p.add_argument("--max-levels", type=int, default=64, help="maximum levels returned (default: 64)")
     p.add_argument("--check", action="store_true", help="fail (exit 4) unless grid-converged to 1e-3 cm^-1")
-    p.add_argument("--out", default=".", help="output directory (default: current directory)")
+    _add_out_args(p, plot=False)
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("fcf", help="Franck-Condon factors and vibronic dipoles between two states")
@@ -501,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, default=0, help="lower rotational quantum number (default: 0)")
     p.add_argument("--Jp", type=int, default=1, help="upper rotational quantum number (default: 1)")
     p.add_argument("--max-v", type=int, default=10, help="highest v and v' listed (default: 10)")
-    p.add_argument("--grid", default=None, help="radial grid rmin:rmax:n in Bohr (default: auto)")
-    p.add_argument("--out", default=".", help="output directory (default: current directory)")
+    _add_grid_arg(p)
+    _add_out_args(p, plot=False)
     p.set_defaults(func=cmd_fcf)
 
     p = sub.add_parser("alpha", help="scan the complex polarizability over a frequency range")
@@ -511,21 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p)
     p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
     p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the scan (default: 1)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_out_args(p)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("magic", help="frequencies where two levels' Re alpha cross")
     _add_dataset_arg(p)
-    p.add_argument("--state", default=None, help="electronic state label (default: ground state)")
-    p.add_argument("--va", type=int, default=0, help="level a: vibrational index (default: 0)")
-    p.add_argument("--Ja", type=int, default=0, help="level a: J (default: 0)")
-    p.add_argument("--Ma", type=int, default=0, help="level a: M (default: 0)")
-    p.add_argument("--pol-a", default="sigma_z", choices=["sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1"], help="level a polarization (default: sigma_z)")
-    p.add_argument("--vb", type=int, default=0, help="level b: vibrational index (default: 0)")
-    p.add_argument("--Jb", type=int, default=1, help="level b: J (default: 1)")
-    p.add_argument("--Mb", type=int, default=0, help="level b: M (default: 0)")
-    p.add_argument("--pol-b", default="sigma_z", choices=["sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1"], help="level b polarization (default: sigma_z)")
+    _add_state_arg(p)
+    _add_level_args(p, "a")
+    _add_level_args(p, "b", J=1)
     p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
     p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
     p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance in cm^-1 (default: 1e-6)")
@@ -540,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", type=float, required=True, help="drive intensity in W/cm^2")
     p.add_argument("--v", type=int, default=0, help="vibrational index to dress (default: 0)")
     _add_engine_args(p)
-    p.add_argument("--out", default=".", help="output directory (default: current directory)")
+    _add_out_args(p, plot=False)
     p.set_defaults(func=cmd_dress)
 
     p = sub.add_parser("plan", help="optical-lattice trap plan at one wavelength")
@@ -552,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--nu", type=float, default=None, help="trap frequency in cm^-1")
     p.add_argument("--intensity", type=float, required=True, help="peak intensity in W/cm^2")
     p.add_argument("--d-ind", type=float, default=None, help="induced dipole in Debye (default: d_perm/2)")
-    p.add_argument("--out", default=".", help="output directory (default: current directory)")
+    _add_out_args(p, plot=False)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("windows", help="clean trapping windows inside a frequency scan")
@@ -564,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-width", type=float, default=10.0, help="minimum window width in cm^-1 (default: 10)")
     p.add_argument("--flatness-cap", type=float, default=0.1, help="max |d ln|alpha||/d nu in 1/cm^-1 (default: 0.1)")
     p.add_argument("--ratio-floor", type=float, default=1e6, help="min |Re alpha|/|Im alpha| (default: 1e6)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the scan (default: 1)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_out_args(p)
     p.set_defaults(func=cmd_windows)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .constants import EINSTEIN_A_FACTOR, MHZ_CM1
 from .dataset import DipoleCurve, MoleculeDataset
+from .errors import QuantumNumberError
 from .rovib import RovibLevel
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "wigner3j",
     "angular_weight",
     "branch_strength",
+    "dipole_route",
     "vibronic_dipole",
     "franck_condon",
     "natural_linewidth",
@@ -113,9 +115,9 @@ def _w3j(dj1: int, dj2: int, dj3: int, dm1: int, dm2: int, dm3: int) -> float:
 def wigner3j(j1: float, j2: float, j3: float, m1: float, m2: float, m3: float) -> float:
     """Wigner 3-j symbol; selection-rule violations return 0, j > 50 raises."""
     if max(j1, j2, j3) > J_MAX_SUPPORTED:
-        raise ValueError(f"j above supported range ({J_MAX_SUPPORTED})")
+        raise QuantumNumberError(f"j = {max(j1, j2, j3):g} above the supported 3-j range ({J_MAX_SUPPORTED})")
     if min(j1, j2, j3) < 0:
-        raise ValueError("negative j")
+        raise QuantumNumberError(f"negative j = {min(j1, j2, j3):g}")
     return _w3j(_half(j1), _half(j2), _half(j3), _half(m1), _half(m2), _half(m3))
 
 
@@ -210,6 +212,19 @@ class LineStrength:
         return abs(self.delta_e)
 
 
+def dipole_route(ds: MoleculeDataset, a: str, b: str) -> DipoleCurve | None:
+    """The dipole curve joining states a and b, or None when no route exists.
+
+    An omega 0+ <-> 0- pair has no route even with a curve: the transition is
+    parity-forbidden. An untagged omega-0 state counts as 0+.
+    """
+    dip = ds.dipole_between(a, b)
+    sa, sb = ds.state(a), ds.state(b)
+    if sa.omega == sb.omega == 0 and (sa.parity_tag or "+") != (sb.parity_tag or "+"):
+        return None
+    return dip
+
+
 def _same_grid(a: RovibLevel, b: RovibLevel) -> None:
     if a.grid != b.grid:
         raise ValueError("levels live on different radial grids")
@@ -239,8 +254,8 @@ def natural_linewidth(
 ) -> float:
     """Natural linewidth of a level in MHz (total decay rate over 2 pi).
 
-    Sums Einstein A coefficients over the given lower levels reachable through
-    the dataset's dipole curves,
+    Sums Einstein A coefficients over the given lower levels that have a
+    dipole route (dipole_route) to the level,
 
         A = nu^3 d_vib^2 * (2J_lo+1) [3j]^2 * EINSTEIN_A_FACTOR   [1/s],
 
@@ -254,7 +269,7 @@ def natural_linewidth(
     for lo in lower_levels:
         if lo.energy >= level.energy:
             continue
-        dip = ds.dipole_between(level.state, lo.state)
+        dip = dipole_route(ds, level.state, lo.state)
         if dip is None:
             continue
         if lo.state == level.state and lo.J == level.J and lo.v == level.v:

@@ -42,8 +42,6 @@ __all__ = [
     "RigidRotorModel",
     "load_dataset",
     "write_dataset",
-    "evaluate_potential",
-    "evaluate_dipole",
     "synthesize",
 ]
 
@@ -197,6 +195,9 @@ class MoleculeDataset:
     ground_label: str
     default_gamma: float = 6.0       # MHz, fallback natural linewidth
     rotor: RotorInfo | None = None
+    # solved levels per (state, J, grid, max_levels), filled by polarizability;
+    # never invalidated, so a dataset is not to be edited once levels are solved
+    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()
@@ -204,6 +205,8 @@ class MoleculeDataset:
     def validate(self) -> None:
         if not (self.reduced_mass > 0.0 and math.isfinite(self.reduced_mass)):
             raise DataError(f"dataset {self.name!r}: reduced_mass must be positive")
+        if not 0.0 <= self.default_gamma < math.inf:
+            raise DataError(f"dataset {self.name!r}: default_gamma must be finite and >= 0, got {self.default_gamma}")
         labels = [s.label for s in self.states]
         if len(set(labels)) != len(labels):
             raise DataError(f"dataset {self.name!r}: duplicate state labels")
@@ -318,16 +321,6 @@ def synthesize(model, grid=None, *, reduced_mass: float, name: str = "synthetic"
         rotor = RotorInfo(r_e=r_e, j_max=model.j_max)
         return MoleculeDataset(name, reduced_mass, [state], {"X0": pot}, [dip], "X0", rotor=rotor)
     raise TypeError(f"unknown model kind {model!r}")
-
-
-def evaluate_potential(curve: PotentialCurve, r):
-    """Potential value(s) at R > 0 in cm^-1 (spline inside, physical tails outside)."""
-    return curve(r)
-
-
-def evaluate_dipole(curve: DipoleCurve, r):
-    """Dipole value(s) in Debye, clamped to the endpoints outside the table."""
-    return curve(r)
 
 
 # ---------------------------------------------------------------------------

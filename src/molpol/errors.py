@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit codes: DataError -> 3, NumericalError
-(including DegenerateSpectraError) -> 4.
+The CLI maps these onto its exit codes: DataError (including
+QuantumNumberError) -> 3, NumericalError (including DegenerateSpectraError) -> 4.
 """
 
 from __future__ import annotations
@@ -9,6 +9,10 @@ from __future__ import annotations
 
 class DataError(Exception):
     """Malformed dataset input: bad file, bad units, inconsistent metadata."""
+
+
+class QuantumNumberError(DataError, ValueError):
+    """A requested J outside what the physics allows (below omega) or the 3-j tables reach."""
 
 
 class NumericalError(Exception):

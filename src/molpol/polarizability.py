@@ -13,19 +13,25 @@ Im(alpha) >= 0 on nu >= 0 whenever all gamma_f >= 0.
 
 An exact hit on an undamped pole (gamma = 0, nu = |Delta|) yields a NaN
 value tagged pole=True; scans keep the point and annotate it.
+
+Levels come from one lookup per loaded dataset, keyed by (state, J, grid,
+max_levels): the initial level, the final branches and the lower levels of
+every linewidth share a single eigensolve per block. Both the line list and
+the Einstein-A linewidths take their partner states from one route rule,
+coupling.dipole_route: a dipole curve must join the two states, and omega
+0+ <-> 0- has no route.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
-from .coupling import LineStrength, Polarization, angular_weight, natural_linewidth, vibronic_dipole
+from .coupling import LineStrength, Polarization, angular_weight, dipole_route, natural_linewidth, vibronic_dipole
 from .dataset import MoleculeDataset
 from .errors import DataError
 from .rovib import RadialGrid, RovibLevel, solve_radial
@@ -120,12 +126,21 @@ def default_grid(ds: MoleculeDataset) -> RadialGrid:
     return RadialGrid(float(pot.r[0]), float(pot.r[-1]), 801)
 
 
+def _levels(
+    ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int
+) -> tuple[RovibLevel, ...]:
+    """Bound levels of one (state, J) block, solved once per loaded dataset."""
+    key = (state, J, grid, max_levels)
+    if key not in ds._levels:
+        ds._levels[key] = tuple(solve_radial(ds, state, J, grid, max_levels))
+    return ds._levels[key]
+
+
 def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOptions | None = None) -> RovibLevel:
     """Resolve the initial LevelId to a solved bound level."""
     opts = options or LineListOptions()
-    grid = opts.grid or default_grid(ds)
-    levels = solve_radial(ds, initial.state, initial.J, grid, opts.max_levels)
-    if initial.v >= len(levels):
+    levels = _levels(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels)
+    if not 0 <= initial.v < len(levels):
         raise DataError(
             f"initial level v={initial.v} not bound for state {initial.state!r} at J={initial.J}"
         )
@@ -134,14 +149,7 @@ def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOption
     return levels[initial.v]
 
 
-def _gamma_for(
-    ds: MoleculeDataset,
-    level: RovibLevel,
-    mode: str | float,
-    solves: dict,
-    grid: RadialGrid,
-    max_levels: int,
-) -> float:
+def _gamma_for(ds: MoleculeDataset, level: RovibLevel, mode: str | float, max_levels: int) -> float:
     if isinstance(mode, (int, float)):
         return float(mode)
     if mode == "default":
@@ -150,15 +158,11 @@ def _gamma_for(
         raise ValueError(f"unknown gamma mode {mode!r}")
     lowers: list[RovibLevel] = []
     for st in sorted(ds.states, key=lambda s: s.label):
-        if ds.dipole_between(level.state, st.label) is None:
+        if dipole_route(ds, level.state, st.label) is None:
             continue
-        for J2 in (level.J - 1, level.J, level.J + 1):
-            if J2 < st.omega or J2 < 0:
-                continue
-            key = (st.label, J2)
-            if key not in solves:
-                solves[key] = solve_radial(ds, st.label, J2, grid, max_levels)
-            lowers.extend(l for l in solves[key] if l.energy < level.energy)
+        for J2 in range(max(st.omega, level.J - 1), level.J + 2):
+            blk = _levels(ds, st.label, J2, level.grid, max_levels)
+            lowers.extend(l for l in blk if l.energy < level.energy)
     return natural_linewidth(level, ds, lowers)
 
 
@@ -174,58 +178,38 @@ def build_line_list(
     lev_i = solve_initial(ds, initial, opts)
     om_i = ds.state(initial.state).omega
     j_hi = initial.J + 1 if opts.j_max_branch is None else min(initial.J + 1, opts.j_max_branch)
+    v_end = None if opts.v_max is None else opts.v_max + 1
 
-    solves: dict = {}
-    gammas: dict = {}
     lines: list[LineStrength] = []
     for st in sorted(ds.states, key=lambda s: s.label):
-        dip = ds.dipole_between(initial.state, st.label)
+        dip = dipole_route(ds, initial.state, st.label)
         if dip is None:
             continue
-        if st.omega == 0 and om_i == 0:
-            tag_i = ds.state(initial.state).parity_tag or "+"
-            if (st.parity_tag or "+") != tag_i:
-                continue   # 0+ <-> 0- is dipole-forbidden
-        for Jp in range(max(st.omega, initial.J - 1, 0), j_hi + 1):
-            key = (st.label, Jp)
-            if key not in solves:
-                solves[key] = solve_radial(ds, st.label, Jp, grid, opts.max_levels)
-            finals = solves[key]
-            if opts.v_max is not None:
-                finals = finals[: opts.v_max + 1]
-            for lev_f in finals:
-                if (
-                    st.label == initial.state
-                    and lev_f.v == lev_i.v
-                    and lev_f.J == lev_i.J
-                ):
+        for Jp in range(max(st.omega, initial.J - 1), j_hi + 1):
+            # (q, M', weight) per driven component; the same for every v'
+            weights = []
+            for q, amp in polarization.components:
+                Mp = initial.M + q
+                w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, om_i, st.omega)
+                if w > 0.0:
+                    weights.append((q, Mp, w))
+            if not weights:
+                continue
+            for lev_f in _levels(ds, st.label, Jp, grid, opts.max_levels)[:v_end]:
+                if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
                     continue   # the sum excludes the initial level
                 d = vibronic_dipole(lev_i, lev_f, dip)
                 if abs(d) < opts.d_floor:
                     continue
-                gkey = (st.label, lev_f.v, Jp)
-                for q, amp in polarization.components:
-                    Mp = initial.M + q
-                    w = abs(amp) ** 2 * angular_weight(
-                        initial.J, initial.M, Jp, Mp, q, om_i, st.omega
+                gamma = _gamma_for(ds, lev_f, opts.gamma, opts.max_levels)
+                delta_e = lev_f.energy - lev_i.energy
+                lines.extend(
+                    LineStrength(
+                        state=st.label, v=lev_f.v, J=Jp, M=Mp, q=q,
+                        d_vib=d, weight=w, delta_e=delta_e, gamma=gamma,
                     )
-                    if w <= 0.0:
-                        continue
-                    if gkey not in gammas:
-                        gammas[gkey] = _gamma_for(ds, lev_f, opts.gamma, solves, grid, opts.max_levels)
-                    lines.append(
-                        LineStrength(
-                            state=st.label,
-                            v=lev_f.v,
-                            J=Jp,
-                            M=Mp,
-                            q=q,
-                            d_vib=d,
-                            weight=w,
-                            delta_e=lev_f.energy - lev_i.energy,
-                            gamma=gammas[gkey],
-                        )
-                    )
+                    for q, Mp, w in weights
+                )
     # |M| before signed M: mirror initial levels then sum identical addends in
     # the same order, keeping the M <-> -M degeneracy exact in floats
     lines.sort(key=lambda ln: (ln.state, ln.J, ln.v, abs(ln.M), ln.M))
@@ -282,27 +266,13 @@ def scan_spectrum(
     polarization: Polarization,
     nu_grid: np.ndarray,
     options: LineListOptions | None = None,
-    jobs: int = 1,
 ) -> PolarizabilitySpectrum:
-    """Evaluate alpha over a frequency grid with resonance bookkeeping.
-
-    jobs > 1 splits the grid into chunks handled by a thread pool; the
-    per-point arithmetic is identical for any jobs, so results are too.
-    """
+    """Evaluate alpha over a frequency grid with resonance bookkeeping."""
     opts = options or LineListOptions()
     nus = np.asarray(nu_grid, dtype=float)
     lines = build_line_list(ds, initial, polarization, opts)
     lev_i = solve_initial(ds, initial, opts)
-
-    if jobs <= 1 or len(nus) < 2 * jobs:
-        values = _alpha_array(lines, nus)
-    else:
-        chunks = np.array_split(np.arange(len(nus)), jobs)
-        values = np.zeros(len(nus), dtype=complex)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [(idx, pool.submit(_alpha_array, lines, nus[idx])) for idx in chunks]
-            for idx, fut in futs:
-                values[idx] = fut.result()
+    values = _alpha_array(lines, nus)
 
     points = [
         AlphaValue(nu=float(nus[i]), value=complex(values[i]), pole=bool(np.isnan(values[i].real)))

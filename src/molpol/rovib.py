@@ -9,9 +9,10 @@ with the standard sinc-DVR kinetic matrix on a uniform grid of spacing h:
     T_ii' = hbar^2/(2 mu h^2) * pi^2/3                     (i = i')
     T_ii' = hbar^2/(2 mu h^2) * 2 (-1)^(i-i') / (i-i')^2    (i != i')
 
-Eigenvectors are normalized as sum_i psi_i^2 h = 1 and sign-fixed so the
-innermost antinode is positive. Levels are bound when they lie at least
-1e-6 cm^-1 below the state's asymptote.
+Eigenvectors are normalized as sum_i psi_i^2 h = 1, sign-fixed so the
+innermost antinode is positive, and returned read-only so callers can share
+them. Levels are bound when they lie at least 1e-6 cm^-1 below the state's
+asymptote.
 
 A rotor-tagged dataset whose potential has no interior minimum bypasses the
 eigensolve: the single v = 0 level is a one-node delta at the grid node
@@ -31,6 +32,7 @@ from scipy.linalg import eigh
 
 from .constants import HBAR2_OVER_TWO
 from .dataset import MoleculeDataset
+from .errors import QuantumNumberError
 
 __all__ = [
     "RadialGrid",
@@ -79,7 +81,7 @@ class RovibLevel:
     J: int
     energy: float                # cm^-1
     grid: RadialGrid
-    wavefunction: np.ndarray     # sum psi^2 h = 1
+    wavefunction: np.ndarray     # sum psi^2 h = 1, read-only
 
 
 def kinetic_matrix(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
@@ -112,6 +114,7 @@ def _rotor_level(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> R
     energy = float(ds.potentials[state](r_node)) + b_node * J * (J + 1)
     psi = np.zeros(grid.n)
     psi[i] = 1.0 / math.sqrt(grid.h)
+    psi.flags.writeable = False
     return RovibLevel(state=state, v=0, J=J, energy=energy, grid=grid, wavefunction=psi)
 
 
@@ -125,7 +128,7 @@ def solve_radial(
     """Bound levels of one electronic state at fixed J, lowest first."""
     st = ds.state(state)
     if J < st.omega:
-        raise ValueError(f"J = {J} below omega = {st.omega} for state {state!r}")
+        raise QuantumNumberError(f"J = {J} below omega = {st.omega} for state {state!r}")
     pot = ds.potentials[state]
     if ds.rotor is not None and not pot.has_interior_minimum:
         return [_rotor_level(ds, state, J, grid)]
@@ -143,6 +146,7 @@ def solve_radial(
         if energies[v] >= cutoff or v >= max_levels:
             break
         psi = _fix_sign(vectors[:, v] / math.sqrt(grid.h))
+        psi.flags.writeable = False
         levels.append(RovibLevel(state=state, v=v, J=J, energy=float(energies[v]), grid=grid, wavefunction=psi))
     if not levels:
         log.warning("no bound levels for state %r at J=%d on %s", state, J, grid)

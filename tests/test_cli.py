@@ -1,9 +1,11 @@
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 
-from molpol import write_dataset
+from molpol import polarizability, write_dataset
 from molpol.cli import main
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
@@ -314,3 +316,62 @@ def test_windows_empty_is_header_only(optical_dir, tmp_path, capsys):
     report = json.loads((tmp_path / "windows.json").read_text())
     assert report["windows"] == []
     assert "0 windows" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ input contract
+
+
+@pytest.fixture(scope="module")
+def negative_gamma_dir(tmp_path_factory, optical_dir):
+    path = tmp_path_factory.mktemp("ds") / "negative_gamma"
+    shutil.copytree(optical_dir, path)
+    meta = json.loads((path / "molecule.json").read_text())
+    meta["default_gamma"] = -3.0
+    (path / "molecule.json").write_text(json.dumps(meta))
+    return path
+
+
+@pytest.mark.parametrize(
+    "dataset, argv",
+    [
+        ("optical_dir", ["levels", "--J", "-1"]),
+        ("rotor_dir", ["alpha", "--J", "60", "--nu", "0.1:0.2:0.1"]),
+        ("rotor_dir", ["alpha", "--v", "-1", "--nu", "0.1:0.2:0.1"]),
+        ("rotor_dir", ["alpha", "--nu", "nan:1:0.1"]),
+        ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.1", "--gamma", "-3"]),
+        ("negative_gamma_dir", ["alpha", "--nu", "9000:9001:1"]),
+    ],
+)
+def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
+    path = request.getfixturevalue(dataset)
+    assert run_cli([argv[0], path, *argv[1:], "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: data:")
+    assert err.count("\n") == 1
+
+
+# ------------------------------------------------------------- level reuse
+
+OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+
+
+@pytest.mark.parametrize(
+    "argv, blocks",
+    [
+        (["alpha", "--nu", "9000:9010:1"], 8),
+        (["magic", "--Ja", "0", "--Jb", "1", "--nu", "9000:9010:1"], 11),
+    ],
+)
+def test_each_state_j_block_is_solved_once_per_request(argv, blocks, tmp_path, monkeypatch):
+    keys = []
+    solve = polarizability.solve_radial
+
+    def counting(ds, state, J, grid, max_levels):
+        keys.append((state, J, grid, max_levels))
+        return solve(ds, state, J, grid, max_levels)
+
+    monkeypatch.setattr(polarizability, "solve_radial", counting)
+    code = run_cli([argv[0], OPTICAL_STANDIN, *argv[1:], "--grid", "5:20:301", "--out", tmp_path])
+    assert code == 0
+    assert len(keys) == blocks
+    assert len(set(keys)) == blocks

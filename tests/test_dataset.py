@@ -16,7 +16,6 @@ from molpol import (
     synthesize,
     write_dataset,
 )
-from molpol.dataset import evaluate_dipole, evaluate_potential
 
 from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_optical, make_rotor
 
@@ -161,9 +160,9 @@ def test_no_overshoot_on_monotone_segment(morse_ds):
 def test_dipole_clamped_outside_table():
     r = np.linspace(5.0, 10.0, 11)
     d = DipoleCurve("X", "A", r, np.linspace(1.0, 2.0, 11))
-    assert evaluate_dipole(d, 3.0) == pytest.approx(1.0)
-    assert evaluate_dipole(d, 12.0) == pytest.approx(2.0)
-    assert evaluate_dipole(d, 7.5) == pytest.approx(1.5, rel=1e-12)
+    assert d(3.0) == pytest.approx(1.0)
+    assert d(12.0) == pytest.approx(2.0)
+    assert d(7.5) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_synthesize_harmonic_symmetric():
@@ -209,7 +208,7 @@ def test_rigid_rotor_radius_inverts_b():
 def test_evaluate_potential_is_total_over_positive_r(morse_ds):
     pot = morse_ds.potentials["X0"]
     for r in (1e-3, 0.1, 5.0, 8.0, 30.0, 1e4):
-        assert math.isfinite(float(evaluate_potential(pot, r)))
+        assert math.isfinite(float(pot(r)))
 
 
 def test_comment_and_blank_lines_ignored(tmp_path):

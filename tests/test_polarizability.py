@@ -13,12 +13,15 @@ from molpol import (
     LevelId,
     LineListOptions,
     MoleculeDataset,
+    MorseModel,
     Polarization,
     PotentialCurve,
     RadialGrid,
     alpha_at,
     build_line_list,
+    natural_linewidth,
     scan_spectrum,
+    solve_radial,
 )
 from molpol.errors import DataError
 
@@ -232,6 +235,41 @@ def test_isotropy_between_equivalent_geometries(rotor):
     np.testing.assert_allclose(ax, ay, rtol=1e-12, atol=1e-18)
 
 
+def parity_set(with_f: bool) -> MoleculeDataset:
+    """X (0+) and G (0+) joined by a dipole, optionally with F (0-) below G joined to G."""
+    r = np.linspace(5.0, 18.0, 301)
+    x = ElectronicState("X", 0, 0.0, "+")
+    f = ElectronicState("F", 0, 7000.0, "-")
+    g = ElectronicState("G", 0, 10000.0, "+")
+    pots = {
+        "X": PotentialCurve(x, r, MorseModel(2000.0, 0.5, 8.0).value(r)),
+        "G": PotentialCurve(g, r, 10000.0 + MorseModel(2500.0, 0.5, 8.4).value(r)),
+    }
+    dips = [DipoleCurve("X", "G", r, np.full_like(r, 5.0))]
+    if with_f:
+        pots["F"] = PotentialCurve(f, r, 7000.0 + MorseModel(2500.0, 0.5, 8.2).value(r))
+        dips.append(DipoleCurve("F", "G", r, np.full_like(r, 3.0)))
+    states = [x, f, g] if with_f else [x, g]
+    return MoleculeDataset("parity", 50.0, states, pots, dips, "X")
+
+
+def test_parity_forbidden_partner_does_not_widen_lines():
+    opts = LineListOptions(grid=RadialGrid(5.0, 18.0, 301))
+    init = LevelId("X", 0, 0, 0)
+    with_f = build_line_list(parity_set(True), init, SZ, opts)
+    without_f = build_line_list(parity_set(False), init, SZ, opts)
+    assert [ln.state for ln in with_f] == [ln.state for ln in without_f]
+    assert with_f[0].state == "G"
+    assert with_f[0].gamma > 0.0
+    assert with_f[0].gamma == without_f[0].gamma
+    # the same rule holds when the forbidden levels are handed over directly
+    ds, grid = parity_set(True), opts.grid
+    g0 = solve_radial(ds, "G", 1, grid, 1)[0]
+    x = solve_radial(ds, "X", 0, grid) + solve_radial(ds, "X", 2, grid)
+    f = solve_radial(ds, "F", 0, grid) + solve_radial(ds, "F", 2, grid)
+    assert natural_linewidth(g0, ds, x + f) == natural_linewidth(g0, ds, x)
+
+
 # ------------------------------------------------------------------ scanning
 
 
@@ -290,16 +328,6 @@ def test_scan_matches_pointwise(rotor):
     for p in spec.points:
         assert p.value == alpha_at(spec.lines, p.nu)
     np.testing.assert_array_equal(spec.values(), [p.value for p in spec.points])
-
-
-def test_jobs_do_not_change_results(optical):
-    init = LevelId("X", 0, 0, 0)
-    nus = np.arange(8500.0, 9600.0, 0.9)
-    one = scan_spectrum(optical, init, SZ, nus, jobs=1)
-    many = scan_spectrum(optical, init, SZ, nus, jobs=8)
-    np.testing.assert_array_equal(one.values(), many.values())
-    assert one.resonances == many.resonances
-    assert one.lines == many.lines
 
 
 def test_capture_complete_for_rotor(rotor):

@@ -9,6 +9,7 @@ from molpol import (
     HarmonicModel,
     RadialGrid,
     convergence_check,
+    default_grid,
     rotational_constant,
     solve_radial,
     synthesize,
@@ -35,6 +36,14 @@ def test_morse_eigenvalues_match_closed_form(morse_levels):
     for v in range(10):
         exact = morse_energy(v)
         assert morse_levels[v].energy == pytest.approx(exact, rel=1e-6)
+
+
+def test_wavefunctions_are_read_only(morse_levels, krb_rotor):
+    rotor_level = solve_radial(krb_rotor, "X0", 0, default_grid(krb_rotor))[0]
+    for lev in (morse_levels[0], rotor_level):
+        assert not lev.wavefunction.flags.writeable
+        with pytest.raises(ValueError):
+            lev.wavefunction[0] = 0.0
 
 
 def test_harmonic_ladder():
