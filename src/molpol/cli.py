@@ -100,6 +100,8 @@ def _parse_range(text: str, in_nm: bool) -> np.ndarray:
         raise DataError(f"range must be lo:hi:step, got {text!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DataError(f"range needs finite values, hi >= lo and step > 0, got {text!r}")
+    if in_nm and lo <= 0:
+        raise DataError(f"a wavelength range needs lo > 0 nm, got {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     grid = lo + step * np.arange(count)
     if in_nm:

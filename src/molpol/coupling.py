@@ -12,11 +12,19 @@ matrix element of the q-th spherical dipole component,
 with dOm = Om' - Om and M' = M + q. Linear lab polarizations enter as
 incoherent sums over their spherical components: each component feeds a
 distinct final M', so cross terms vanish identically.
+
+Radial dipole matrix elements between two lists of levels on one grid come
+from one product, W_a diag(d(R) h) W_b^T, with the dipole curve sampled once
+per call (dipole_matrix); vibronic_dipole is its 1 x 1 case. Einstein-A
+linewidths of a whole upper (state, J) block come from one masked
+nu^3 d^2 * branch sum per lower (state, J) block (natural_linewidths);
+natural_linewidth is its one-level case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +34,7 @@ import numpy as np
 from .constants import EINSTEIN_A_FACTOR, MHZ_CM1
 from .dataset import DipoleCurve, MoleculeDataset
 from .errors import QuantumNumberError
-from .rovib import RovibLevel
+from .rovib import RovibLevel, wavefunction_matrix
 
 __all__ = [
     "Polarization",
@@ -35,8 +43,10 @@ __all__ = [
     "angular_weight",
     "branch_strength",
     "dipole_route",
+    "dipole_matrix",
     "vibronic_dipole",
     "franck_condon",
+    "natural_linewidths",
     "natural_linewidth",
 ]
 
@@ -230,13 +240,26 @@ def _same_grid(a: RovibLevel, b: RovibLevel) -> None:
         raise ValueError("levels live on different radial grids")
 
 
+def dipole_matrix(
+    levels_a: Sequence[RovibLevel], levels_b: Sequence[RovibLevel], dip: DipoleCurve
+) -> np.ndarray:
+    """Radial matrix elements <a| d(R) |b> in Debye, shape (len(a), len(b)).
+
+    Grid quadrature as one product W_a diag(d(R) h) W_b^T, sampling the
+    dipole curve once; every level must live on the same grid.
+    """
+    if not (levels_a and levels_b):
+        return np.zeros((len(levels_a), len(levels_b)))
+    grid = levels_a[0].grid
+    if any(lev.grid != grid for lev in (*levels_a, *levels_b)):
+        raise ValueError("levels live on different radial grids")
+    d_h = dip(grid.points) * grid.h
+    return wavefunction_matrix(levels_a) @ (wavefunction_matrix(levels_b) * d_h).T
+
+
 def vibronic_dipole(level_i: RovibLevel, level_f: RovibLevel, dip: DipoleCurve) -> float:
     """Radial matrix element <psi_f| d(R) |psi_i> by grid quadrature, Debye."""
-    _same_grid(level_i, level_f)
-    pts = level_i.grid.points
-    return float(
-        np.sum(level_f.wavefunction * dip(pts) * level_i.wavefunction) * level_i.grid.h
-    )
+    return float(dipole_matrix([level_f], [level_i], dip)[0, 0])
 
 
 def franck_condon(level_i: RovibLevel, level_f: RovibLevel) -> float:
@@ -246,44 +269,62 @@ def franck_condon(level_i: RovibLevel, level_f: RovibLevel) -> float:
     return ov * ov
 
 
-def natural_linewidth(
-    level: RovibLevel,
+def natural_linewidths(
+    upper: Sequence[RovibLevel],
     ds: MoleculeDataset,
-    lower_levels: list[RovibLevel],
+    lower_levels: Sequence[RovibLevel],
     default_gamma: float | None = None,
-) -> float:
-    """Natural linewidth of a level in MHz (total decay rate over 2 pi).
+) -> np.ndarray:
+    """Natural linewidths in MHz (total decay rate over 2 pi) of one (state, J) block.
 
-    Sums Einstein A coefficients over the given lower levels that have a
-    dipole route (dipole_route) to the level,
+    Every upper level shares one state and J. Lower levels are grouped by
+    (state, J); a group counts when a dipole route (dipole_route) joins its
+    state to the upper one and its branch factor is nonzero. Each group adds
+    one masked sum over its levels below each upper level,
 
         A = nu^3 d_vib^2 * (2J_lo+1) [3j]^2 * EINSTEIN_A_FACTOR   [1/s],
 
-    returns sum(A)/(2 pi) in MHz, and falls back to the dataset default (or
-    the explicit default_gamma) when no radiative route exists. The h*gamma/2
-    half-width of the polarizability denominators uses exactly this gamma.
+    with d_vib from one dipole_matrix. A level's result is sum(A)/(2 pi) in
+    MHz, or the dataset default (or the explicit default_gamma) when no
+    radiative route leads below it. The h*gamma/2 half-width of the
+    polarizability denominators uses exactly this gamma.
     """
-    omega_up = ds.state(level.state).omega
-    total = 0.0
-    any_route = False
+    if not upper:
+        return np.zeros(0)
+    state, J = upper[0].state, upper[0].J
+    if any((lev.state, lev.J) != (state, J) for lev in upper):
+        raise ValueError("upper levels must share one (state, J) block")
+    omega = ds.state(state).omega
+    e_up = np.array([lev.energy for lev in upper])
+    total = np.zeros(len(upper))
+    routed = np.zeros(len(upper), dtype=bool)
+    groups: dict[tuple[str, int], list[RovibLevel]] = {}
     for lo in lower_levels:
-        if lo.energy >= level.energy:
-            continue
-        dip = dipole_route(ds, level.state, lo.state)
+        groups.setdefault((lo.state, lo.J), []).append(lo)
+    for (lo_state, J_lo), group in groups.items():
+        dip = dipole_route(ds, state, lo_state)
         if dip is None:
             continue
-        if lo.state == level.state and lo.J == level.J and lo.v == level.v:
-            continue
-        br = branch_strength(level.J, omega_up, lo.J, ds.state(lo.state).omega)
+        br = branch_strength(J, omega, J_lo, ds.state(lo_state).omega)
         if br == 0.0:
             continue
-        any_route = True
-        d = vibronic_dipole(level, lo, dip)
-        nu = level.energy - lo.energy
-        total += EINSTEIN_A_FACTOR * nu**3 * d * d * br
-    if not any_route:
-        return ds.default_gamma if default_gamma is None else default_gamma
-    return total / (2.0 * math.pi * 1.0e6)
+        nu = e_up[:, None] - np.array([lo.energy for lo in group])
+        below = nu > 0.0
+        d = dipole_matrix(upper, group, dip)
+        total += np.where(below, EINSTEIN_A_FACTOR * nu**3 * d * d * br, 0.0).sum(axis=1)
+        routed |= below.any(axis=1)
+    fallback = ds.default_gamma if default_gamma is None else default_gamma
+    return np.where(routed, total / (2.0 * math.pi * 1.0e6), fallback)
+
+
+def natural_linewidth(
+    level: RovibLevel,
+    ds: MoleculeDataset,
+    lower_levels: Sequence[RovibLevel],
+    default_gamma: float | None = None,
+) -> float:
+    """Natural linewidth of one level in MHz: the one-level natural_linewidths."""
+    return float(natural_linewidths([level], ds, lower_levels, default_gamma)[0])
 
 
 def gamma_cm1(gamma_mhz: float) -> float:

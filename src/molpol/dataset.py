@@ -9,7 +9,10 @@ A dataset is a directory::
 Curve files are two-column text with ``#`` comments and a mandatory
 ``units: <length> <value>`` header line. Accepted units: bohr/angstrom for
 length, cm-1/hartree for potentials, debye/au for dipoles. Everything is
-converted to the canonical units (Bohr, cm^-1, Debye) on load.
+converted to the canonical units (Bohr, cm^-1, Debye) on load. Numbers in
+molecule.json are checked on load too: omega and a rotor's j_max must be
+integers, asymptote_energy finite or null (no asymptote), a rotor's r_e
+finite and > 0.
 
 Curves interpolate with a natural cubic spline between the tabulated nodes.
 Outside the table a potential follows physical tails: A + B/R^12 fitted to the
@@ -124,7 +127,7 @@ class PotentialCurve:
         i = int(np.argmin(self.v))
         if i == 0 or i == len(self.v) - 1:
             return False
-        return self.v[i] < min(self.v[0], self.v[-1]) - 1e-12 * max(1.0, float(np.ptp(self.v)))
+        return bool(self.v[i] < min(self.v[0], self.v[-1]) - 1e-12 * max(1.0, float(np.ptp(self.v))))
 
     def __call__(self, r_eval):
         r_eval = np.asarray(r_eval, dtype=float)
@@ -182,6 +185,10 @@ class RotorInfo:
     r_e: float
     j_max: int = 10
 
+    def __post_init__(self):
+        if not 0.0 < self.r_e < math.inf:
+            raise DataError(f"rotor r_e must be finite and > 0 Bohr, got {self.r_e}")
+
 
 @dataclass
 class MoleculeDataset:
@@ -195,8 +202,9 @@ class MoleculeDataset:
     ground_label: str
     default_gamma: float = 6.0       # MHz, fallback natural linewidth
     rotor: RotorInfo | None = None
-    # solved levels per (state, J, grid, max_levels), filled by polarizability;
-    # never invalidated, so a dataset is not to be edited once levels are solved
+    # solved blocks (levels and their computed linewidths) per (state, J, grid,
+    # max_levels), filled by polarizability; never invalidated, so a dataset is
+    # not to be edited once levels are solved
     _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -369,6 +377,17 @@ def _read_curve(path: Path, value_units: dict[str, float]):
     return r, y
 
 
+def _meta_number(value, what: str, integer: bool = False):
+    """A finite number from molecule.json; a whole number when integer is set."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise DataError(f"{what} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    return int(x) if integer else x
+
+
 def load_dataset(path) -> MoleculeDataset:
     """Read a dataset directory; raises DataError naming file (and line) on problems."""
     root = Path(path)
@@ -386,12 +405,16 @@ def load_dataset(path) -> MoleculeDataset:
     for entry in meta["states"]:
         if "label" not in entry or "omega" not in entry:
             raise DataError(f"{meta_path}: every state needs 'label' and 'omega'")
+        label = str(entry["label"])
         asym = entry.get("asymptote_energy")
         states.append(
             ElectronicState(
-                label=str(entry["label"]),
-                omega=int(entry["omega"]),
-                asymptote_energy=math.inf if asym is None else float(asym),
+                label=label,
+                omega=_meta_number(entry["omega"], f"{meta_path}: state {label!r} omega", integer=True),
+                asymptote_energy=(
+                    math.inf if asym is None
+                    else _meta_number(asym, f"{meta_path}: state {label!r} asymptote_energy")
+                ),
                 parity_tag=entry.get("parity_tag"),
             )
         )
@@ -422,7 +445,10 @@ def load_dataset(path) -> MoleculeDataset:
         rb = meta["rotor"]
         if "r_e" not in rb:
             raise DataError(f"{meta_path}: rotor block needs 'r_e'")
-        rotor = RotorInfo(r_e=float(rb["r_e"]), j_max=int(rb.get("j_max", 10)))
+        rotor = RotorInfo(
+            r_e=_meta_number(rb["r_e"], f"{meta_path}: rotor r_e"),
+            j_max=_meta_number(rb.get("j_max", 10), f"{meta_path}: rotor j_max", integer=True),
+        )
     try:
         return MoleculeDataset(
             name=str(meta["name"]),

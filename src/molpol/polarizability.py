@@ -16,10 +16,18 @@ value tagged pole=True; scans keep the point and annotate it.
 
 Levels come from one lookup per loaded dataset, keyed by (state, J, grid,
 max_levels): the initial level, the final branches and the lower levels of
-every linewidth share a single eigensolve per block. Both the line list and
-the Einstein-A linewidths take their partner states from one route rule,
+every linewidth share a single eigensolve per block. Each stored block also
+holds its levels' computed linewidths, one coupling.natural_linewidths
+vector made on first use and shared by every spectrum on that dataset. A
+line list takes the dipoles of one final block from one
+coupling.dipole_matrix row. Both the line list and the Einstein-A
+linewidths take their partner states from one route rule,
 coupling.dipole_route: a dipole curve must join the two states, and omega
 0+ <-> 0- has no route.
+
+The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
+line axis in list order, so a scan and a single-point alpha_at add the same
+terms in the same order and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
-from .coupling import LineStrength, Polarization, angular_weight, dipole_route, natural_linewidth, vibronic_dipole
+from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError
 from .rovib import RadialGrid, RovibLevel, solve_radial
@@ -126,20 +134,26 @@ def default_grid(ds: MoleculeDataset) -> RadialGrid:
     return RadialGrid(float(pot.r[0]), float(pot.r[-1]), 801)
 
 
-def _levels(
-    ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int
-) -> tuple[RovibLevel, ...]:
-    """Bound levels of one (state, J) block, solved once per loaded dataset."""
+@dataclass
+class _Block:
+    """One solved (state, J) block and, once asked for, its computed linewidths."""
+
+    levels: tuple[RovibLevel, ...]
+    gammas: np.ndarray | None = None   # MHz per level, from natural_linewidths
+
+
+def _block(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int) -> _Block:
+    """The bound levels of one (state, J) block, solved once per loaded dataset."""
     key = (state, J, grid, max_levels)
     if key not in ds._levels:
-        ds._levels[key] = tuple(solve_radial(ds, state, J, grid, max_levels))
+        ds._levels[key] = _Block(tuple(solve_radial(ds, state, J, grid, max_levels)))
     return ds._levels[key]
 
 
 def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOptions | None = None) -> RovibLevel:
     """Resolve the initial LevelId to a solved bound level."""
     opts = options or LineListOptions()
-    levels = _levels(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels)
+    levels = _block(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels).levels
     if not 0 <= initial.v < len(levels):
         raise DataError(
             f"initial level v={initial.v} not bound for state {initial.state!r} at J={initial.J}"
@@ -149,21 +163,24 @@ def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOption
     return levels[initial.v]
 
 
-def _gamma_for(ds: MoleculeDataset, level: RovibLevel, mode: str | float, max_levels: int) -> float:
+def _gamma_for(ds: MoleculeDataset, blk: _Block, v: int, mode: str | float, max_levels: int) -> float:
+    """Linewidth in MHz of level v of a block under the LineListOptions.gamma mode."""
     if isinstance(mode, (int, float)):
         return float(mode)
     if mode == "default":
         return ds.default_gamma
     if mode != "computed":
         raise ValueError(f"unknown gamma mode {mode!r}")
-    lowers: list[RovibLevel] = []
-    for st in sorted(ds.states, key=lambda s: s.label):
-        if dipole_route(ds, level.state, st.label) is None:
-            continue
-        for J2 in range(max(st.omega, level.J - 1), level.J + 2):
-            blk = _levels(ds, st.label, J2, level.grid, max_levels)
-            lowers.extend(l for l in blk if l.energy < level.energy)
-    return natural_linewidth(level, ds, lowers)
+    if blk.gammas is None:
+        lev0 = blk.levels[0]
+        lowers: list[RovibLevel] = []
+        for st in sorted(ds.states, key=lambda s: s.label):
+            if dipole_route(ds, lev0.state, st.label) is None:
+                continue
+            for J2 in range(max(st.omega, lev0.J - 1), lev0.J + 2):
+                lowers.extend(_block(ds, st.label, J2, lev0.grid, max_levels).levels)
+        blk.gammas = natural_linewidths(blk.levels, ds, lowers)
+    return float(blk.gammas[v])
 
 
 def build_line_list(
@@ -195,13 +212,14 @@ def build_line_list(
                     weights.append((q, Mp, w))
             if not weights:
                 continue
-            for lev_f in _levels(ds, st.label, Jp, grid, opts.max_levels)[:v_end]:
+            blk = _block(ds, st.label, Jp, grid, opts.max_levels)
+            finals = blk.levels[:v_end]
+            for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, dip)[0].tolist()):
                 if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
                     continue   # the sum excludes the initial level
-                d = vibronic_dipole(lev_i, lev_f, dip)
                 if abs(d) < opts.d_floor:
                     continue
-                gamma = _gamma_for(ds, lev_f, opts.gamma, opts.max_levels)
+                gamma = _gamma_for(ds, blk, lev_f.v, opts.gamma, opts.max_levels)
                 delta_e = lev_f.energy - lev_i.energy
                 lines.extend(
                     LineStrength(
@@ -225,14 +243,31 @@ def alpha_at(lines: list[LineStrength], nu: float) -> complex:
     return complex(_alpha_array(lines, np.asarray([float(nu)]))[0])
 
 
+_KERNEL_CHUNK = 1 << 16   # (lines x nu) complex entries per kernel chunk, about 1 MB
+
+
 def _alpha_array(lines: list[LineStrength], nus: np.ndarray) -> np.ndarray:
+    nus = np.asarray(nus, dtype=float)
     out = np.zeros(len(nus), dtype=complex)
-    nu2 = nus.astype(float) ** 2
-    for ln in lines:
-        z = complex(ln.delta_e, -0.5 * ln.gamma * MHZ_CM1)
-        den = z * z - nu2
-        term = np.where(den == 0, complex(math.nan, math.nan), z / np.where(den == 0, 1.0, den))
-        out = out + (ln.weight * ln.d_vib**2) * term
+    if not lines:
+        return out
+    zs = [complex(ln.delta_e, -0.5 * ln.gamma * MHZ_CM1) for ln in lines]
+    z = np.array(zs)[:, None]
+    # z^2 as Python complex products: numpy's vectorized complex multiply can
+    # round the last bit differently, which would move the committed tables
+    z2 = np.array([zc * zc for zc in zs])[:, None]
+    wd2 = np.array([ln.weight * ln.d_vib**2 for ln in lines])[:, None]
+    step = max(1, _KERNEL_CHUNK // len(lines))
+    for lo in range(0, len(nus), step):
+        den = z2 - nus[lo : lo + step] ** 2
+        pole = den == 0
+        den[pole] = 1.0
+        term = z / den
+        term[pole] = complex(math.nan, math.nan)
+        term *= wd2
+        # a running sum down the line axis adds one line at a time in list order;
+        # adding it to out's +0 keeps an all-zero column at +0
+        out[lo : lo + step] += np.add.accumulate(term, axis=0, out=den)[-1]
     return ALPHA_HZ_PER_WCM2 * out
 
 

@@ -9,10 +9,15 @@ with the standard sinc-DVR kinetic matrix on a uniform grid of spacing h:
     T_ii' = hbar^2/(2 mu h^2) * pi^2/3                     (i = i')
     T_ii' = hbar^2/(2 mu h^2) * 2 (-1)^(i-i') / (i-i')^2    (i != i')
 
-Eigenvectors are normalized as sum_i psi_i^2 h = 1, sign-fixed so the
-innermost antinode is positive, and returned read-only so callers can share
-them. Levels are bound when they lie at least 1e-6 cm^-1 below the state's
-asymptote.
+T is a Toeplitz matrix, built from its first row. The eigensolve asks only
+for the max_levels lowest pairs (LAPACK evr on an index subset), then keeps
+those at least 1e-6 cm^-1 below the state's asymptote as bound levels.
+
+Eigenvectors are normalized as sum_i psi_i^2 h = 1 and sign-fixed so the
+innermost antinode is positive. The k levels of one solve are the rows of
+one read-only (k, n) matrix W, and each level's wavefunction is a view of its
+row: callers share them, and the coupling layer takes W itself
+(wavefunction_matrix) for its block products without a copy.
 
 A rotor-tagged dataset whose potential has no interior minimum bypasses the
 eigensolve: the single v = 0 level is a one-node delta at the grid node
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, toeplitz
 
 from .constants import HBAR2_OVER_TWO
 from .dataset import MoleculeDataset
@@ -40,6 +46,7 @@ __all__ = [
     "ConvergenceReport",
     "kinetic_matrix",
     "solve_radial",
+    "wavefunction_matrix",
     "convergence_check",
     "rotational_constant",
 ]
@@ -86,24 +93,22 @@ class RovibLevel:
 
 def kinetic_matrix(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
     """Sinc-DVR kinetic-energy matrix in cm^-1 for a mass in amu."""
-    n = grid.n
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = 2.0 * np.where(diff == 0, 0.0, 1.0) * np.power(-1.0, diff) / np.where(diff == 0, 1, diff * diff)
-    np.fill_diagonal(t, math.pi**2 / 3.0)
-    t *= HBAR2_OVER_TWO / (reduced_mass * grid.h**2)
-    return t
+    k = np.arange(1, grid.n)
+    row = np.empty(grid.n)
+    row[0] = math.pi**2 / 3.0
+    row[1:] = np.where(k % 2, -2.0, 2.0) / (k * k)
+    row *= HBAR2_OVER_TWO / (reduced_mass * grid.h**2)
+    return toeplitz(row)
 
 
-def _fix_sign(psi: np.ndarray) -> np.ndarray:
-    """Make the innermost antinode (first interior local max of |psi|) positive."""
+def _antinode_sign(psi: np.ndarray) -> float:
+    """Sign of psi at its innermost antinode (first interior local max of |psi|)."""
     a = np.abs(psi)
     thr = 0.01 * a.max()
     interior = a[1:-1]
     cand = np.nonzero((interior >= a[:-2]) & (interior > a[2:]) & (interior >= thr))[0]
     i = int(cand[0]) + 1 if len(cand) else int(np.argmax(a >= thr))
-    return -psi if psi[i] < 0.0 else psi
+    return -1.0 if psi[i] < 0.0 else 1.0
 
 
 def _rotor_level(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> RovibLevel:
@@ -112,10 +117,10 @@ def _rotor_level(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> R
     r_node = pts[i]
     b_node = HBAR2_OVER_TWO / (ds.reduced_mass * r_node**2)
     energy = float(ds.potentials[state](r_node)) + b_node * J * (J + 1)
-    psi = np.zeros(grid.n)
-    psi[i] = 1.0 / math.sqrt(grid.h)
-    psi.flags.writeable = False
-    return RovibLevel(state=state, v=0, J=J, energy=energy, grid=grid, wavefunction=psi)
+    w = np.zeros((1, grid.n))
+    w[0, i] = 1.0 / math.sqrt(grid.h)
+    w.flags.writeable = False
+    return RovibLevel(state=state, v=0, J=J, energy=energy, grid=grid, wavefunction=w[0])
 
 
 def solve_radial(
@@ -125,10 +130,12 @@ def solve_radial(
     grid: RadialGrid,
     max_levels: int = 64,
 ) -> list[RovibLevel]:
-    """Bound levels of one electronic state at fixed J, lowest first."""
+    """Bound levels of one electronic state at fixed J, lowest first, at most max_levels."""
     st = ds.state(state)
     if J < st.omega:
         raise QuantumNumberError(f"J = {J} below omega = {st.omega} for state {state!r}")
+    if max_levels < 1:
+        raise QuantumNumberError(f"max_levels must be at least 1, got {max_levels}")
     pot = ds.potentials[state]
     if ds.rotor is not None and not pot.has_interior_minimum:
         return [_rotor_level(ds, state, J, grid)]
@@ -137,20 +144,39 @@ def solve_radial(
     v_diag = pot(pts) + HBAR2_OVER_TWO * J * (J + 1) / (ds.reduced_mass * pts**2)
     ham = kinetic_matrix(grid, ds.reduced_mass)
     ham[np.diag_indices_from(ham)] += v_diag
-    energies, vectors = eigh(ham)
+    energies, vectors = eigh(
+        ham, overwrite_a=True, subset_by_index=(0, min(max_levels, grid.n) - 1), driver="evr"
+    )
 
     asym = st.asymptote_energy
     cutoff = asym - BOUND_GUARD if math.isfinite(asym) else math.inf
-    levels: list[RovibLevel] = []
-    for v in range(len(energies)):
-        if energies[v] >= cutoff or v >= max_levels:
-            break
-        psi = _fix_sign(vectors[:, v] / math.sqrt(grid.h))
-        psi.flags.writeable = False
-        levels.append(RovibLevel(state=state, v=v, J=J, energy=float(energies[v]), grid=grid, wavefunction=psi))
+    k = int(np.count_nonzero(energies < cutoff))   # energies ascend
+    w = np.ascontiguousarray(vectors[:, :k].T) / math.sqrt(grid.h)
+    for psi in w:
+        psi *= _antinode_sign(psi)
+    w.flags.writeable = False
+    levels = [
+        RovibLevel(state=state, v=v, J=J, energy=float(energies[v]), grid=grid, wavefunction=w[v])
+        for v in range(k)
+    ]
     if not levels:
         log.warning("no bound levels for state %r at J=%d on %s", state, J, grid)
     return levels
+
+
+def wavefunction_matrix(levels: Sequence[RovibLevel]) -> np.ndarray:
+    """(k, n) matrix whose rows are the levels' wavefunctions.
+
+    Levels v = 0..k-1 of one solve are answered with a view of that solve's
+    own read-only matrix; any other list is stacked into a new array.
+    """
+    if levels:
+        w = levels[0].wavefunction.base
+        if w is not None and w.ndim == 2 and all(
+            lev.v == v and lev.wavefunction.base is w for v, lev in enumerate(levels)
+        ):
+            return w[: len(levels)]
+    return np.array([lev.wavefunction for lev in levels], dtype=float).reshape(len(levels), -1)
 
 
 @dataclass

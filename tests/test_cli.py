@@ -7,6 +7,7 @@ import pytest
 
 from molpol import polarizability, write_dataset
 from molpol.cli import main
+from molpol.dataset import DipoleCurve
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
@@ -46,6 +47,13 @@ def test_validate_reports_dataset(rotor_dir, capsys):
     assert report["ground"] == "X0"
     assert report["rotor"]["r_e_bohr"] == pytest.approx(RBCS["r_e"])
     assert report["dipole_curves"] == ["X0->X0"]
+
+
+def test_validate_reports_optical_dataset(optical_dir, capsys):
+    # interior wells: has_interior_minimum must serialize as a JSON boolean
+    assert run_cli(["validate", optical_dir]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [s["has_interior_minimum"] for s in report["states"]] == [True, True, True]
 
 
 def test_missing_dataset_is_data_error(tmp_path, capsys):
@@ -340,6 +348,9 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("rotor_dir", ["alpha", "--nu", "nan:1:0.1"]),
         ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.1", "--gamma", "-3"]),
         ("negative_gamma_dir", ["alpha", "--nu", "9000:9001:1"]),
+        ("optical_dir", ["levels", "--max-levels", "0"]),
+        ("optical_dir", ["levels", "--max-levels", "-3"]),
+        ("optical_dir", ["alpha", "--nm", "--nu", "0:1000:500"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
@@ -348,6 +359,32 @@ def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, data
     err = capsys.readouterr().err
     assert err.startswith("molpol: data:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "dataset, path, value",
+    [
+        ("optical_dir", ("states", 1, "omega"), 0.5),
+        ("optical_dir", ("states", 1, "asymptote_energy"), "abc"),
+        ("optical_dir", ("states", 1, "asymptote_energy"), math.nan),
+        ("rotor_dir", ("rotor", "j_max"), "x"),
+        ("rotor_dir", ("rotor", "r_e"), -RBCS["r_e"]),
+    ],
+)
+def test_bad_molecule_json_fields_are_data_errors(request, dataset, path, value, tmp_path, capsys):
+    ds_dir = tmp_path / "ds"
+    shutil.copytree(request.getfixturevalue(dataset), ds_dir)
+    meta = json.loads((ds_dir / "molecule.json").read_text())
+    entry = meta
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    (ds_dir / "molecule.json").write_text(json.dumps(meta))
+    for argv in (["validate", ds_dir], ["levels", ds_dir, "--out", tmp_path / "out"]):
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("molpol: data:")
+        assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------- level reuse
@@ -375,3 +412,19 @@ def test_each_state_j_block_is_solved_once_per_request(argv, blocks, tmp_path, m
     assert code == 0
     assert len(keys) == blocks
     assert len(set(keys)) == blocks
+
+
+def test_dipole_curve_is_sampled_per_block_pair(tmp_path, monkeypatch):
+    # one sample per (initial, final block) and per linewidth block pair; the
+    # per-level-pair quadrature sampled the curve about 20.7k times here
+    calls = []
+    sample = DipoleCurve.__call__
+
+    def counting(self, r_eval):
+        calls.append(self)
+        return sample(self, r_eval)
+
+    monkeypatch.setattr(DipoleCurve, "__call__", counting)
+    code = run_cli(["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1", "--out", tmp_path])
+    assert code == 0
+    assert 0 < len(calls) <= 50

@@ -25,8 +25,10 @@ from molpol import (
     vibronic_dipole,
     wigner3j,
 )
+from molpol.coupling import dipole_matrix, natural_linewidths
+from molpol.polarizability import default_grid
 
-from conftest import RBCS, make_harmonic_pair, make_rotor
+from conftest import RBCS, make_harmonic_pair, make_optical, make_rotor
 
 
 # ---------------------------------------------------------------- 3-j symbols
@@ -229,6 +231,57 @@ def test_grid_mismatch_rejected():
         vibronic_dipole(a, b, dip)
     with pytest.raises(ValueError, match="grid"):
         franck_condon(a, b)
+
+
+@pytest.fixture(scope="module")
+def optical_blocks():
+    ds = make_optical()
+    grid = default_grid(ds)
+    blocks = {(st, J): solve_radial(ds, st, J, grid) for st in ("X", "E") for J in (0, 1, 2)}
+    return ds, grid, blocks
+
+
+def _quadrature(a, b, d_r, h):
+    return float(np.sum(a.wavefunction * d_r * b.wavefunction) * h)
+
+
+def test_dipole_matrix_matches_pairwise_quadrature(optical_blocks):
+    ds, grid, blocks = optical_blocks
+    dip = ds.dipole_between("X", "E")
+    lo, up = blocks["X", 0], blocks["E", 1]
+    mat = dipole_matrix(lo, up, dip)
+    assert mat.shape == (len(lo), len(up))
+    d_r = dip(grid.points)
+    for a in lo:
+        for b in up:
+            ref = _quadrature(a, b, d_r, grid.h)
+            assert abs(mat[a.v, b.v] - ref) <= 1e-13
+            assert abs(vibronic_dipole(a, b, dip) - ref) <= 1e-13
+
+
+def test_block_linewidths_match_per_level_sums(optical_blocks):
+    ds, grid, blocks = optical_blocks
+    dip = ds.dipole_between("X", "E")
+    d_r = dip(grid.points)
+    up = blocks["E", 1]
+    lowers = blocks["X", 0] + blocks["X", 1] + blocks["X", 2]
+    got = natural_linewidths(up, ds, lowers)
+    assert got.shape == (len(up),)
+    for lev, gamma in zip(up, got):
+        rate = sum(
+            EINSTEIN_A_FACTOR * (lev.energy - lo.energy) ** 3 * _quadrature(lev, lo, d_r, grid.h) ** 2
+            * branch_strength(1, 0, lo.J, 0)
+            for lo in lowers
+            if lo.energy < lev.energy
+        )
+        assert gamma == pytest.approx(rate / (2.0 * math.pi * 1.0e6), rel=1e-12)
+        assert gamma == pytest.approx(natural_linewidth(lev, ds, lowers), rel=1e-12)
+
+
+def test_block_linewidths_need_one_block(optical_blocks):
+    ds, _grid, blocks = optical_blocks
+    with pytest.raises(ValueError, match="block"):
+        natural_linewidths(blocks["E", 1][:1] + blocks["E", 2][:1], ds, blocks["X", 0])
 
 
 def test_franck_condon_identical_wells():

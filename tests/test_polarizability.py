@@ -19,10 +19,12 @@ from molpol import (
     RadialGrid,
     alpha_at,
     build_line_list,
+    default_grid,
     natural_linewidth,
     scan_spectrum,
     solve_radial,
 )
+from molpol import polarizability
 from molpol.errors import DataError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
@@ -328,6 +330,42 @@ def test_scan_matches_pointwise(rotor):
     for p in spec.points:
         assert p.value == alpha_at(spec.lines, p.nu)
     np.testing.assert_array_equal(spec.values(), [p.value for p in spec.points])
+
+
+def _alpha_line_by_line(lines, nus):
+    """Reference kernel: one line at a time, in list order."""
+    out = np.zeros(len(nus), dtype=complex)
+    for ln in lines:
+        z = complex(ln.delta_e, -0.5 * ln.gamma * MHZ_CM1)
+        den = z * z - nus**2
+        term = np.where(den == 0, complex(math.nan, math.nan), z / np.where(den == 0, 1.0, den))
+        out = out + (ln.weight * ln.d_vib**2) * term
+    return ALPHA_HZ_PER_WCM2 * out
+
+
+def test_scan_longer_than_a_kernel_chunk_matches_pointwise(optical):
+    init = LevelId("X", 0, 0, 0)
+    lines = build_line_list(optical, init, SZ)
+    chunk = polarizability._KERNEL_CHUNK // len(lines)
+    nus = np.linspace(8500.0, 9600.0, 2 * chunk + 7)
+    values = scan_spectrum(optical, init, SZ, nus).values()
+    pointwise = np.array([alpha_at(lines, nu) for nu in nus])
+    assert len(nus) > chunk
+    assert np.array_equal(values.view(np.uint64), pointwise.view(np.uint64))
+    # the same additions in the same order as the line-by-line reference
+    assert np.array_equal(values.view(np.uint64), _alpha_line_by_line(lines, nus).view(np.uint64))
+
+
+def test_line_gammas_come_from_block_linewidths(optical):
+    # every E line carries the Einstein-A width of its final level over X J' +- 1
+    grid = default_grid(optical)
+    lines = build_line_list(optical, LevelId("X", 0, 0, 0), SZ)
+    lowers = [lev for J in (0, 1, 2) for lev in solve_radial(optical, "X", J, grid)]
+    finals = solve_radial(optical, "E", 1, grid)
+    e_lines = [ln for ln in lines if ln.state == "E"]
+    assert e_lines
+    for ln in e_lines:
+        assert ln.gamma == pytest.approx(natural_linewidth(finals[ln.v], optical, lowers), rel=1e-12)
 
 
 def test_capture_complete_for_rotor(rotor):

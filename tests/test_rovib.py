@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from molpol import (
@@ -10,11 +12,12 @@ from molpol import (
     RadialGrid,
     convergence_check,
     default_grid,
+    load_dataset,
     rotational_constant,
     solve_radial,
     synthesize,
 )
-from molpol.rovib import kinetic_matrix
+from molpol.rovib import kinetic_matrix, wavefunction_matrix
 
 from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor
 
@@ -46,6 +49,35 @@ def test_wavefunctions_are_read_only(morse_levels, krb_rotor):
             lev.wavefunction[0] = 0.0
 
 
+def test_block_wavefunctions_are_rows_of_one_read_only_matrix(morse_levels):
+    w = wavefunction_matrix(morse_levels)
+    assert w.shape == (len(morse_levels), MORSE_GRID.n)
+    assert not w.flags.writeable
+    for lev, row in zip(morse_levels, w):
+        assert np.shares_memory(lev.wavefunction, w)
+        np.testing.assert_array_equal(lev.wavefunction, row)
+    # any other selection is stacked into a new array with the same rows
+    picked = wavefunction_matrix(morse_levels[3:5])
+    assert not np.shares_memory(picked, w)
+    np.testing.assert_array_equal(picked, w[3:5])
+
+
+OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+
+
+@pytest.mark.parametrize("state", ["X0", "A0", "B1"])
+def test_subset_solve_matches_full_eigh(state):
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    pts = grid.points
+    levels = solve_radial(ds, state, 1, grid)
+    ham = kinetic_matrix(grid, ds.reduced_mass)
+    ham += np.diag(ds.potentials[state](pts) + HBAR2_OVER_TWO * 2 / (ds.reduced_mass * pts**2))
+    full = scipy.linalg.eigh(ham, eigvals_only=True)
+    assert len(levels) > 10
+    np.testing.assert_allclose([l.energy for l in levels], full[: len(levels)], rtol=0, atol=1e-10)
+
+
 def test_harmonic_ladder():
     omega = 50.0
     mu = 30.0
@@ -68,6 +100,16 @@ def test_hamiltonian_symmetric():
     grid = RadialGrid(5.0, 11.0, 128)
     t = kinetic_matrix(grid, 20.0)
     assert np.max(np.abs(t - t.T)) <= 1e-12 * np.max(np.abs(t))
+
+
+def test_kinetic_matrix_entries():
+    grid = RadialGrid(5.0, 11.0, 40)
+    t = kinetic_matrix(grid, 20.0)
+    scale = HBAR2_OVER_TWO / (20.0 * grid.h**2)
+    for i, j in [(0, 0), (7, 7), (0, 1), (5, 2), (2, 9), (39, 0)]:
+        d = i - j
+        expect = scale * (math.pi**2 / 3.0 if d == 0 else 2.0 * (-1) ** d / d**2)
+        assert t[i, j] == pytest.approx(expect, rel=1e-15)
 
 
 def test_node_counts(morse_levels):
@@ -147,6 +189,14 @@ def test_j_below_omega_rejected(morse_ds):
 
 def test_max_levels_truncates(morse_ds):
     assert len(solve_radial(morse_ds, "X0", 0, MORSE_GRID, 7)) == 7
+
+
+@pytest.mark.parametrize("max_levels", [0, -3])
+def test_max_levels_below_one_rejected(morse_ds, krb_rotor, max_levels):
+    with pytest.raises(ValueError, match="max_levels"):
+        solve_radial(morse_ds, "X0", 0, MORSE_GRID, max_levels)
+    with pytest.raises(ValueError, match="max_levels"):
+        solve_radial(krb_rotor, "X0", 0, default_grid(krb_rotor), max_levels)
 
 
 def test_convergence_check_pass_and_fail(morse_ds):
