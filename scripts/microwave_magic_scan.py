@@ -47,7 +47,7 @@ def run(name: str) -> list[str]:
     spec_a = scan_spectrum(ds, ida, pol, nus, opts)
     spec_b = scan_spectrum(ds, idb, pol, nus, opts)
 
-    table = np.column_stack([nus, np.real(spec_a.values()), np.real(spec_b.values())])
+    table = np.column_stack([nus, spec_a.values.real, spec_b.values.real])
     np.savetxt(
         OUT / f"{name}_alpha.dat",
         table,

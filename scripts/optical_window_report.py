@@ -40,7 +40,7 @@ def main() -> None:
 
     np.savetxt(
         OUT / "alpha.dat",
-        np.column_stack([nus, np.real(spec.values()), np.imag(spec.values())]),
+        np.column_stack([nus, spec.values.real, spec.values.imag]),
         header="nu [cm^-1]  Re alpha/h [Hz/(W/cm^2)]  Im alpha/h [Hz/(W/cm^2)]",
     )
 
@@ -53,8 +53,8 @@ def main() -> None:
     ]
     for w in find_windows(spec, min_width=5.0, flatness_cap=0.1, ratio_floor=1.0e6):
         mid = 0.5 * (w.nu_lo + w.nu_hi)
-        probe = min(spec.points, key=lambda p: abs(p.nu - mid))
-        trap = lattice_plan(probe.value, INTENSITY, 1.0e7 / probe.nu)
+        probe = int(np.argmin(np.abs(nus - mid)))
+        trap = lattice_plan(spec.values[probe], INTENSITY, 1.0e7 / nus[probe])
         lines.append(
             f"window {w.nu_lo:.1f}..{w.nu_hi:.1f} cm^-1 "
             f"({1.0e7 / w.nu_hi:.1f}..{1.0e7 / w.nu_lo:.1f} nm), "

@@ -4,10 +4,9 @@ Subcommands: validate, levels, fcf, alpha, magic, dress, plan, windows.
 Exit codes: 0 success, 2 usage, 3 bad data, 4 numerical failure.
 
 All numeric output is formatted to 12 significant digits with fixed field and
-row order, so identical inputs produce byte-identical files (--jobs is
-accepted and has no effect). Frequency ranges are lo:hi:step in cm^-1
-(inclusive endpoints when the step divides evenly); pass --nm to give the
-same range in nanometers.
+row order, so identical inputs produce byte-identical files. Frequency ranges
+are lo:hi:step in cm^-1 (inclusive endpoints when the step divides evenly);
+pass --nm to give the same range in nanometers.
 """
 
 from __future__ import annotations
@@ -207,6 +206,8 @@ def cmd_fcf(args) -> int:
     ds = _dataset(args)
     lower = args.initial_state or ds.ground_label
     upper = args.final_state
+    if args.max_v < 0:
+        raise DataError(f"--max-v must be at least 0, got {args.max_v}")
     grid = _parse_radial_grid(args.grid) if args.grid else default_grid(ds)
     lev_i = solve_radial(ds, lower, args.J, grid, args.max_v + 1)
     lev_f = solve_radial(ds, upper, args.Jp, grid, args.max_v + 1)
@@ -233,7 +234,7 @@ def cmd_alpha(args) -> int:
     _write_csv(
         out / "alpha.csv",
         ["nu_cm1", "re_alpha_Hz_per_Wcm2", "im_alpha_Hz_per_Wcm2"],
-        [(p.nu, p.value.real, p.value.imag) for p in spec.points],
+        zip(nus, spec.values.real, spec.values.imag),
     )
     _write_csv(
         out / "resonances.csv",
@@ -245,8 +246,8 @@ def cmd_alpha(args) -> int:
         {
             "initial": initial._asdict(),
             "polarization": pol.name,
-            "points": len(spec.points),
-            "poles": sum(1 for p in spec.points if p.pole),
+            "points": len(nus),
+            "poles": int(np.count_nonzero(np.isnan(spec.values.real))),
             "resonances_in_range": len(spec.resonances),
             "strength_capture": spec.capture,
             "options": spec.options,
@@ -256,9 +257,9 @@ def cmd_alpha(args) -> int:
         _write_plot(
             out / "alpha_plot.dat",
             ["nu [cm^-1]", "Re alpha/h [Hz/(W/cm^2)]", "Im alpha/h [Hz/(W/cm^2)]"],
-            (nus, np.real(spec.values()), np.imag(spec.values())),
+            (nus, spec.values.real, spec.values.imag),
         )
-    sys.stdout.write(f"{len(spec.points)} points, {len(spec.resonances)} resonances -> {out / 'alpha.csv'}\n")
+    sys.stdout.write(f"{len(nus)} points, {len(spec.resonances)} resonances -> {out / 'alpha.csv'}\n")
     return 0
 
 
@@ -290,12 +291,12 @@ def cmd_magic(args) -> int:
         _write_plot(
             out / "magic_a.dat",
             ["nu [cm^-1]", "Re alpha/h (a) [Hz/(W/cm^2)]"],
-            (nus, np.real(spec_a.values())),
+            (nus, spec_a.values.real),
         )
         _write_plot(
             out / "magic_b.dat",
             ["nu [cm^-1]", "Re alpha/h (b) [Hz/(W/cm^2)]"],
-            (nus, np.real(spec_b.values())),
+            (nus, spec_b.values.real),
         )
         _write_plot(
             out / "magic_roots.dat",
@@ -532,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p)
     p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
     p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_out_args(p)
     p.set_defaults(func=cmd_alpha)
 
@@ -579,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-width", type=float, default=10.0, help="minimum window width in cm^-1 (default: 10)")
     p.add_argument("--flatness-cap", type=float, default=0.1, help="max |d ln|alpha||/d nu in 1/cm^-1 (default: 0.1)")
     p.add_argument("--ratio-floor", type=float, default=1e6, help="min |Re alpha|/|Im alpha| (default: 1e6)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_out_args(p)
     p.set_defaults(func=cmd_windows)
 

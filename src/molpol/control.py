@@ -20,7 +20,6 @@ from .constants import DEBYE_CM, EPS0_SI, H_SI, J_PER_CM1, field_from_intensity
 from .dataset import MoleculeDataset
 from .errors import DataError, DegenerateSpectraError
 from .polarizability import (
-    AlphaValue,
     LevelId,
     LineListOptions,
     PolarizabilitySpectrum,
@@ -164,13 +163,13 @@ class LatticePlan:
     r_l: float                 # site spacing lambda/2, nm
 
 
-def lattice_plan(alpha, intensity: float, wavelength_nm: float) -> LatticePlan:
+def lattice_plan(alpha: complex, intensity: float, wavelength_nm: float) -> LatticePlan:
     """Build a LatticePlan from alpha/h [Hz/(W/cm^2)] at the trap frequency.
 
     V0/h = -Re(alpha) * I; the decoherence rate is 2 Im(alpha) I / hbar with
     alpha = h * (alpha/h), i.e. 4 pi Im(alpha/h) I in 1/s (declared convention).
     """
-    value = alpha.value if isinstance(alpha, AlphaValue) else complex(alpha)
+    value = complex(alpha)
     re, im = value.real, value.imag
     ratio = math.inf if im == 0.0 else abs(re) / abs(im)
     return LatticePlan(
@@ -227,8 +226,8 @@ def find_magic(
     if not np.array_equal(spec_a.nu, spec_b.nu):
         raise ValueError("spectra must share a frequency grid")
     nus = spec_a.nu
-    ra = np.real(spec_a.values())
-    rb = np.real(spec_b.values())
+    ra = spec_a.values.real
+    rb = spec_b.values.real
     diff = ra - rb
     finite = np.isfinite(ra) & np.isfinite(rb)
     scale = max(
@@ -292,7 +291,7 @@ def find_windows(
     listed resonance.
     """
     nus = spectrum.nu
-    vals = spectrum.values()
+    vals = spectrum.values
     n = len(nus)
     if n < 2:
         return []

@@ -12,7 +12,7 @@ class DataError(Exception):
 
 
 class QuantumNumberError(DataError, ValueError):
-    """A requested J outside what the physics allows (below omega) or the 3-j tables reach, or a level count below 1."""
+    """A requested J outside what the physics allows (below omega) or the 3-j tables reach, a level count below 1, or a cap on final v or J that no line can meet."""
 
 
 class NumericalError(Exception):

@@ -11,8 +11,10 @@ in Hz/(W/cm^2): a lattice depth is V0/h = -Re(alpha) * I with I in W/cm^2.
 The counter-rotating term is kept (no rotating-wave approximation), and
 Im(alpha) >= 0 on nu >= 0 whenever all gamma_f >= 0.
 
-An exact hit on an undamped pole (gamma = 0, nu = |Delta|) yields a NaN
-value tagged pole=True; scans keep the point and annotate it.
+A scan keeps alpha as one complex array, PolarizabilitySpectrum.values,
+aligned with its nu grid. An exact hit on an undamped pole (gamma = 0,
+nu = |Delta|) is a NaN+NaNj entry of that array: scans keep the point, and
+np.isnan(values.real) marks the poles.
 
 Levels come from one lookup per loaded dataset, keyed by (state, J, grid,
 max_levels): the initial level, the final branches and the lower levels of
@@ -41,13 +43,12 @@ import numpy as np
 from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
-from .errors import DataError
+from .errors import DataError, QuantumNumberError
 from .rovib import RadialGrid, RovibLevel, solve_radial
 
 __all__ = [
     "LevelId",
     "LineListOptions",
-    "AlphaValue",
     "Resonance",
     "PolarizabilitySpectrum",
     "default_grid",
@@ -84,15 +85,6 @@ class LineListOptions:
 
 
 @dataclass(frozen=True)
-class AlphaValue:
-    """alpha/h at one frequency, in Hz/(W/cm^2)."""
-
-    nu: float
-    value: complex
-    pole: bool = False
-
-
-@dataclass(frozen=True)
 class Resonance:
     """One transition frequency inside a scan range."""
 
@@ -110,14 +102,11 @@ class PolarizabilitySpectrum:
     initial: LevelId
     polarization: str
     nu: np.ndarray
-    points: list[AlphaValue]
+    values: np.ndarray      # alpha/h in Hz/(W/cm^2) at each nu; NaN+NaNj on a pole
     resonances: list[Resonance]
     lines: list[LineStrength]
     capture: dict[str, float] = field(default_factory=dict)
     options: dict = field(default_factory=dict)
-
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points], dtype=complex)
 
 
 def default_grid(ds: MoleculeDataset) -> RadialGrid:
@@ -191,6 +180,13 @@ def build_line_list(
 ) -> list[LineStrength]:
     """Every dipole-allowed line out of the initial level, deterministic order."""
     opts = options or LineListOptions()
+    if opts.v_max is not None and opts.v_max < 0:
+        raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
+    j_lowest = max(0, initial.J - 1)
+    if opts.j_max_branch is not None and opts.j_max_branch < j_lowest:
+        raise QuantumNumberError(
+            f"j_max_branch = {opts.j_max_branch} is below the lowest final J = {j_lowest} from J = {initial.J}"
+        )
     grid = opts.grid or default_grid(ds)
     lev_i = solve_initial(ds, initial, opts)
     om_i = ds.state(initial.state).omega
@@ -309,27 +305,25 @@ def scan_spectrum(
     lev_i = solve_initial(ds, initial, opts)
     values = _alpha_array(lines, nus)
 
-    points = [
-        AlphaValue(nu=float(nus[i]), value=complex(values[i]), pole=bool(np.isnan(values[i].real)))
-        for i in range(len(nus))
-    ]
-
     lo, hi = (float(nus[0]), float(nus[-1])) if len(nus) else (0.0, 0.0)
     res_seen: dict[tuple[str, int, int], float] = {}
     for ln in lines:
         if lo <= ln.nu_res <= hi:
             res_seen.setdefault((ln.state, ln.v, ln.J), ln.nu_res)
-    resonances = []
-    for (stt, v, J), nu_res in sorted(res_seen.items(), key=lambda kv: (kv[1], kv[0])):
-        a = alpha_at(lines, nu_res)
-        peak = math.inf if math.isnan(a.real) else abs(a)
-        resonances.append(Resonance(nu=nu_res, state=stt, v=v, J=J, peak=peak))
+    found = sorted(res_seen.items(), key=lambda kv: (kv[1], kv[0]))
+    # one kernel call for every peak: its nu columns are independent, so each
+    # equals alpha_at at that frequency bit for bit
+    peaks = _alpha_array(lines, np.array([nu_res for _, nu_res in found]))
+    resonances = [
+        Resonance(nu=nu_res, state=stt, v=v, J=J, peak=math.inf if math.isnan(a.real) else abs(a))
+        for ((stt, v, J), nu_res), a in zip(found, peaks.tolist())
+    ]
 
     return PolarizabilitySpectrum(
         initial=initial,
         polarization=polarization.name,
         nu=nus,
-        points=points,
+        values=values,
         resonances=resonances,
         lines=lines,
         capture=_capture(ds, lev_i, lines),

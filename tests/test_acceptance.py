@@ -142,7 +142,7 @@ def test_c04_polarization_equivalences_hold_pointwise():
     nus = np.arange(0.0011, 0.35, 0.0013)
 
     def vals(J, M, pol):
-        return scan_spectrum(ds, LevelId("X0", 0, J, M), pol, nus, G0).values()
+        return scan_spectrum(ds, LevelId("X0", 0, J, M), pol, nus, G0).values
 
     sx, sy, sz = Polarization.sigma_x(), Polarization.sigma_y(), Polarization.sigma_z()
     ref = vals(0, 0, sz)
@@ -284,8 +284,8 @@ def test_c10_windows_avoid_all_resonances_even_hidden_ones():
     hidden = [r for r in spec.resonances if r.state == "H"]
     assert len(hidden) == 1
     # invisible on the 1 cm^-1 grid: no bump against the local background
-    near = np.abs(spec.values().real)[(nus > 9490.0) & (nus < 9510.0)]
-    assert near.max() < 2.0 * np.median(np.abs(spec.values().real))
+    near = np.abs(spec.values.real)[(nus > 9490.0) & (nus < 9510.0)]
+    assert near.max() < 2.0 * np.median(np.abs(spec.values.real))
 
     # decoherence quality: clean at the heart of the windows, poor on top of
     # any line (probed off the scan grid, at and beside the exact centers)
@@ -315,16 +315,15 @@ def test_c11_cli_outputs_are_byte_identical_on_rerun(tmp_path, capsys):
     optical_dir = tmp_path / "optical"
     write_dataset(make_optical(), optical_dir)
 
-    jobs = ["--jobs", "8"]
     commands = [
         ["levels", optical_dir, "--max-levels", "6"],
         ["fcf", optical_dir, "--final-state", "E", "--max-v", "3"],
-        ["alpha", optical_dir, "--nu", "8500:9600:1", "--plot", *jobs],
+        ["alpha", optical_dir, "--nu", "8500:9600:1", "--plot"],
         ["magic", rotor_dir, "--nu", "0.005:0.3:0.005", "--gamma", "0.0", "--plot"],
         ["dress", rotor_dir, "--nu", "0.0327", "--intensity", "100"],
         ["plan", rotor_dir, "--nm", "1064", "--intensity", "1e4"],
         ["windows", optical_dir, "--nu", "8550:9550:0.5", "--min-width", "5",
-         "--flatness-cap", "0.5", "--ratio-floor", "1e4", "--plot", *jobs],
+         "--flatness-cap", "0.5", "--ratio-floor", "1e4", "--plot"],
     ]
     reports = []
     for _ in range(2):

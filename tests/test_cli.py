@@ -11,6 +11,8 @@ from molpol.dataset import DipoleCurve
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
+OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+
 
 def run_cli(argv):
     try:
@@ -31,6 +33,11 @@ def optical_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("ds") / "optical"
     write_dataset(make_optical(), path)
     return path
+
+
+@pytest.fixture
+def optical_standin_dir():
+    return OPTICAL_STANDIN
 
 
 def read_lines(path):
@@ -134,6 +141,12 @@ def test_fcf_table(optical_dir, tmp_path, capsys):
         assert 0.0 <= fcf <= 1.0 + 1e-9
 
 
+def test_fcf_negative_max_v_names_the_flag(optical_dir, tmp_path, capsys):
+    code = run_cli(["fcf", optical_dir, "--final-state", "E", "--max-v", "-1", "--out", tmp_path])
+    assert code == 3
+    assert capsys.readouterr().err == "molpol: data: --max-v must be at least 0, got -1\n"
+
+
 # --------------------------------------------------------------------- alpha
 
 
@@ -159,11 +172,9 @@ def test_alpha_grid_count_and_headers(rotor_dir, tmp_path, capsys):
 
 def test_alpha_deterministic_across_jobs(optical_dir, tmp_path, capsys):
     outs = []
-    for name, jobs in (("a", "1"), ("b", "1"), ("c", "8")):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        code = run_cli(
-            ["alpha", optical_dir, "--nu", "8500:9600:0.9", "--jobs", jobs, "--out", out]
-        )
+        code = run_cli(["alpha", optical_dir, "--nu", "8500:9600:0.9", "--out", out])
         assert code == 0
         outs.append(out)
     ref_alpha = (outs[0] / "alpha.csv").read_bytes()
@@ -351,6 +362,10 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("optical_dir", ["levels", "--max-levels", "0"]),
         ("optical_dir", ["levels", "--max-levels", "-3"]),
         ("optical_dir", ["alpha", "--nm", "--nu", "0:1000:500"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--v-max", "-1"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--v-max", "-2"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--j-max-branch", "-1"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--J", "3", "--j-max-branch", "1"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
@@ -388,8 +403,6 @@ def test_bad_molecule_json_fields_are_data_errors(request, dataset, path, value,
 
 
 # ------------------------------------------------------------- level reuse
-
-OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 
 
 @pytest.mark.parametrize(

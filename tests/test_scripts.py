@@ -1,0 +1,34 @@
+"""The report scripts run end to end on the shipped stand-in datasets."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(name, out):
+    """Load scripts/<name>.py by path, point its OUT at `out` and run its main."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = out
+    script.main()
+
+
+def test_optical_window_report(tmp_path, capsys):
+    _run("optical_window_report", tmp_path)
+    text = (tmp_path / "report.txt").read_text()
+    assert capsys.readouterr().out == text
+    rows = text.splitlines()
+    assert "lines kept: 136" in rows
+    assert "resonances in range: 30" in rows
+    assert sum(row.startswith("window ") for row in rows) == 20
+    assert (tmp_path / "alpha.dat").is_file()
+
+
+def test_microwave_magic_scan(tmp_path, capsys):
+    _run("microwave_magic_scan", tmp_path)
+    text = (tmp_path / "summary.txt").read_text()
+    assert capsys.readouterr().out == text
+    assert sum("= 8.000 B" in row for row in text.splitlines()) == 2
+    assert len(list(tmp_path.glob("*_alpha.dat"))) == 2
