@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 usage, 3 bad data, 4 numerical failure.
 All numeric output is formatted to 12 significant digits with fixed field and
 row order, so identical inputs produce byte-identical files. Frequency ranges
 are lo:hi:step in cm^-1 (inclusive endpoints when the step divides evenly);
-pass --nm to give the same range in nanometers.
+pass --nm to give the same range in nanometers. A range may hold at most
+MAX_SCAN_POINTS points; a longer one is a data error, raised before any grid
+is allocated.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ def _write_plot(path: Path, axis_names: list[str], columns) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+MAX_SCAN_POINTS = 1_000_000
+
+
 def _parse_range(text: str, in_nm: bool) -> np.ndarray:
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -101,7 +106,10 @@ def _parse_range(text: str, in_nm: bool) -> np.ndarray:
         raise DataError(f"range needs finite values, hi >= lo and step > 0, got {text!r}")
     if in_nm and lo <= 0:
         raise DataError(f"a wavelength range needs lo > 0 nm, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step + 1e-9
+    if steps >= MAX_SCAN_POINTS:   # also catches an overflow to inf
+        raise DataError(f"range {text!r} has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points")
+    count = int(math.floor(steps)) + 1
     grid = lo + step * np.arange(count)
     if in_nm:
         grid = np.sort(1.0e7 / grid)

@@ -23,7 +23,7 @@ from .polarizability import (
     LevelId,
     LineListOptions,
     PolarizabilitySpectrum,
-    alpha_at,
+    alpha_kernel,
     default_grid,
     solve_initial,
 )
@@ -239,8 +239,15 @@ def find_magic(
 
     res_nus = sorted({r.nu for r in spec_a.resonances} | {r.nu for r in spec_b.resonances})
 
+    # each spectrum's line arrays are built once for the whole bisection; the
+    # kernels return alpha_at's bits at every frequency
+    kernel_a, kernel_b = alpha_kernel(spec_a.lines), alpha_kernel(spec_b.lines)
+
+    def alpha_a(nu: float) -> complex:
+        return complex(kernel_a(np.asarray([nu]))[0])
+
     def g(nu: float) -> float:
-        return alpha_at(spec_a.lines, nu).real - alpha_at(spec_b.lines, nu).real
+        return alpha_a(nu).real - complex(kernel_b(np.asarray([nu]))[0]).real
 
     roots: list[MagicPoint] = []
     for i in range(len(nus) - 1):
@@ -258,7 +265,7 @@ def find_magic(
             continue
         if roots and abs(root - roots[-1].nu) <= tol:
             continue
-        roots.append(MagicPoint(nu=root, alpha=alpha_at(spec_a.lines, root)))
+        roots.append(MagicPoint(nu=root, alpha=alpha_a(root)))
     return roots
 
 

@@ -23,6 +23,7 @@ Dipole curves clamp to their endpoint values outside the table.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -203,8 +204,9 @@ class MoleculeDataset:
     default_gamma: float = 6.0       # MHz, fallback natural linewidth
     rotor: RotorInfo | None = None
     # solved blocks (levels and their computed linewidths) per (state, J, grid,
-    # max_levels), filled by polarizability; never invalidated, so a dataset is
-    # not to be edited once levels are solved
+    # max_levels), filled by polarizability and never invalidated; load_dataset
+    # hands one object to every load of unchanged content, so a dataset is
+    # read-only once loaded or solved
     _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -335,14 +337,15 @@ def synthesize(model, grid=None, *, reduced_mass: float, name: str = "synthetic"
 # directory IO
 
 
-def _read_curve(path: Path, value_units: dict[str, float]):
+def _read_curve(path: Path, data: bytes, value_units: dict[str, float]):
+    """Parse the bytes of one curve file; path only names it in errors."""
     r_vals: list[float] = []
     y_vals: list[float] = []
     scale_r = None
     scale_y = None
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -388,15 +391,60 @@ def _meta_number(value, what: str, integer: bool = False):
     return int(x) if integer else x
 
 
+# the most recent load, by content key: one entry at most
+_LOADED: dict[str, MoleculeDataset] = {}
+
+
+def _dataset_files(root: Path) -> dict[str, bytes]:
+    """The bytes of molecule.json and of every pot__/dip__ curve file, by name."""
+    files = {}
+    for p in [root / "molecule.json", *sorted(root.glob("pot__*.dat")), *sorted(root.glob("dip__*__*.dat"))]:
+        if p.is_file():
+            try:
+                files[p.name] = p.read_bytes()
+            except OSError as exc:
+                raise DataError(f"{p}: {exc}") from exc
+    return files
+
+
+def _content_key(files: dict[str, bytes]) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        data = files[name]
+        digest.update(b"%s\0%d\0" % (name.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def load_dataset(path) -> MoleculeDataset:
-    """Read a dataset directory; raises DataError naming file (and line) on problems."""
+    """Read a dataset directory; raises DataError naming file (and line) on problems.
+
+    Each file is read once and parsed from its bytes. A load whose files
+    (names and bytes) match the most recent load returns that same
+    MoleculeDataset, with the levels already solved on it, so loads of
+    unchanged content share one object: treat it as read-only. Changed
+    content is parsed afresh and replaces the held dataset.
+    """
     root = Path(path)
     meta_path = root / "molecule.json"
     if not meta_path.is_file():
         raise DataError(f"{meta_path}: not found")
+    files = _dataset_files(root)
+    key = _content_key(files)
+    held = _LOADED.get(key)
+    if held is not None:
+        return held
+    ds = _parse_dataset(root, files)
+    _LOADED.clear()
+    _LOADED[key] = ds
+    return ds
+
+
+def _parse_dataset(root: Path, files: dict[str, bytes]) -> MoleculeDataset:
+    meta_path = root / "molecule.json"
     try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        meta = json.loads(files[meta_path.name])
+    except ValueError as exc:
         raise DataError(f"{meta_path}: {exc}") from exc
     for key in ("name", "reduced_mass", "ground_label", "states"):
         if key not in meta:
@@ -421,21 +469,21 @@ def load_dataset(path) -> MoleculeDataset:
     potentials = {}
     for s in states:
         pfile = root / f"pot__{s.label}.dat"
-        if not pfile.is_file():
+        if pfile.name not in files:
             raise DataError(f"{pfile}: not found (potential for state {s.label!r})")
-        r, v = _read_curve(pfile, POTENTIAL_UNITS)
+        r, v = _read_curve(pfile, files[pfile.name], POTENTIAL_UNITS)
         try:
             potentials[s.label] = PotentialCurve(s, r, v)
         except DataError as exc:
             raise DataError(f"{pfile}: {exc}") from exc
     dipoles = []
-    for dfile in sorted(root.glob("dip__*__*.dat")):
-        stem = dfile.stem
-        parts = stem.split("__")
+    for name in sorted(n for n in files if n.startswith("dip__")):
+        dfile = root / name
+        parts = dfile.stem.split("__")
         if len(parts) != 3:
             raise DataError(f"{dfile}: dipole filename must be dip__<bra>__<ket>.dat")
         _, bra, ket = parts
-        r, d = _read_curve(dfile, DIPOLE_UNITS)
+        r, d = _read_curve(dfile, files[name], DIPOLE_UNITS)
         try:
             dipoles.append(DipoleCurve(bra, ket, r, d))
         except DataError as exc:

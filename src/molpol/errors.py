@@ -12,7 +12,7 @@ class DataError(Exception):
 
 
 class QuantumNumberError(DataError, ValueError):
-    """A requested J outside what the physics allows (below omega) or the 3-j tables reach, a level count below 1, or a cap on final v or J that no line can meet."""
+    """A requested J outside what the physics allows (below omega) or the 3-j tables reach, a level count below 1, a negative cap on final v, or a cap on final v or J that leaves no line with angular weight."""
 
 
 class NumericalError(Exception):

@@ -16,16 +16,19 @@ aligned with its nu grid. An exact hit on an undamped pole (gamma = 0,
 nu = |Delta|) is a NaN+NaNj entry of that array: scans keep the point, and
 np.isnan(values.real) marks the poles.
 
-Levels come from one lookup per loaded dataset, keyed by (state, J, grid,
-max_levels): the initial level, the final branches and the lower levels of
-every linewidth share a single eigensolve per block. Each stored block also
-holds its levels' computed linewidths, one coupling.natural_linewidths
-vector made on first use and shared by every spectrum on that dataset. A
-line list takes the dipoles of one final block from one
-coupling.dipole_matrix row. Both the line list and the Einstein-A
-linewidths take their partner states from one route rule,
-coupling.dipole_route: a dipole curve must join the two states, and omega
-0+ <-> 0- has no route.
+Levels come from one lookup per loaded dataset (one object for every load of
+unchanged files), keyed by (state, J, grid, max_levels): the initial level,
+the final branches and the lower levels of every linewidth share a single
+eigensolve per block. Each stored block also holds its levels' computed
+linewidths, one coupling.natural_linewidths vector made on first use and
+shared by every spectrum on that dataset. A linewidth solves only the lower
+blocks that can hold a level below its upper block's top level: a block whose
+rovib.energy_floor lies above that energy is skipped unsolved, since all its
+levels lie higher and its Einstein-A terms would be exact zeros. A line list
+takes the dipoles of one final block from one coupling.dipole_matrix row.
+Both the line list and the Einstein-A linewidths take their partner states
+from one route rule, coupling.dipole_route: a dipole curve must join the two
+states, and omega 0+ <-> 0- has no route.
 
 The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
 line axis in list order, so a scan and a single-point alpha_at add the same
@@ -35,6 +38,7 @@ terms in the same order and agree bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,7 +48,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, QuantumNumberError
-from .rovib import RadialGrid, RovibLevel, solve_radial
+from .rovib import RadialGrid, RovibLevel, energy_floor, solve_radial
 
 __all__ = [
     "LevelId",
@@ -54,6 +58,7 @@ __all__ = [
     "default_grid",
     "build_line_list",
     "alpha_at",
+    "alpha_kernel",
     "scan_spectrum",
 ]
 
@@ -161,12 +166,16 @@ def _gamma_for(ds: MoleculeDataset, blk: _Block, v: int, mode: str | float, max_
     if mode != "computed":
         raise ValueError(f"unknown gamma mode {mode!r}")
     if blk.gammas is None:
-        lev0 = blk.levels[0]
+        lev0, e_top = blk.levels[0], blk.levels[-1].energy
         lowers: list[RovibLevel] = []
         for st in sorted(ds.states, key=lambda s: s.label):
             if dipole_route(ds, lev0.state, st.label) is None:
                 continue
             for J2 in range(max(st.omega, lev0.J - 1), lev0.J + 2):
+                # a block wholly above this one takes no emission: skipping
+                # it drops only exact zeros from the Einstein-A sums
+                if energy_floor(ds, st.label, J2, lev0.grid) > e_top:
+                    continue
                 lowers.extend(_block(ds, st.label, J2, lev0.grid, max_levels).levels)
         blk.gammas = natural_linewidths(blk.levels, ds, lowers)
     return float(blk.gammas[v])
@@ -182,23 +191,18 @@ def build_line_list(
     opts = options or LineListOptions()
     if opts.v_max is not None and opts.v_max < 0:
         raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
-    j_lowest = max(0, initial.J - 1)
-    if opts.j_max_branch is not None and opts.j_max_branch < j_lowest:
-        raise QuantumNumberError(
-            f"j_max_branch = {opts.j_max_branch} is below the lowest final J = {j_lowest} from J = {initial.J}"
-        )
     grid = opts.grid or default_grid(ds)
     lev_i = solve_initial(ds, initial, opts)
     om_i = ds.state(initial.state).omega
-    j_hi = initial.J + 1 if opts.j_max_branch is None else min(initial.J + 1, opts.j_max_branch)
     v_end = None if opts.v_max is None else opts.v_max + 1
 
     lines: list[LineStrength] = []
+    capped: set[str] = set()   # the caps that removed a line with angular weight
     for st in sorted(ds.states, key=lambda s: s.label):
         dip = dipole_route(ds, initial.state, st.label)
         if dip is None:
             continue
-        for Jp in range(max(st.omega, initial.J - 1), j_hi + 1):
+        for Jp in range(max(st.omega, initial.J - 1), initial.J + 2):
             # (q, M', weight) per driven component; the same for every v'
             weights = []
             for q, amp in polarization.components:
@@ -208,8 +212,13 @@ def build_line_list(
                     weights.append((q, Mp, w))
             if not weights:
                 continue
+            if opts.j_max_branch is not None and Jp > opts.j_max_branch:
+                capped.add("j_max_branch")
+                continue
             blk = _block(ds, st.label, Jp, grid, opts.max_levels)
             finals = blk.levels[:v_end]
+            if len(finals) < len(blk.levels):
+                capped.add("v_max")
             for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, dip)[0].tolist()):
                 if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
                     continue   # the sum excludes the initial level
@@ -224,6 +233,11 @@ def build_line_list(
                     )
                     for q, Mp, w in weights
                 )
+    if not lines and capped:
+        caps = " and ".join(f"{cap} = {getattr(opts, cap)}" for cap in sorted(capped))
+        raise QuantumNumberError(
+            f"{caps} leaves no line with angular weight from {initial.state} v={initial.v} J={initial.J} M={initial.M}"
+        )
     # |M| before signed M: mirror initial levels then sum identical addends in
     # the same order, keeping the M <-> -M degeneracy exact in floats
     lines.sort(key=lambda ln: (ln.state, ln.J, ln.v, abs(ln.M), ln.M))
@@ -233,38 +247,48 @@ def build_line_list(
 def alpha_at(lines: list[LineStrength], nu: float) -> complex:
     """alpha/h at one frequency in Hz/(W/cm^2); NaN on an exact undamped pole.
 
-    Delegates to the array evaluator so single-point calls and grid scans
-    agree bit for bit.
+    Delegates to the array kernel so single-point calls and grid scans agree
+    bit for bit.
     """
-    return complex(_alpha_array(lines, np.asarray([float(nu)]))[0])
+    return complex(alpha_kernel(lines)(np.asarray([float(nu)]))[0])
 
 
 _KERNEL_CHUNK = 1 << 16   # (lines x nu) complex entries per kernel chunk, about 1 MB
 
 
-def _alpha_array(lines: list[LineStrength], nus: np.ndarray) -> np.ndarray:
-    nus = np.asarray(nus, dtype=float)
-    out = np.zeros(len(nus), dtype=complex)
-    if not lines:
-        return out
+def alpha_kernel(lines: list[LineStrength]) -> Callable[[np.ndarray], np.ndarray]:
+    """alpha/h over an array of frequencies for one line list.
+
+    The per-line arrays (z, z^2, w*d^2) are built once, here; a caller that
+    evaluates the same lines many times (a bisection) keeps the returned
+    function and gets the bits alpha_at would give at each frequency.
+    """
     zs = [complex(ln.delta_e, -0.5 * ln.gamma * MHZ_CM1) for ln in lines]
     z = np.array(zs)[:, None]
     # z^2 as Python complex products: numpy's vectorized complex multiply can
     # round the last bit differently, which would move the committed tables
     z2 = np.array([zc * zc for zc in zs])[:, None]
     wd2 = np.array([ln.weight * ln.d_vib**2 for ln in lines])[:, None]
-    step = max(1, _KERNEL_CHUNK // len(lines))
-    for lo in range(0, len(nus), step):
-        den = z2 - nus[lo : lo + step] ** 2
-        pole = den == 0
-        den[pole] = 1.0
-        term = z / den
-        term[pole] = complex(math.nan, math.nan)
-        term *= wd2
-        # a running sum down the line axis adds one line at a time in list order;
-        # adding it to out's +0 keeps an all-zero column at +0
-        out[lo : lo + step] += np.add.accumulate(term, axis=0, out=den)[-1]
-    return ALPHA_HZ_PER_WCM2 * out
+    step = max(1, _KERNEL_CHUNK // max(1, len(lines)))
+
+    def kernel(nus: np.ndarray) -> np.ndarray:
+        nus = np.asarray(nus, dtype=float)
+        out = np.zeros(len(nus), dtype=complex)
+        if not lines:
+            return out
+        for lo in range(0, len(nus), step):
+            den = z2 - nus[lo : lo + step] ** 2
+            pole = den == 0
+            den[pole] = 1.0
+            term = z / den
+            term[pole] = complex(math.nan, math.nan)
+            term *= wd2
+            # a running sum down the line axis adds one line at a time in list
+            # order; adding it to out's +0 keeps an all-zero column at +0
+            out[lo : lo + step] += np.add.accumulate(term, axis=0, out=den)[-1]
+        return ALPHA_HZ_PER_WCM2 * out
+
+    return kernel
 
 
 def _capture(ds: MoleculeDataset, lev_i: RovibLevel, lines: list[LineStrength]) -> dict[str, float]:
@@ -303,7 +327,8 @@ def scan_spectrum(
     nus = np.asarray(nu_grid, dtype=float)
     lines = build_line_list(ds, initial, polarization, opts)
     lev_i = solve_initial(ds, initial, opts)
-    values = _alpha_array(lines, nus)
+    kernel = alpha_kernel(lines)
+    values = kernel(nus)
 
     lo, hi = (float(nus[0]), float(nus[-1])) if len(nus) else (0.0, 0.0)
     res_seen: dict[tuple[str, int, int], float] = {}
@@ -313,7 +338,7 @@ def scan_spectrum(
     found = sorted(res_seen.items(), key=lambda kv: (kv[1], kv[0]))
     # one kernel call for every peak: its nu columns are independent, so each
     # equals alpha_at at that frequency bit for bit
-    peaks = _alpha_array(lines, np.array([nu_res for _, nu_res in found]))
+    peaks = kernel(np.array([nu_res for _, nu_res in found]))
     resonances = [
         Resonance(nu=nu_res, state=stt, v=v, J=J, peak=math.inf if math.isnan(a.real) else abs(a))
         for ((stt, v, J), nu_res), a in zip(found, peaks.tolist())

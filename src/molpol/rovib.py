@@ -13,6 +13,13 @@ T is a Toeplitz matrix, built from its first row. The eigensolve asks only
 for the max_levels lowest pairs (LAPACK evr on an index subset), then keeps
 those at least 1e-6 cm^-1 below the state's asymptote as bound levels.
 
+T is a finite section of the Toeplitz matrix whose symbol
+hbar^2/(2 mu h^2) theta^2 is >= 0 on [-pi, pi], so T is positive definite and
+every eigenvalue of H lies above the smallest diagonal entry
+V(R_i) + hbar^2 J(J+1)/(2 mu R_i^2). energy_floor returns that minimum less a
+rounding margin without solving; it lets a caller skip a block none of whose
+levels can lie below a given energy.
+
 Eigenvectors are normalized as sum_i psi_i^2 h = 1 and sign-fixed so the
 innermost antinode is positive. The k levels of one solve are the rows of
 one read-only (k, n) matrix W, and each level's wavefunction is a view of its
@@ -46,6 +53,7 @@ __all__ = [
     "ConvergenceReport",
     "kinetic_matrix",
     "solve_radial",
+    "energy_floor",
     "wavefunction_matrix",
     "convergence_check",
     "rotational_constant",
@@ -123,6 +131,25 @@ def _rotor_level(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> R
     return RovibLevel(state=state, v=0, J=J, energy=energy, grid=grid, wavefunction=w[0])
 
 
+def _effective_potential(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> np.ndarray:
+    """V(R_i) + hbar^2 J(J+1) / (2 mu R_i^2) on the grid: the diagonal H adds to T."""
+    pts = grid.points
+    return ds.potentials[state](pts) + HBAR2_OVER_TWO * J * (J + 1) / (ds.reduced_mass * pts**2)
+
+
+def energy_floor(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> float:
+    """A lower bound in cm^-1 on every level solve_radial can return for this block.
+
+    The smallest effective-potential entry, less 1e-9 of a bound on |H|
+    (max |V_J| plus the top of T's spectrum, hbar^2 pi^2 / (2 mu h^2)) to cover
+    the eigensolver's rounding. A rotor level's energy is the effective
+    potential at one node, so the bound holds for rotor blocks too.
+    """
+    v_eff = _effective_potential(ds, state, J, grid)
+    t_top = HBAR2_OVER_TWO * math.pi**2 / (ds.reduced_mass * grid.h**2)
+    return float(v_eff.min()) - 1e-9 * (float(np.abs(v_eff).max()) + t_top)
+
+
 def solve_radial(
     ds: MoleculeDataset,
     state: str,
@@ -140,10 +167,8 @@ def solve_radial(
     if ds.rotor is not None and not pot.has_interior_minimum:
         return [_rotor_level(ds, state, J, grid)]
 
-    pts = grid.points
-    v_diag = pot(pts) + HBAR2_OVER_TWO * J * (J + 1) / (ds.reduced_mass * pts**2)
     ham = kinetic_matrix(grid, ds.reduced_mass)
-    ham[np.diag_indices_from(ham)] += v_diag
+    ham[np.diag_indices_from(ham)] += _effective_potential(ds, state, J, grid)
     energies, vectors = eigh(
         ham, overwrite_a=True, subset_by_index=(0, min(max_levels, grid.n) - 1), driver="evr"
     )

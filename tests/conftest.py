@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from molpol import dataset as molpol_dataset
 from molpol import (
     HBAR2_OVER_TWO,
     DipoleCurve,
@@ -23,6 +24,14 @@ from molpol import (
     RigidRotorModel,
     synthesize,
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_load_cache():
+    """Start every test without a held dataset, so no solve or sample count
+    depends on which test loaded the same content before it."""
+    molpol_dataset._LOADED.clear()
+
 
 KRB = dict(mu=27.3757, r_e=7.69, d=0.76)
 RBCS = dict(mu=52.5475, r_e=8.37, d=1.27)

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from molpol import polarizability, write_dataset
-from molpol.cli import main
+from molpol import load_dataset, polarizability, write_dataset
+from molpol.cli import MAX_SCAN_POINTS, _parse_range, main
 from molpol.dataset import DipoleCurve
+from molpol.errors import DataError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
@@ -366,6 +367,8 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--v-max", "-2"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--j-max-branch", "-1"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--J", "3", "--j-max-branch", "1"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9002:1", "--j-max-branch", "0"]),
+        ("rotor_dir", ["alpha", "--nu", "0:1e308:1e-300"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
@@ -405,14 +408,9 @@ def test_bad_molecule_json_fields_are_data_errors(request, dataset, path, value,
 # ------------------------------------------------------------- level reuse
 
 
-@pytest.mark.parametrize(
-    "argv, blocks",
-    [
-        (["alpha", "--nu", "9000:9010:1"], 8),
-        (["magic", "--Ja", "0", "--Jb", "1", "--nu", "9000:9010:1"], 11),
-    ],
-)
-def test_each_state_j_block_is_solved_once_per_request(argv, blocks, tmp_path, monkeypatch):
+@pytest.fixture
+def solve_keys(monkeypatch):
+    """The (state, J, grid, max_levels) key of every eigensolve, in call order."""
     keys = []
     solve = polarizability.solve_radial
 
@@ -421,10 +419,65 @@ def test_each_state_j_block_is_solved_once_per_request(argv, blocks, tmp_path, m
         return solve(ds, state, J, grid, max_levels)
 
     monkeypatch.setattr(polarizability, "solve_radial", counting)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "argv, blocks",
+    [
+        (["alpha", "--nu", "9000:9010:1"], 5),
+        (["magic", "--Ja", "0", "--Jb", "1", "--nu", "9000:9010:1"], 9),
+    ],
+)
+def test_each_state_j_block_is_solved_once_per_request(argv, blocks, tmp_path, solve_keys):
+    # alpha: X0 J0..J2 and the A0/B1 J1 finals; magic adds X0 J1's A0 J0/J2
+    # and B1 J2 finals and X0 J3, which lies below X0 J2's top level.
+    # Linewidths solve no block lying wholly above the level that decays
+    # (A0 J0, A0 J2 and B1 J2 for X0 J1): 8 and 11 solves without that rule
     code = run_cli([argv[0], OPTICAL_STANDIN, *argv[1:], "--grid", "5:20:301", "--out", tmp_path])
     assert code == 0
-    assert len(keys) == blocks
-    assert len(set(keys)) == blocks
+    assert len(solve_keys) == blocks
+    assert len(set(solve_keys)) == blocks
+
+
+def test_consecutive_requests_share_solved_blocks(tmp_path, solve_keys):
+    # the second load of unchanged content returns the first's dataset with
+    # its solved blocks, so windows after alpha solves nothing (16 before)
+    level = ["--nu", "9000:9010:1"]
+    assert run_cli(["alpha", OPTICAL_STANDIN, *level, "--out", tmp_path / "a"]) == 0
+    assert run_cli(["windows", OPTICAL_STANDIN, *level, "--min-width", "5", "--out", tmp_path / "w"]) == 0
+    assert len(solve_keys) == 5
+    assert len(set(solve_keys)) == 5
+
+
+def test_rewritten_curve_file_forces_a_reload(tmp_path, solve_keys):
+    ds_dir = tmp_path / "ds"
+    shutil.copytree(OPTICAL_STANDIN, ds_dir)
+    argv = ["alpha", ds_dir, "--nu", "9000:9400:1", "--grid", "5:20:301"]
+    assert run_cli([*argv, "--out", tmp_path / "first"]) == 0
+    held = load_dataset(ds_dir)
+    assert run_cli([*argv, "--out", tmp_path / "same"]) == 0
+    assert len(solve_keys) == 5
+    # raise A0 by 1 cm^-1: new bytes, a new dataset, fresh solves and new lines
+    pot = ds_dir / "pot__A0.dat"
+    rows = [
+        row if row.startswith(("#", "units")) else f"{row.split()[0]} {float(row.split()[1]) + 1.0!r}"
+        for row in pot.read_text().splitlines()
+    ]
+    pot.write_text("\n".join(rows) + "\n")
+    assert run_cli([*argv, "--out", tmp_path / "edited"]) == 0
+    assert load_dataset(ds_dir) is not held
+    assert len(solve_keys) == 10
+    assert (tmp_path / "same" / "alpha.csv").read_bytes() == (tmp_path / "first" / "alpha.csv").read_bytes()
+    assert (tmp_path / "edited" / "alpha.csv").read_bytes() != (tmp_path / "first" / "alpha.csv").read_bytes()
+
+
+def test_scan_point_count_is_capped():
+    assert len(_parse_range(f"0:{MAX_SCAN_POINTS - 1}:1", False)) == MAX_SCAN_POINTS
+    with pytest.raises(DataError, match="MAX_SCAN_POINTS"):
+        _parse_range(f"0:{MAX_SCAN_POINTS}:1", False)
+    with pytest.raises(DataError, match="MAX_SCAN_POINTS"):
+        _parse_range(f"1:{MAX_SCAN_POINTS + 1}:1", True)
 
 
 def test_dipole_curve_is_sampled_per_block_pair(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from molpol import (
     LineListOptions,
     Polarization,
     PolarizabilitySpectrum,
+    RadialGrid,
     alpha_at,
     dd_interaction,
     find_magic,
@@ -18,13 +20,17 @@ from molpol import (
     induced_dipole,
     induced_dipole_perturbative,
     lattice_plan,
+    load_dataset,
     microwave_plan,
     rabi_energy,
     scan_spectrum,
 )
+from molpol import control
 from molpol.errors import DataError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
+
+OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 
 SZ = Polarization.sigma_z()
 G0 = LineListOptions(gamma=0.0)
@@ -191,6 +197,23 @@ def test_find_magic_rotor_crossing(rotor):
     gb = alpha_at(b.lines, roots[0].nu).real
     scale = max(abs(float(np.max(np.abs(a.values.real)))), abs(ga))
     assert abs(ga - gb) < 1e-6 * scale
+
+
+def test_magic_bisection_matches_pointwise_alpha_at(monkeypatch):
+    ds = load_dataset(OPTICAL_STANDIN)
+    opts = LineListOptions(grid=RadialGrid(5.0, 20.0, 301))
+    nus = np.arange(8800.0, 9600.0, 2.0)
+    a = scan_spectrum(ds, LevelId("X0", 0, 0, 0), SZ, nus, opts)
+    b = scan_spectrum(ds, LevelId("X0", 0, 1, 0), SZ, nus, opts)
+    roots = find_magic(a, b)
+    assert len(roots) >= 5
+    # the same search with every bisection step a fresh pointwise alpha_at
+    monkeypatch.setattr(
+        control, "alpha_kernel", lambda lines: lambda nu: np.array([alpha_at(lines, x) for x in nu])
+    )
+    pointwise = find_magic(a, b)
+    assert [(r.nu, r.alpha) for r in roots] == [(r.nu, r.alpha) for r in pointwise]
+    assert all(r.alpha == alpha_at(a.lines, r.nu) for r in roots)
 
 
 def test_find_magic_symmetric_in_arguments(rotor):

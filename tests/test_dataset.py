@@ -60,6 +60,17 @@ def test_decreasing_r_names_offending_line(tmp_path):
     assert "pot__X.dat" in str(err.value)
 
 
+def test_non_utf8_files_are_data_errors(tmp_path):
+    write_dataset(make_optical(), tmp_path / "enc")
+    pot = tmp_path / "enc" / "pot__X.dat"
+    pot.write_bytes(pot.read_bytes() + b"\xff\n")
+    with pytest.raises(DataError, match="pot__X.dat"):
+        load_dataset(tmp_path / "enc")
+    (tmp_path / "enc" / "molecule.json").write_bytes(b"\xff{")
+    with pytest.raises(DataError, match="molecule.json"):
+        load_dataset(tmp_path / "enc")
+
+
 def test_missing_reduced_mass(tmp_path):
     ds = make_optical()
     write_dataset(ds, tmp_path / "nomu")

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from molpol import (
     alpha_at,
     build_line_list,
     default_grid,
+    load_dataset,
     natural_linewidth,
     scan_spectrum,
     solve_radial,
 )
 from molpol import polarizability
-from molpol.errors import DataError
+from molpol.coupling import natural_linewidths
+from molpol.errors import DataError, QuantumNumberError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
@@ -372,6 +375,38 @@ def test_line_gammas_come_from_block_linewidths(optical):
     assert e_lines
     for ln in e_lines:
         assert ln.gamma == pytest.approx(natural_linewidth(finals[ln.v], optical, lowers), rel=1e-12)
+
+
+OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+
+
+def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit():
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = RadialGrid(5.0, 20.0, 301)
+    opts = LineListOptions(grid=grid)
+    build_line_list(ds, LevelId("X0", 0, 0, 0), SZ, opts)
+    # X0 J1's width skipped A0 J0, A0 J2 and B1 J2, which lie wholly above it
+    assert ("A0", 0, grid, 64) not in ds._levels
+    build_line_list(ds, LevelId("X0", 0, 1, 0), SZ, opts)
+    widths = {key: blk.gammas for key, blk in ds._levels.items() if blk.gammas is not None}
+    assert len(widths) >= 6
+    for (state, J, _, max_levels), gammas in widths.items():
+        lowers = [
+            lev
+            for st in sorted(ds.states, key=lambda s: s.label)
+            for J2 in range(max(st.omega, J - 1), J + 2)
+            for lev in polarizability._block(ds, st.label, J2, grid, max_levels).levels
+        ]
+        full = natural_linewidths(ds._levels[(state, J, grid, max_levels)].levels, ds, lowers)
+        assert np.array_equal(gammas.view(np.uint64), full.view(np.uint64))
+
+
+def test_caps_that_leave_no_weighted_line_are_named():
+    # from J = 0, A0 J'=0 has zero angular weight and B1 needs J' >= 1
+    ds = load_dataset(OPTICAL_STANDIN)
+    opts = LineListOptions(grid=RadialGrid(5.0, 20.0, 301), j_max_branch=0)
+    with pytest.raises(QuantumNumberError, match="j_max_branch = 0 leaves no line"):
+        build_line_list(ds, LevelId("X0", 0, 0, 0), SZ, opts)
 
 
 def test_capture_complete_for_rotor(rotor):

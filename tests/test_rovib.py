@@ -17,7 +17,7 @@ from molpol import (
     solve_radial,
     synthesize,
 )
-from molpol.rovib import kinetic_matrix, wavefunction_matrix
+from molpol.rovib import energy_floor, kinetic_matrix, wavefunction_matrix
 
 from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor
 
@@ -76,6 +76,21 @@ def test_subset_solve_matches_full_eigh(state):
     full = scipy.linalg.eigh(ham, eigvals_only=True)
     assert len(levels) > 10
     np.testing.assert_allclose([l.energy for l in levels], full[: len(levels)], rtol=0, atol=1e-10)
+
+
+def test_levels_lie_above_the_energy_floor(morse_ds, krb_rotor):
+    optical = load_dataset(OPTICAL_STANDIN)
+    k = 30.0 * 50.0**2 / (2.0 * HBAR2_OVER_TWO)
+    h_grid = RadialGrid(5.0, 11.0, 401)
+    harmonic = synthesize(HarmonicModel(k, 8.0), h_grid, reduced_mass=30.0)
+    cases = [(optical, st.label, J, default_grid(optical)) for st in optical.states for J in range(st.omega, 3)]
+    cases += [(morse_ds, "X0", J, MORSE_GRID) for J in (0, 10, 60)]
+    cases += [(harmonic, "X0", J, h_grid) for J in (0, 20)]
+    cases += [(krb_rotor, "X0", J, default_grid(krb_rotor)) for J in (0, 3)]
+    for ds, state, J, grid in cases:
+        levels = solve_radial(ds, state, J, grid)
+        assert levels
+        assert energy_floor(ds, state, J, grid) <= levels[0].energy, (ds.name, state, J)
 
 
 def test_harmonic_ladder():
