@@ -8,12 +8,14 @@ row order, so identical inputs produce byte-identical files. Frequency ranges
 are lo:hi:step in cm^-1 (inclusive endpoints when the step divides evenly);
 pass --nm to give the same range in nanometers. A range may hold at most
 MAX_SCAN_POINTS points; a longer one is a data error, raised before any grid
-is allocated.
+is allocated. A radial --grid rmin:rmax:n needs finite bounds and at most
+rovib.MAX_GRID_POINTS points, checked before any matrix is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -75,11 +77,22 @@ def _jclean(obj):
     return obj
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+def _write_table(path: Path, head: str, sep: str, columns) -> None:
+    """One line per row, each rendered by one format string: a column of
+    strings as is, of integers exact, of floats as _fmt renders them."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    lines = [head]
+    if cols and cols[0]:
+        fmt = sep.join(
+            "%s" if isinstance(x, str) else "%d" if isinstance(x, (int, np.integer)) else "%.12g"
+            for x in (c[0] for c in cols)
+        )
+        lines += [fmt % row for row in zip(*cols)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    _write_table(path, ",".join(header), ",", columns)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -88,10 +101,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_plot(path: Path, axis_names: list[str], columns) -> None:
     """Plot-ready whitespace table; header names the axes and units."""
-    lines = ["# " + "  ".join(axis_names)]
-    for row in zip(*columns):
-        lines.append(" ".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_table(path, "# " + "  ".join(axis_names), " ", columns)
 
 
 MAX_SCAN_POINTS = 1_000_000
@@ -137,9 +147,10 @@ def _parse_gamma(text: str):
 
 
 def _dataset(args):
-    if args.dataset is None:
+    path = args.dataset if args.dataset is not None else os.environ.get("MOLPOL_DATASET")
+    if path is None:
         raise DataError("no dataset given and MOLPOL_DATASET is not set")
-    return load_dataset(args.dataset)
+    return load_dataset(path)
 
 
 def _options(args, ds) -> LineListOptions:
@@ -196,14 +207,15 @@ def cmd_levels(args) -> int:
     _write_csv(
         out / "levels.csv",
         ["state", "v", "J", "E_cm1"],
-        [(l.state, l.v, l.J, l.energy) for l in levels],
+        zip(*[(l.state, l.v, l.J, l.energy) for l in levels]),
     )
     if args.check:
         rep = convergence_check(ds, state, args.J, grid, args.max_levels)
         if not rep.converged:
             sys.stderr.write(
                 f"molpol: numerical: levels not converged "
-                f"(refine {_fmt(rep.shift_refine)}, extend {_fmt(rep.shift_extend)} cm-1)\n"
+                f"(refine {_fmt(rep.shift_refine)}, extend {_fmt(rep.shift_extend)}, "
+                f"trim {_fmt(rep.shift_trim)} cm-1)\n"
             )
             return 4
     sys.stdout.write(f"{len(levels)} bound levels for {state} J={args.J} -> {out / 'levels.csv'}\n")
@@ -226,7 +238,7 @@ def cmd_fcf(args) -> int:
             d = vibronic_dipole(li, lf, dip) if dip is not None else math.nan
             rows.append((li.v, li.J, lf.v, lf.J, franck_condon(li, lf), d))
     out = _outdir(args)
-    _write_csv(out / "fcf.csv", ["v", "J", "vp", "Jp", "FCF", "d_vib"], rows)
+    _write_csv(out / "fcf.csv", ["v", "J", "vp", "Jp", "FCF", "d_vib"], zip(*rows))
     sys.stdout.write(f"{len(rows)} rows -> {out / 'fcf.csv'}\n")
     return 0
 
@@ -242,12 +254,12 @@ def cmd_alpha(args) -> int:
     _write_csv(
         out / "alpha.csv",
         ["nu_cm1", "re_alpha_Hz_per_Wcm2", "im_alpha_Hz_per_Wcm2"],
-        zip(nus, spec.values.real, spec.values.imag),
+        (nus, spec.values.real, spec.values.imag),
     )
     _write_csv(
         out / "resonances.csv",
         ["nu_res", "state", "v", "J", "peak"],
-        [(r.nu, r.state, r.v, r.J, r.peak) for r in spec.resonances],
+        zip(*[(r.nu, r.state, r.v, r.J, r.peak) for r in spec.resonances]),
     )
     _write_json(
         out / "alpha_report.json",
@@ -403,10 +415,10 @@ def cmd_windows(args) -> int:
     _write_csv(
         out / "windows.csv",
         ["nu_lo_cm1", "nu_hi_cm1", "lambda_lo_nm", "lambda_hi_nm", "min_ratio", "max_flatness"],
-        [
+        zip(*[
             (w.nu_lo, w.nu_hi, 1.0e7 / w.nu_hi, 1.0e7 / w.nu_lo, w.min_ratio, w.max_flatness)
             for w in wins
-        ],
+        ]),
     )
     _write_json(
         out / "windows.json",
@@ -449,12 +461,7 @@ def cmd_windows(args) -> int:
 
 
 def _add_dataset_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "dataset",
-        nargs="?",
-        default=os.environ.get("MOLPOL_DATASET"),
-        help="dataset directory (default: $MOLPOL_DATASET)",
-    )
+    p.add_argument("dataset", nargs="?", default=None, help="dataset directory (default: $MOLPOL_DATASET)")
 
 
 POLARIZATIONS = ("sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1")
@@ -503,7 +510,9 @@ def _add_out_args(p: argparse.ArgumentParser, plot: bool = True) -> None:
         p.add_argument("--plot", action="store_true", help="also write plot-ready .dat files")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no per-request state."""
     ap = argparse.ArgumentParser(
         prog="molpol",
         description="Rovibrational structure, dynamic polarizability, and trap planning for polar diatomics.",

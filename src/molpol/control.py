@@ -238,6 +238,13 @@ def find_magic(
         raise DegenerateSpectraError("the two spectra are identical; no magic crossing is defined")
 
     res_nus = sorted({r.nu for r in spec_a.resonances} | {r.nu for r in spec_b.resonances})
+    # bracket i is [nus[i], nus[i + 1]]: both ends finite, a zero at its low
+    # end or a sign change across it, and no resonance inside (the first one
+    # at or above its low end lies above its high end)
+    lo, hi = nus[:-1], nus[1:]
+    d1, d2 = diff[:-1], diff[1:]
+    first_res = np.append(res_nus, math.inf)[np.searchsorted(res_nus, lo)]
+    crossing = finite[:-1] & finite[1:] & ((d1 == 0.0) | (d1 * d2 < 0.0)) & (first_res > hi)
 
     # each spectrum's line arrays are built once for the whole bisection; the
     # kernels return alpha_at's bits at every frequency
@@ -250,19 +257,9 @@ def find_magic(
         return alpha_a(nu).real - complex(kernel_b(np.asarray([nu]))[0]).real
 
     roots: list[MagicPoint] = []
-    for i in range(len(nus) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        lo, hi = float(nus[i]), float(nus[i + 1])
-        if any(lo <= r <= hi for r in res_nus):
-            continue
-        d1, d2 = float(diff[i]), float(diff[i + 1])
-        if d1 == 0.0:
-            root = lo
-        elif d1 * d2 < 0.0:
-            root = _bisect(g, lo, hi, d1, d2)
-        else:
-            continue
+    for i in np.flatnonzero(crossing):
+        a, b, fa, fb = float(lo[i]), float(hi[i]), float(d1[i]), float(d2[i])
+        root = a if fa == 0.0 else _bisect(g, a, b, fa, fb)
         if roots and abs(root - roots[-1].nu) <= tol:
             continue
         roots.append(MagicPoint(nu=root, alpha=alpha_a(root)))

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit codes: DataError (including
-QuantumNumberError) -> 3, NumericalError (including DegenerateSpectraError) -> 4.
+QuantumNumberError and GridError) -> 3, NumericalError (including
+DegenerateSpectraError) -> 4.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ class DataError(Exception):
 
 class QuantumNumberError(DataError, ValueError):
     """A requested J outside what the physics allows (below omega) or the 3-j tables reach, a level count below 1, a negative cap on final v, or a cap on final v or J that leaves no line with angular weight."""
+
+
+class GridError(DataError, ValueError):
+    """A radial grid with non-finite bounds, no finite 1/h^2, or more than MAX_GRID_POINTS points."""
 
 
 class NumericalError(Exception):

@@ -8,10 +8,13 @@ on disk).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from molpol import dataset as molpol_dataset
+from molpol import rovib
 from molpol import (
     HBAR2_OVER_TWO,
     DipoleCurve,
@@ -122,3 +125,13 @@ def make_optical(hidden_d: float = 2e-5, default_gamma: float = 6.0) -> Molecule
         ground_label="X",
         default_gamma=default_gamma,
     )
+
+
+def shifted_solve(shift: float):
+    """rovib.solve_radial with every energy raised by `shift` cm^-1."""
+    solve = rovib.solve_radial
+
+    def shifted(*args):
+        return [dataclasses.replace(l, energy=l.energy + shift) for l in solve(*args)]
+
+    return shifted

@@ -3,14 +3,17 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
-from molpol.cli import MAX_SCAN_POINTS, _parse_range, main
+from molpol import rovib
+from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
 from molpol.dataset import DipoleCurve
 from molpol.errors import DataError
+from molpol.rovib import MAX_GRID_POINTS
 
-from conftest import RBCS, make_optical, make_rotor, rotor_b
+from conftest import RBCS, make_optical, make_rotor, rotor_b, shifted_solve
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 
@@ -119,6 +122,16 @@ def test_levels_check_passes_fine_grid(optical_dir, tmp_path, capsys):
         ["levels", optical_dir, "--max-levels", "5", "--check", "--out", tmp_path]
     )
     assert code == 0
+
+
+def test_levels_check_flags_a_bad_trim(optical_standin_dir, tmp_path, capsys, monkeypatch):
+    # trimmed solves off by 0.01 cm^-1: only the untrimmed re-solve sees it
+    monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
+    argv = ["levels", optical_standin_dir, "--grid", "5:20:401", "--check", "--out", tmp_path]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: numerical:") and err.count("\n") == 1
+    assert "refine" in err and "extend" in err and "trim" in err
 
 
 def test_bad_grid_argument(optical_dir, tmp_path, capsys):
@@ -369,6 +382,13 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--J", "3", "--j-max-branch", "1"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9002:1", "--j-max-branch", "0"]),
         ("rotor_dir", ["alpha", "--nu", "0:1e308:1e-300"]),
+        ("optical_standin_dir", ["levels", "--grid", "5:inf:801"]),
+        ("optical_standin_dir", ["levels", "--grid", "5:1e300:801"]),
+        ("optical_standin_dir", ["levels", "--grid", "nan:20:801"]),
+        ("optical_standin_dir", ["levels", "--grid", "1e-300:20:801"]),
+        ("optical_standin_dir", ["levels", "--grid", f"5:20:{MAX_GRID_POINTS + 1}"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--grid", "5:inf:801"]),
+        ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--grid", "5:1e300:801"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
@@ -478,6 +498,31 @@ def test_scan_point_count_is_capped():
         _parse_range(f"0:{MAX_SCAN_POINTS}:1", False)
     with pytest.raises(DataError, match="MAX_SCAN_POINTS"):
         _parse_range(f"1:{MAX_SCAN_POINTS + 1}:1", True)
+
+
+def test_radial_grid_point_count_is_capped():
+    # checked before any n x n matrix exists; nothing is solved here
+    assert _parse_radial_grid(f"5:20:{MAX_GRID_POINTS}").n == MAX_GRID_POINTS
+    with pytest.raises(DataError, match="MAX_GRID_POINTS"):
+        _parse_radial_grid(f"5:20:{MAX_GRID_POINTS + 1}")
+
+
+def test_tables_render_every_value_as_fmt_does(tmp_path):
+    floats = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0123456789,
+              1e12, 1e16, math.nan, math.inf, -math.inf, 1.0 / 3.0]
+    ints = list(range(-3, len(floats) - 3))
+    ints[-1] = 10**15
+    labels = [f"s{i}" for i in range(len(floats))]
+    columns = (labels, ints, floats, np.array(floats[::-1]))
+    _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], columns)
+    _write_plot(tmp_path / "t.dat", ["x", "y"], columns[1:3])
+    rows = list(zip(*columns))
+    assert read_lines(tmp_path / "t.csv") == ["a,b,c,d"] + [
+        ",".join([r[0], *(_fmt(x) for x in r[1:])]) for r in rows
+    ]
+    assert read_lines(tmp_path / "t.dat") == ["# x  y"] + [f"{_fmt(r[1])} {_fmt(r[2])}" for r in rows]
+    _write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
+    assert read_lines(tmp_path / "empty.csv") == ["a,b"]
 
 
 def test_dipole_curve_is_sampled_per_block_pair(tmp_path, monkeypatch):

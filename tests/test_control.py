@@ -185,6 +185,34 @@ def _rotor_specs(rotor, grid=None):
     return a, b
 
 
+def _magic_by_bracket_loop(spec_a, spec_b, tol=1e-6):
+    """find_magic's bracket search written as a per-bracket loop over every resonance."""
+    nus, diff = spec_a.nu, spec_a.values.real - spec_b.values.real
+    finite = np.isfinite(spec_a.values.real) & np.isfinite(spec_b.values.real)
+    res_nus = sorted({r.nu for r in spec_a.resonances} | {r.nu for r in spec_b.resonances})
+    kernel_a, kernel_b = control.alpha_kernel(spec_a.lines), control.alpha_kernel(spec_b.lines)
+
+    def g(nu):
+        return complex(kernel_a(np.asarray([nu]))[0]).real - complex(kernel_b(np.asarray([nu]))[0]).real
+
+    roots = []
+    for i in range(len(nus) - 1):
+        lo, hi = float(nus[i]), float(nus[i + 1])
+        if not (finite[i] and finite[i + 1]) or any(lo <= r <= hi for r in res_nus):
+            continue
+        d1, d2 = float(diff[i]), float(diff[i + 1])
+        if d1 == 0.0:
+            root = lo
+        elif d1 * d2 < 0.0:
+            root = control._bisect(g, lo, hi, d1, d2)
+        else:
+            continue
+        if roots and abs(root - roots[-1][0]) <= tol:
+            continue
+        roots.append((root, complex(kernel_a(np.asarray([root]))[0])))
+    return roots
+
+
 def test_find_magic_rotor_crossing(rotor):
     a, b = _rotor_specs(rotor)
     roots = find_magic(a, b)
@@ -207,6 +235,7 @@ def test_magic_bisection_matches_pointwise_alpha_at(monkeypatch):
     b = scan_spectrum(ds, LevelId("X0", 0, 1, 0), SZ, nus, opts)
     roots = find_magic(a, b)
     assert len(roots) >= 5
+    assert [(r.nu, r.alpha) for r in roots] == _magic_by_bracket_loop(a, b)
     # the same search with every bisection step a fresh pointwise alpha_at
     monkeypatch.setattr(
         control, "alpha_kernel", lambda lines: lambda nu: np.array([alpha_at(lines, x) for x in nu])
@@ -244,6 +273,31 @@ def test_find_magic_skips_pole_brackets(rotor):
     for res in (2.0 * b_rot, 4.0 * b_rot):
         for root in find_magic(a, b):
             assert abs(root.nu - res) > 1e-3
+
+
+@pytest.mark.parametrize("gamma", [0.0, 30.0])
+def test_find_magic_skips_resonances_on_grid_nodes(rotor, gamma):
+    # the 2B and 4B resonances are grid nodes: both brackets touching each are
+    # skipped, undamped (a pole, NaN at the node) or damped (finite there)
+    b_rot = rotor_b(RBCS["mu"], RBCS["r_e"])
+    res = [2.0 * b_rot, 4.0 * b_rot]
+    nus = np.sort(np.append(np.arange(0.005, 0.30, 0.005), res))
+    nodes = [int(np.flatnonzero(nus == r)[0]) for r in res]
+    opts = LineListOptions(gamma=gamma)
+    a = scan_spectrum(rotor, LevelId("X0", 0, 0, 0), SZ, nus, opts)
+    b = scan_spectrum(rotor, LevelId("X0", 0, 1, 0), SZ, nus, opts)
+    assert set(res) <= {r.nu for r in a.resonances} | {r.nu for r in b.resonances}
+    if gamma:
+        # sign changes that only the resonance screen removes: in the bracket
+        # ending at the 2B node and in the one starting at the 4B node
+        diff = a.values.real - b.values.real
+        i, j = nodes
+        assert np.all(np.isfinite(diff[[i, j]]))
+        assert diff[i - 1] * diff[i] < 0.0 and diff[j] * diff[j + 1] < 0.0
+    roots = find_magic(a, b)
+    assert [(r.nu, r.alpha) for r in roots] == _magic_by_bracket_loop(a, b)
+    assert len(roots) == 1
+    assert all(not nus[k - 1] <= roots[0].nu <= nus[k + 1] for k in nodes)
 
 
 # ------------------------------------------------------------------- windows

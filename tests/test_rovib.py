@@ -17,9 +17,11 @@ from molpol import (
     solve_radial,
     synthesize,
 )
+from molpol import rovib
+from molpol.errors import GridError
 from molpol.rovib import energy_floor, kinetic_matrix, wavefunction_matrix
 
-from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor
+from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor, shifted_solve
 
 
 def morse_energy(v: int) -> float:
@@ -76,6 +78,100 @@ def test_subset_solve_matches_full_eigh(state):
     full = scipy.linalg.eigh(ham, eigvals_only=True)
     assert len(levels) > 10
     np.testing.assert_allclose([l.energy for l in levels], full[: len(levels)], rtol=0, atol=1e-10)
+
+
+def _trim_cases():
+    """(dataset, state, J, grid, max_levels) blocks whose solve is trimmed."""
+    optical = load_dataset(OPTICAL_STANDIN)
+    morse = synthesize(MORSE, MORSE_GRID, reduced_mass=MORSE_MU, name="morse_test")
+    h_grid = RadialGrid(5.0, 11.0, 401)
+    harmonic = synthesize(HarmonicModel(30.0 * 200.0**2 / (2.0 * HBAR2_OVER_TWO), 8.0), h_grid, reduced_mass=30.0)
+    cases = [(optical, st.label, J, default_grid(optical), 64) for st in optical.states for J in range(st.omega, 3)]
+    cases += [(morse, "X0", J, MORSE_GRID, k) for J in (0, 10) for k in (6, 20, 40)]
+    cases += [(harmonic, "X0", J, h_grid, k) for J in (0, 20) for k in (5, 10)]
+    return cases
+
+
+def _solved_span(ds, state, J, grid, max_levels):
+    v_eff = rovib._effective_potential(ds, state, J, grid)
+    trimmed = rovib._trim_span(v_eff, grid.h, ds.reduced_mass, max_levels, ds.state(state).asymptote_energy)
+    return None if trimmed is None else trimmed[0]
+
+
+def assert_matches_full_solve(ds, state, J, grid, max_levels):
+    trimmed = solve_radial(ds, state, J, grid, max_levels)
+    full = rovib._solve(ds, state, J, grid, max_levels, trim=False)
+    assert len(trimmed) == len(full) > 0
+    np.testing.assert_allclose([l.energy for l in trimmed], [l.energy for l in full], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(wavefunction_matrix(trimmed), wavefunction_matrix(full), rtol=0, atol=1e-10)
+    return wavefunction_matrix(trimmed)
+
+
+def test_trimmed_solve_matches_full_solve_on_its_span():
+    # every kept level is exactly zero outside the solved span, which on the
+    # optical blocks leaves points on both sides of the grid
+    for ds, state, J, grid, max_levels in _trim_cases():
+        span = _solved_span(ds, state, J, grid, max_levels)
+        assert span is not None, (ds.name, state, J, max_levels)
+        w = assert_matches_full_solve(ds, state, J, grid, max_levels)
+        assert not w[:, : span.start].any() and not w[:, span.stop :].any()
+        if ds.name == "rbcs_optical_standin":
+            assert 0 < span.start < span.stop < grid.n, (state, J, span)
+            assert span.stop - span.start < 0.7 * grid.n
+
+
+@pytest.mark.parametrize("state", ["X0", "A0"])
+def test_keeping_every_bound_level_solves_the_full_grid(state):
+    # 131 bound X0 and 149 bound A0 J=0 levels: the top kept ones reach the box
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    assert _solved_span(ds, state, 0, grid, 200) is None
+    levels = solve_radial(ds, state, 0, grid, 200)
+    full = rovib._solve(ds, state, 0, grid, 200, trim=False)
+    assert 100 < len(levels) < 200
+    assert [l.energy for l in levels] == [l.energy for l in full]
+    np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(full))
+
+
+def test_too_narrow_span_falls_back_to_the_full_grid(monkeypatch):
+    # an Agmon depth of 5 leaves |psi| sqrt(h) near e^-5 at the trimmed edges;
+    # the edge check must send every block back to the full grid
+    monkeypatch.setattr(rovib, "AGMON_DEPTH", 5.0)
+    solves = []
+    eigensolve = rovib._eigensolve
+
+    def counting(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
+        solves.append(span)
+        return eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top)
+
+    monkeypatch.setattr(rovib, "_eigensolve", counting)
+    for ds, state, J, grid, max_levels in _trim_cases():
+        solves.clear()
+        assert_matches_full_solve(ds, state, J, grid, max_levels)
+        # the trimmed solve, then the full one; the reference full solve last
+        assert len(solves) == 3 and solves[1] == solves[2] == slice(0, grid.n), (ds.name, state, J)
+
+
+def test_convergence_check_reports_the_trim_shift(monkeypatch):
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    rep = convergence_check(ds, "X0", 0, grid, 64)
+    assert rep.converged
+    assert 0.0 < rep.shift_trim < 1e-9
+    # a trimmed solve off by 0.01 cm^-1 on every grid: refinement and
+    # extension cannot see it, the untrimmed solve does
+    monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
+    rep = convergence_check(ds, "X0", 0, grid, 64)
+    assert rep.shift_refine < rep.tol and rep.shift_extend < rep.tol
+    assert rep.shift_trim == pytest.approx(0.01, rel=1e-6)
+    assert not rep.converged
+
+
+def test_convergence_check_grids_respect_the_point_cap(morse_ds):
+    # the 2n refinement grid is refused before any solve
+    grid = RadialGrid(5.0, 16.0, rovib.MAX_GRID_POINTS // 2 + 1)
+    with pytest.raises(GridError, match="MAX_GRID_POINTS"):
+        convergence_check(morse_ds, "X0", 0, grid)
 
 
 def test_levels_lie_above_the_energy_floor(morse_ds, krb_rotor):
@@ -267,3 +363,9 @@ def test_grid_validation():
         RadialGrid(-1.0, 4.0, 100)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 4.0, 8)
+    for r_min, r_max in [(5.0, math.inf), (math.nan, 20.0), (5.0, math.nan), (5.0, 1e300), (1e-300, 2e-300)]:
+        with pytest.raises(GridError):
+            RadialGrid(r_min, r_max, 801)
+    assert RadialGrid(5.0, 20.0, rovib.MAX_GRID_POINTS).n == rovib.MAX_GRID_POINTS
+    with pytest.raises(GridError, match="MAX_GRID_POINTS"):
+        RadialGrid(5.0, 20.0, rovib.MAX_GRID_POINTS + 1)
