@@ -18,7 +18,6 @@ from molpol import (  # noqa: E402
     LevelId,
     LineListOptions,
     Polarization,
-    alpha_at,
     build_line_list,
     find_magic,
     lattice_plan,
@@ -35,7 +34,6 @@ INTENSITY = 1.0e4  # W/cm^2, typical lattice peak
 
 def run(name: str) -> list[str]:
     ds = load_dataset(ROOT / "datasets" / name)
-    b = ds.potentials[ds.ground_label]  # noqa: F841  (loaded for validation)
     opts = LineListOptions(gamma=0.0)
     pol = Polarization.parse("sigma_z")
     ida = LevelId(ds.ground_label, 0, 0, 0)

@@ -146,6 +146,33 @@ def _parse_gamma(text: str):
     return gamma
 
 
+def _nonnegative(args, *names: str) -> None:
+    """Raise a DataError unless each named criterion flag is >= 0 (inf passes, NaN fails)."""
+    for name in names:
+        value = getattr(args, name)
+        if not value >= 0.0:
+            raise DataError(f"--{name.replace('_', '-')} must be >= 0, got {value!r}")
+
+
+def _frequency(args) -> tuple[float, float]:
+    """(nu [cm^-1], wavelength [nm]) of a plan or dress, from --nm if given, else --nu.
+
+    Either must be finite and > 0, with a finite 1e7/value; a finite --intensity
+    >= 0 and a finite --d-ind (where given) are checked here too.
+    """
+    flag, value = ("--nm", args.nm) if args.nm is not None else ("--nu", args.nu)
+    if value is None:
+        raise DataError(f"{args.command} needs --nu (cm^-1) or --nm (nanometers)")
+    if not 0.0 < value < math.inf or math.isinf(1.0e7 / value):
+        raise DataError(f"{flag} must be finite and > 0 with 1e7/{flag[2:]} finite, got {value!r}")
+    if not 0.0 <= args.intensity < math.inf:
+        raise DataError(f"--intensity must be finite and >= 0, got {args.intensity!r}")
+    d_ind = getattr(args, "d_ind", None)
+    if d_ind is not None and not math.isfinite(d_ind):
+        raise DataError(f"--d-ind must be finite, got {d_ind!r}")
+    return (1.0e7 / value, value) if args.nm is not None else (value, 1.0e7 / value)
+
+
 def _dataset(args):
     path = args.dataset if args.dataset is not None else os.environ.get("MOLPOL_DATASET")
     if path is None:
@@ -154,6 +181,7 @@ def _dataset(args):
 
 
 def _options(args, ds) -> LineListOptions:
+    _nonnegative(args, "d_floor")
     return LineListOptions(
         grid=_parse_radial_grid(args.grid) if args.grid else default_grid(ds),
         max_levels=args.max_levels,
@@ -284,6 +312,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_magic(args) -> int:
+    _nonnegative(args, "tol")
     ds = _dataset(args)
     opts = _options(args, ds)
     state = args.state or ds.ground_label
@@ -328,11 +357,9 @@ def cmd_magic(args) -> int:
 
 
 def cmd_dress(args) -> int:
+    nu, _ = _frequency(args)
     ds = _dataset(args)
     opts = _options(args, ds)
-    nu = 1.0e7 / args.nm if args.nm else args.nu
-    if nu is None:
-        raise DataError("dress needs --nu (cm^-1) or --nm (nanometers)")
     plan = microwave_plan(ds, nu, args.intensity, v=args.v, options=opts)
     out = _outdir(args)
     _write_json(
@@ -357,15 +384,10 @@ def cmd_dress(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    _, wavelength = _frequency(args)
+    nu = 1.0e7 / wavelength
     ds = _dataset(args)
     opts = _options(args, ds)
-    if args.nm:
-        wavelength = args.nm
-    elif args.nu:
-        wavelength = 1.0e7 / args.nu
-    else:
-        raise DataError("plan needs a positive --nm or --nu")
-    nu = 1.0e7 / wavelength
     initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)
     pol = Polarization.parse(args.pol)
     lines = build_line_list(ds, initial, pol, opts)
@@ -404,6 +426,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_windows(args) -> int:
+    _nonnegative(args, "min_width", "flatness_cap", "ratio_floor")
     ds = _dataset(args)
     opts = _options(args, ds)
     initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)

@@ -7,6 +7,13 @@ The microwave-induced dipole uses the exact two-level dressed-state result
 
 which saturates at d_perm/2 on resonance and reduces to the perturbative
 first-order mixing form for |delta| >> Omega.
+
+find_magic and find_windows share one resonance screen: link i of a scan grid,
+[nu_i, nu_(i+1)], is clear when no listed resonance lies in it. A root is only
+bracketed on a clear link. A window is a maximal run of clear links that are
+flat (|Delta ln|alpha|| / Delta nu <= flatness_cap) and join points with finite
+alpha != 0 and |Re alpha|/|Im alpha| >= ratio_floor, spanning >= min_width; its
+flanks are the nearest listed resonances below and above it.
 """
 
 from __future__ import annotations
@@ -191,6 +198,13 @@ class MagicPoint:
     alpha: complex     # alpha/h of spectrum a at the root
 
 
+def _resonance_screen(nus: np.ndarray, resonances) -> np.ndarray:
+    """clear[i]: the first resonance at or above nus[i] lies above nus[i + 1] (ascending nus)."""
+    res = np.sort(np.asarray(resonances, dtype=float))
+    first = np.append(res, math.inf)[np.searchsorted(res, nus)]
+    return first[:-1] > nus[1:]
+
+
 def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
     # polish far past the reporting tolerance: a root must still satisfy the
     # crossing when re-evaluated off-grid, so run down to float resolution
@@ -237,14 +251,12 @@ def find_magic(
     if scale == 0.0 or float(np.max(np.abs(diff[finite]), initial=0.0)) <= 1e-12 * scale:
         raise DegenerateSpectraError("the two spectra are identical; no magic crossing is defined")
 
-    res_nus = sorted({r.nu for r in spec_a.resonances} | {r.nu for r in spec_b.resonances})
     # bracket i is [nus[i], nus[i + 1]]: both ends finite, a zero at its low
-    # end or a sign change across it, and no resonance inside (the first one
-    # at or above its low end lies above its high end)
+    # end or a sign change across it, and no resonance inside
     lo, hi = nus[:-1], nus[1:]
     d1, d2 = diff[:-1], diff[1:]
-    first_res = np.append(res_nus, math.inf)[np.searchsorted(res_nus, lo)]
-    crossing = finite[:-1] & finite[1:] & ((d1 == 0.0) | (d1 * d2 < 0.0)) & (first_res > hi)
+    clear = _resonance_screen(nus, [r.nu for spec in (spec_a, spec_b) for r in spec.resonances])
+    crossing = finite[:-1] & finite[1:] & ((d1 == 0.0) | (d1 * d2 < 0.0)) & clear
 
     # each spectrum's line arrays are built once for the whole bisection; the
     # kernels return alpha_at's bits at every frequency
@@ -287,60 +299,37 @@ def find_windows(
     flatness_cap: float,
     ratio_floor: float,
 ) -> list[FrequencyWindow]:
-    """Maximal resonance-free intervals that stay flat and coherent.
-
-    A window is a maximal grid run of width >= min_width whose points all have
-    |Re alpha|/|Im alpha| >= ratio_floor, whose consecutive-point flatness
-    |Delta ln|alpha|| / Delta nu stays <= flatness_cap, and which contains no
-    listed resonance.
-    """
+    """Maximal resonance-free runs of the scan that stay flat and coherent (rule in the module docstring)."""
     nus = spectrum.nu
     vals = spectrum.values
-    n = len(nus)
-    if n < 2:
-        return []
     mag = np.abs(vals)
     re = np.abs(np.real(vals))
     im = np.abs(np.imag(vals))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(im == 0.0, math.inf, re / np.where(im == 0.0, 1.0, im))
         logmag = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -math.inf)
+        slope = np.abs(np.diff(logmag)) / np.diff(nus)
     point_ok = np.isfinite(mag) & (mag > 0.0) & (ratio >= ratio_floor)
+    res = np.sort([r.nu for r in spectrum.resonances])
+    link = point_ok[:-1] & point_ok[1:] & np.isfinite(slope) & (slope <= flatness_cap) & _resonance_screen(nus, res)
 
-    dnu = np.diff(nus)
-    slope = np.abs(np.diff(logmag)) / dnu
-    pair_ok = np.isfinite(slope) & (slope <= flatness_cap)
-    for r in spectrum.resonances:
-        cut = (nus[:-1] <= r.nu) & (r.nu <= nus[1:])
-        pair_ok &= ~cut
-        point_ok &= nus != r.nu
-
-    res_nus = sorted(r.nu for r in spectrum.resonances)
+    # a resonance on a node breaks both links touching it, so no window holds it;
+    # rising and falling edges of link alternate, each pair one run's first and last node
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], link, [False]))))
     windows: list[FrequencyWindow] = []
-    start = None
-    for i in range(n):
-        if point_ok[i] and start is None:
-            start = i
-        end_run = (not point_ok[i]) or i == n - 1 or (i < n - 1 and not pair_ok[i])
-        if start is not None and end_run:
-            last = i if point_ok[i] else i - 1
-            if last > start and (nus[last] - nus[start]) >= min_width:
-                lo, hi = float(nus[start]), float(nus[last])
-                flank = []
-                below = [r for r in res_nus if r < lo]
-                above = [r for r in res_nus if r > hi]
-                if below:
-                    flank.append(below[-1])
-                if above:
-                    flank.append(above[0])
-                windows.append(
-                    FrequencyWindow(
-                        nu_lo=lo,
-                        nu_hi=hi,
-                        min_ratio=float(np.min(ratio[start : last + 1])),
-                        max_flatness=float(np.max(slope[start:last], initial=0.0)),
-                        resonances_excluded=tuple(flank),
-                    )
-                )
-            start = None
+    for start, last in edges.reshape(-1, 2).tolist():
+        lo, hi = float(nus[start]), float(nus[last])
+        if not (hi - lo >= min_width):
+            continue
+        below, above = np.searchsorted(res, lo, side="left"), np.searchsorted(res, hi, side="right")
+        flank = res[max(below - 1, 0) : below].tolist() + res[above : above + 1].tolist()
+        windows.append(
+            FrequencyWindow(
+                nu_lo=lo,
+                nu_hi=hi,
+                min_ratio=float(np.min(ratio[start : last + 1])),
+                max_flatness=float(np.max(slope[start:last], initial=0.0)),
+                resonances_excluded=tuple(flank),
+            )
+        )
     return windows

@@ -389,6 +389,31 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("optical_standin_dir", ["levels", "--grid", f"5:20:{MAX_GRID_POINTS + 1}"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--grid", "5:inf:801"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--grid", "5:1e300:801"]),
+        # plan/dress frequencies, intensity and induced dipole
+        ("rotor_dir", ["plan", "--nu", "-5", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--nu", "inf", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--nu", "0", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--nm", "nan", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--nm", "1e-310", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--nm", "1064", "--intensity", "-1"]),
+        ("rotor_dir", ["plan", "--nm", "1064", "--intensity", "1e4", "--d-ind", "nan"]),
+        ("rotor_dir", ["plan", "--nm", "1064", "--intensity", "1e4", "--d-ind=-inf"]),
+        ("rotor_dir", ["dress", "--nu", "0.1", "--intensity", "-1"]),
+        ("rotor_dir", ["dress", "--nu", "nan", "--intensity", "1"]),
+        ("rotor_dir", ["dress", "--nu", "0.1", "--intensity", "nan"]),
+        ("rotor_dir", ["dress", "--nu", "0.1", "--intensity", "inf"]),
+        ("rotor_dir", ["dress", "--nm", "-5", "--intensity", "1"]),
+        ("rotor_dir", ["dress", "--nm", "0", "--nu", "0.1", "--intensity", "1"]),
+        ("rotor_dir", ["dress", "--intensity", "1"]),
+        # NaN or negative criteria
+        ("rotor_dir", ["windows", "--nu", "0.1:0.2:0.01", "--min-width", "nan"]),
+        ("rotor_dir", ["windows", "--nu", "0.1:0.2:0.01", "--min-width", "-1"]),
+        ("rotor_dir", ["windows", "--nu", "0.1:0.2:0.01", "--flatness-cap", "nan"]),
+        ("rotor_dir", ["windows", "--nu", "0.1:0.2:0.01", "--ratio-floor", "nan"]),
+        ("rotor_dir", ["magic", "--nu", "0.01:0.2:0.01", "--tol", "nan"]),
+        ("rotor_dir", ["magic", "--nu", "0.01:0.2:0.01", "--tol", "-1"]),
+        ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.01", "--d-floor", "nan"]),
+        ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.01", "--d-floor=-1e-8"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
@@ -397,6 +422,20 @@ def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, data
     err = capsys.readouterr().err
     assert err.startswith("molpol: data:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, reply",
+    [
+        (["windows", "--nu", "0.1:0.2:0.01", "--min-width", "inf", "--flatness-cap", "inf"], "0 windows"),
+        (["windows", "--nu", "0.1:0.2:0.01", "--min-width", "0", "--ratio-floor", "inf"], "0 windows"),
+        (["magic", "--nu", "0.005:0.3:0.005", "--gamma", "0", "--tol", "inf"], "1 magic crossings"),
+        (["alpha", "--nu", "0.1:0.2:0.01", "--d-floor", "inf"], "0 resonances"),
+    ],
+)
+def test_infinite_criteria_are_accepted(rotor_dir, argv, reply, tmp_path, capsys):
+    assert run_cli([argv[0], rotor_dir, *argv[1:], "--out", tmp_path]) == 0
+    assert reply in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

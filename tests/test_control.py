@@ -13,6 +13,7 @@ from molpol import (
     Polarization,
     PolarizabilitySpectrum,
     RadialGrid,
+    Resonance,
     alpha_at,
     dd_interaction,
     find_magic,
@@ -301,6 +302,120 @@ def test_find_magic_skips_resonances_on_grid_nodes(rotor, gamma):
 
 
 # ------------------------------------------------------------------- windows
+
+
+def _windows_by_run_loop(spectrum, min_width, flatness_cap, ratio_floor):
+    """find_windows as a per-point run scan with one mask pass per resonance."""
+    nus = spectrum.nu
+    vals = spectrum.values
+    n = len(nus)
+    if n < 2:
+        return []
+    mag = np.abs(vals)
+    re = np.abs(np.real(vals))
+    im = np.abs(np.imag(vals))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(im == 0.0, math.inf, re / np.where(im == 0.0, 1.0, im))
+        logmag = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -math.inf)
+    point_ok = np.isfinite(mag) & (mag > 0.0) & (ratio >= ratio_floor)
+
+    dnu = np.diff(nus)
+    slope = np.abs(np.diff(logmag)) / dnu
+    pair_ok = np.isfinite(slope) & (slope <= flatness_cap)
+    for r in spectrum.resonances:
+        cut = (nus[:-1] <= r.nu) & (r.nu <= nus[1:])
+        pair_ok &= ~cut
+        point_ok &= nus != r.nu
+
+    res_nus = sorted(r.nu for r in spectrum.resonances)
+    windows = []
+    start = None
+    for i in range(n):
+        if point_ok[i] and start is None:
+            start = i
+        end_run = (not point_ok[i]) or i == n - 1 or (i < n - 1 and not pair_ok[i])
+        if start is not None and end_run:
+            last = i if point_ok[i] else i - 1
+            if last > start and (nus[last] - nus[start]) >= min_width:
+                lo, hi = float(nus[start]), float(nus[last])
+                flank = []
+                below = [r for r in res_nus if r < lo]
+                above = [r for r in res_nus if r > hi]
+                if below:
+                    flank.append(below[-1])
+                if above:
+                    flank.append(above[0])
+                windows.append(
+                    control.FrequencyWindow(
+                        nu_lo=lo,
+                        nu_hi=hi,
+                        min_ratio=float(np.min(ratio[start : last + 1])),
+                        max_flatness=float(np.max(slope[start:last], initial=0.0)),
+                        resonances_excluded=tuple(flank),
+                    )
+                )
+            start = None
+    return windows
+
+
+def _assert_windows_match_run_loop(spec, *criteria):
+    wins = find_windows(spec, *criteria)
+    assert wins == _windows_by_run_loop(spec, *criteria)
+    for w in wins:
+        fields = (w.nu_lo, w.nu_hi, w.min_ratio, w.max_flatness, *w.resonances_excluded)
+        assert all(type(x) is float for x in fields)
+    return wins
+
+
+@st.composite
+def _drawn_spectra(draw):
+    """Short ascending scans with NaN, zero and real-only values, and resonances on
+    nodes, between nodes, repeated and outside the scan."""
+    n = draw(st.integers(0, 24))
+    nus = 100.0 + np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=n, max_size=n)))
+    re = draw(st.lists(st.sampled_from([-50.0, -49.0, -45.0, -20.0, 0.0, 35.0, math.nan]), min_size=n, max_size=n))
+    im = draw(st.lists(st.sampled_from([1e-5, 1e-3, 0.5, 0.0, -1e-4, math.nan]), min_size=n, max_size=n))
+    spots = [90.0, 150.0, 1e4] + nus.tolist() + (0.5 * (nus[:-1] + nus[1:])).tolist()
+    res = draw(st.lists(st.sampled_from(spots), max_size=6))
+    return PolarizabilitySpectrum(
+        initial=LevelId("X", 0, 0, 0),
+        polarization="sigma_z",
+        nu=nus,
+        values=np.array(re) + 1j * np.array(im),
+        resonances=[Resonance(nu=float(r), state="A", v=k, J=1, peak=1.0) for k, r in enumerate(res)],
+        lines=[],
+    )
+
+
+CRITERION = [0.0, 0.03, 0.3, 1.0, 4.0, 1e3, math.inf, math.nan, -1.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _drawn_spectra(),
+    st.sampled_from(CRITERION),
+    st.sampled_from(CRITERION),
+    st.sampled_from(CRITERION),
+)
+def test_windows_match_the_per_point_run_scan(spec, min_width, flatness_cap, ratio_floor):
+    _assert_windows_match_run_loop(spec, min_width, flatness_cap, ratio_floor)
+
+
+def test_windows_around_a_resonance_on_a_node_and_a_repeated_one(rotor):
+    # the 2B resonance is a grid node and is listed twice. With no flatness or
+    # ratio limit it alone splits the scan: neither window holds the node, and
+    # each names it once as its flank
+    b_rot = rotor_b(RBCS["mu"], RBCS["r_e"])
+    nus = np.sort(np.append(np.arange(0.005, 0.061, 0.001), 2.0 * b_rot))
+    spec = scan_spectrum(rotor, LevelId("X0", 0, 0, 0), SZ, nus, LineListOptions(gamma=2.0))
+    assert [r.nu for r in spec.resonances] == [2.0 * b_rot]
+    spec.resonances = spec.resonances * 2
+    wins = _assert_windows_match_run_loop(spec, 0.004, math.inf, 0.0)
+    assert len(wins) == 2
+    below, above = wins
+    node = int(np.flatnonzero(nus == 2.0 * b_rot)[0])
+    assert (below.nu_lo, below.nu_hi, above.nu_lo, above.nu_hi) == (nus[0], nus[node - 1], nus[node + 1], nus[-1])
+    assert below.resonances_excluded == above.resonances_excluded == (2.0 * b_rot,)
 
 
 def test_single_resonance_yields_two_flanking_windows(rotor):
