@@ -8,7 +8,8 @@ row order, so identical inputs produce byte-identical files. Frequency ranges
 are lo:hi:step in cm^-1 (inclusive endpoints when the step divides evenly);
 pass --nm to give the same range in nanometers. A range may hold at most
 MAX_SCAN_POINTS points; a longer one is a data error, raised before any grid
-is allocated. A radial --grid rmin:rmax:n needs finite bounds and at most
+is allocated, and so is one whose step is too small to keep its points
+distinct. A radial --grid rmin:rmax:n needs finite bounds and at most
 rovib.MAX_GRID_POINTS points, checked before any matrix is built.
 """
 
@@ -123,6 +124,8 @@ def _parse_range(text: str, in_nm: bool) -> np.ndarray:
     grid = lo + step * np.arange(count)
     if in_nm:
         grid = np.sort(1.0e7 / grid)
+    if not np.all(np.diff(grid) > 0.0):
+        raise DataError(f"range {text!r} repeats points: its step is below the float resolution")
     return grid
 
 
@@ -238,7 +241,7 @@ def cmd_levels(args) -> int:
         zip(*[(l.state, l.v, l.J, l.energy) for l in levels]),
     )
     if args.check:
-        rep = convergence_check(ds, state, args.J, grid, args.max_levels)
+        rep = convergence_check(ds, state, args.J, grid, args.max_levels, base=levels)
         if not rep.converged:
             sys.stderr.write(
                 f"molpol: numerical: levels not converged "

@@ -1,4 +1,7 @@
-"""Shared physical constants and unit conversions (CODATA values via scipy).
+"""Shared physical constants and unit conversions.
+
+The SI constants are CODATA 2022 literals; tests check them against
+scipy.constants.
 
 Canonical internal units everywhere in the package:
 
@@ -17,16 +20,15 @@ from __future__ import annotations
 
 import math
 
-from scipy import constants as _si
-
-C_SI = _si.c
-H_SI = _si.h
-HBAR_SI = _si.hbar
-EPS0_SI = _si.epsilon_0
-E_CHARGE_SI = _si.e
-AMU_KG = _si.atomic_mass
-BOHR_M = _si.physical_constants["Bohr radius"][0]
-HARTREE_J = _si.physical_constants["Hartree energy"][0]
+# CODATA 2022, as scipy.constants gives them
+C_SI = 299792458.0                    # speed of light, m/s
+H_SI = 6.62607015e-34                 # Planck constant, J s
+HBAR_SI = 1.0545718176461565e-34      # H_SI / (2 pi), J s
+EPS0_SI = 8.8541878188e-12            # vacuum permittivity, F/m
+E_CHARGE_SI = 1.602176634e-19         # elementary charge, C
+AMU_KG = 1.66053906892e-27            # atomic mass constant, kg
+BOHR_M = 5.29177210544e-11            # Bohr radius, m
+HARTREE_J = 4.359744722206e-18        # Hartree energy, J
 
 # energy of one wavenumber, in Joule
 J_PER_CM1 = H_SI * C_SI * 100.0

@@ -148,11 +148,19 @@ class InteractionEstimate:
 
 
 def dd_interaction(d_induced: float, r_l_nm: float) -> InteractionEstimate:
-    """V_dd = d^2/(4 pi eps0 R^3) at spacing R [nm], and the implied gate time."""
+    """V_dd = d^2/(4 pi eps0 R^3) at spacing R [nm], and the implied gate time.
+
+    Raises DataError when d^2, R^3 or V_dd leaves the float range.
+    """
     if r_l_nm <= 0.0:
         raise ValueError("site spacing must be positive")
     d_si = abs(d_induced) * DEBYE_CM
-    v_over_h = d_si**2 / (4.0 * math.pi * EPS0_SI * (r_l_nm * 1e-9) ** 3) / H_SI
+    try:
+        v_over_h = d_si**2 / (4.0 * math.pi * EPS0_SI * (r_l_nm * 1e-9) ** 3) / H_SI
+    except (OverflowError, ZeroDivisionError):
+        v_over_h = math.nan
+    if not math.isfinite(v_over_h):
+        raise DataError(f"dipole-dipole estimate out of float range for d = {d_induced!r} D at {r_l_nm!r} nm spacing")
     delta_t = math.inf if v_over_h == 0.0 else 1.0 / v_over_h
     return InteractionEstimate(d_induced=abs(d_induced), r_l=r_l_nm, v_dd_over_h=v_over_h, delta_t=delta_t)
 

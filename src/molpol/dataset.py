@@ -14,7 +14,9 @@ molecule.json are checked on load too: omega and a rotor's j_max must be
 integers, asymptote_energy finite or null (no asymptote), a rotor's r_e
 finite and > 0.
 
-Curves interpolate with a natural cubic spline between the tabulated nodes.
+Curves interpolate with a natural cubic spline between the tabulated nodes,
+built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in
+the same order, so values match it bit for bit.
 Outside the table a potential follows physical tails: A + B/R^12 fitted to the
 two innermost points on the short-range side, and an exponential decay of
 V - asymptote fitted to the two outermost points on the long-range side.
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .constants import DIPOLE_UNITS, HBAR2_OVER_TWO, LENGTH_UNITS, POTENTIAL_UNITS
 from .errors import DataError
@@ -85,6 +87,44 @@ def _check_samples(r: np.ndarray, y: np.ndarray, what: str) -> None:
         raise DataError(f"{what}: R not strictly increasing at sample {bad}")
 
 
+class _NaturalSpline:
+    """Natural cubic spline through (x, y); NaN outside [x[0], x[-1]].
+
+    Same bits as ``CubicSpline(x, y, bc_type="natural", extrapolate=False)``:
+    the same banded system for the knot slopes, the same Hermite
+    coefficients, and PPoly's evaluation order.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        a = np.zeros((3, len(x)))
+        a[0, 2:] = dx[:-1]
+        a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        a[-1, :-2] = dx[1:]
+        b = np.empty(len(x))
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # scipy's end rows for a second derivative of 0.0, term for term (the
+        # zero terms fix the sign of a zero right-hand side)
+        a[1, 0], a[0, 1] = 2 * dx[0], dx[0]
+        b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+        a[1, -1], a[-1, -2] = 2 * dx[-1], dx[-1]
+        b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+        s = solve_banded((1, 1), a, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, x_eval):
+        xe = np.asarray(x_eval, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xe, side="right") - 1, 0, len(self.x) - 2)
+        d = xe - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        # PPoly's power sum from the constant term up; Horner is 1 ulp off
+        out = (((0.0 + c3) + c2 * d) + c1 * (d * d)) + c0 * (d * d * d)
+        return np.where((xe >= self.x[0]) & (xe <= self.x[-1]), out, np.nan)
+
+
 class PotentialCurve:
     """Tabulated potential of one electronic state, in Bohr / cm^-1."""
 
@@ -93,7 +133,7 @@ class PotentialCurve:
         self.r = np.asarray(r, dtype=float)
         self.v = np.asarray(v, dtype=float)
         _check_samples(self.r, self.v, f"potential curve for {state.label!r}")
-        self._spline = CubicSpline(self.r, self.v, bc_type="natural", extrapolate=False)
+        self._spline = _NaturalSpline(self.r, self.v)
         self._fit_tails()
 
     def _fit_tails(self) -> None:
@@ -164,7 +204,7 @@ class DipoleCurve:
         self.r = np.asarray(r, dtype=float)
         self.d = np.asarray(d, dtype=float)
         _check_samples(self.r, self.d, f"dipole curve {bra!r} -> {ket!r}")
-        self._spline = CubicSpline(self.r, self.d, bc_type="natural", extrapolate=False)
+        self._spline = _NaturalSpline(self.r, self.d)
 
     @property
     def is_permanent(self) -> bool:

@@ -322,9 +322,16 @@ def scan_spectrum(
     nu_grid: np.ndarray,
     options: LineListOptions | None = None,
 ) -> PolarizabilitySpectrum:
-    """Evaluate alpha over a frequency grid with resonance bookkeeping."""
+    """Evaluate alpha over a frequency grid with resonance bookkeeping.
+
+    nu_grid must be one-dimensional and strictly ascending: resonances are
+    those between its ends, and find_magic/find_windows read it as ordered
+    links. Anything else raises DataError.
+    """
     opts = options or LineListOptions()
     nus = np.asarray(nu_grid, dtype=float)
+    if nus.ndim != 1 or not np.all(np.diff(nus) > 0.0):
+        raise DataError("nu_grid must be a strictly ascending one-dimensional array of wavenumbers")
     lines = build_line_list(ds, initial, polarization, opts)
     lev_i = solve_initial(ds, initial, opts)
     kernel = alpha_kernel(lines)

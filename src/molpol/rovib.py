@@ -330,13 +330,19 @@ def convergence_check(
     grid: RadialGrid,
     max_levels: int = 64,
     tol: float = 1e-3,
+    base: list[RovibLevel] | None = None,
 ) -> ConvergenceReport:
-    """Re-solve on a denser grid, on a longer one and untrimmed; compare per-level energies."""
+    """Re-solve on a denser grid, on a longer one and untrimmed; compare per-level energies.
+
+    base is solve_radial(ds, state, J, grid, max_levels) when the caller has
+    already solved it; it is solved here otherwise.
+    """
     # both probe grids are built, and checked against MAX_GRID_POINTS, before any solve
     fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n)
     r_ext = grid.r_min + 1.5 * (grid.r_max - grid.r_min)
     ext_grid = RadialGrid(grid.r_min, r_ext, int(round((r_ext - grid.r_min) / grid.h)) + 1)
-    base = solve_radial(ds, state, J, grid, max_levels)
+    if base is None:
+        base = solve_radial(ds, state, J, grid, max_levels)
     fine = solve_radial(ds, state, J, fine_grid, max_levels)
     ext = solve_radial(ds, state, J, ext_grid, max_levels)
     full = _solve(ds, state, J, grid, max_levels, trim=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
-from molpol import rovib
+from molpol import cli, rovib
 from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
 from molpol.dataset import DipoleCurve
 from molpol.errors import DataError
@@ -16,6 +16,7 @@ from molpol.rovib import MAX_GRID_POINTS
 from conftest import RBCS, make_optical, make_rotor, rotor_b, shifted_solve
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+KRB_ROTOR_STANDIN = OPTICAL_STANDIN.parent / "krb_rotor_standin"
 
 
 def run_cli(argv):
@@ -42,6 +43,11 @@ def optical_dir(tmp_path_factory):
 @pytest.fixture
 def optical_standin_dir():
     return OPTICAL_STANDIN
+
+
+@pytest.fixture
+def krb_rotor_standin_dir():
+    return KRB_ROTOR_STANDIN
 
 
 def read_lines(path):
@@ -126,12 +132,32 @@ def test_levels_check_passes_fine_grid(optical_dir, tmp_path, capsys):
 
 def test_levels_check_flags_a_bad_trim(optical_standin_dir, tmp_path, capsys, monkeypatch):
     # trimmed solves off by 0.01 cm^-1: only the untrimmed re-solve sees it
+    # (the check's base is the solve cmd_levels wrote levels.csv from)
     monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
+    monkeypatch.setattr(cli, "solve_radial", rovib.solve_radial)
     argv = ["levels", optical_standin_dir, "--grid", "5:20:401", "--check", "--out", tmp_path]
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("molpol: numerical:") and err.count("\n") == 1
     assert "refine" in err and "extend" in err and "trim" in err
+
+
+def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
+    calls = []
+    solve = rovib._solve
+
+    def counting(ds, state, J, grid, max_levels, trim):
+        calls.append((grid.n, trim))
+        return solve(ds, state, J, grid, max_levels, trim)
+
+    monkeypatch.setattr(rovib, "_solve", counting)
+    assert run_cli(["levels", OPTICAL_STANDIN, "--out", tmp_path / "plain"]) == 0
+    assert run_cli(["levels", OPTICAL_STANDIN, "--check", "--out", tmp_path / "check"]) == 0
+    # the plain run's solve, then the check's base (solved once) plus its
+    # 2n, extended and untrimmed re-solves
+    assert calls == [(801, True), (801, True), (1602, True), (1201, True), (801, False)]
+    plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
+    assert check.read_bytes() == plain.read_bytes()
 
 
 def test_bad_grid_argument(optical_dir, tmp_path, capsys):
@@ -414,6 +440,13 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("rotor_dir", ["magic", "--nu", "0.01:0.2:0.01", "--tol", "-1"]),
         ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.01", "--d-floor", "nan"]),
         ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.01", "--d-floor=-1e-8"]),
+        # a step below the float resolution repeats points
+        ("rotor_dir", ["alpha", "--nu", "1000:1000.00000000001:1e-13"]),
+        ("rotor_dir", ["alpha", "--nu", "1000:1000.00000000001:1e-13", "--nm"]),
+        # extreme but finite: R^3 underflows or overflows, d^2 overflows
+        ("krb_rotor_standin_dir", ["plan", "--nm", "1e-100", "--intensity", "1"]),
+        ("krb_rotor_standin_dir", ["plan", "--nu", "1e-300", "--intensity", "1"]),
+        ("krb_rotor_standin_dir", ["plan", "--nm", "1064", "--intensity", "1", "--d-ind", "1e200"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):

@@ -1,9 +1,42 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 from scipy import constants as sc
 
 from molpol import constants as C
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("C_SI", sc.c),
+        ("H_SI", sc.h),
+        ("HBAR_SI", sc.hbar),
+        ("EPS0_SI", sc.epsilon_0),
+        ("E_CHARGE_SI", sc.e),
+        ("AMU_KG", sc.atomic_mass),
+        ("BOHR_M", sc.physical_constants["Bohr radius"][0]),
+        ("HARTREE_J", sc.physical_constants["Hartree energy"][0]),
+    ],
+)
+def test_codata_literals_equal_scipy_constants(name, value):
+    assert getattr(C, name) == value
+
+
+def test_package_imports_neither_scipy_interpolate_nor_constants():
+    code = (
+        "import sys, molpol.cli\n"
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.constants') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_key_constants_recomputed_from_codata():

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from molpol import (
     DataError,
@@ -16,6 +19,8 @@ from molpol import (
     synthesize,
     write_dataset,
 )
+
+from molpol.dataset import _NaturalSpline
 
 from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_optical, make_rotor
 
@@ -234,3 +239,102 @@ def test_comment_and_blank_lines_ignored(tmp_path):
     )
     ds = load_dataset(d)
     assert len(ds.potentials["X"].r) == 3
+
+
+# ---------------------------------------------------------------------------
+# the natural spline against scipy's CubicSpline, bit for bit
+
+DATASETS = Path(__file__).resolve().parents[1] / "datasets"
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes, NaN in the same places, and identical bits elsewhere."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+def _probe_points(x):
+    span = x[-1] - x[0]
+    inside = np.linspace(x[0], x[-1], 257)
+    mids = 0.5 * (x[:-1] + x[1:])
+    outside = np.array([0.5 * x[0], np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf), x[-1] + span])
+    return np.concatenate([x, mids, inside, outside]), outside
+
+
+def _assert_matches_cubic_spline(x, y):
+    ref = CubicSpline(x, y, bc_type="natural", extrapolate=False)
+    spl = _NaturalSpline(x, y)
+    assert _same_bits(spl.c, ref.c)
+    pts, outside = _probe_points(x)
+    assert _same_bits(spl(pts), ref(pts))
+    assert np.all(np.isnan(spl(outside)))
+    assert _same_bits(spl(x[1]), ref(x[1]))   # a 0-d point keeps its shape
+
+
+def _shipped_curves():
+    for ds_dir in sorted(p for p in DATASETS.iterdir() if (p / "molecule.json").is_file()):
+        ds = load_dataset(ds_dir)
+        for label, pot in ds.potentials.items():
+            yield pytest.param(pot, id=f"{ds_dir.name}-pot-{label}")
+        for dip in ds.dipoles:
+            yield pytest.param(dip, id=f"{ds_dir.name}-dip-{dip.bra}-{dip.ket}")
+
+
+@pytest.mark.parametrize("curve", list(_shipped_curves()))
+def test_shipped_curves_spline_matches_cubic_spline(curve):
+    y = curve.v if isinstance(curve, PotentialCurve) else curve.d
+    _assert_matches_cubic_spline(curve.r, y)
+    ref = CubicSpline(curve.r, y, bc_type="natural", extrapolate=False)
+    pts, outside = _probe_points(curve.r)
+    if isinstance(curve, DipoleCurve):
+        # clamps to the end values outside the table
+        assert _same_bits(curve(pts), ref(np.clip(pts, curve.r[0], curve.r[-1])))
+    else:
+        # spline inside, tail rules outside: every value finite
+        inside = (pts >= curve.r[0]) & (pts <= curve.r[-1])
+        vals = curve(pts)
+        assert _same_bits(vals[inside], ref(pts[inside]))
+        assert np.all(np.isfinite(vals))
+        inner, outer = pts < curve.r[0], pts > curve.r[-1]
+        assert np.array_equal(vals[inner], curve._sr_a + curve._sr_b * pts[inner] ** -12)
+        if curve._lr is None:
+            assert np.array_equal(vals[outer], np.full(outer.sum(), curve.v[-1]))
+        else:
+            c, k = curve._lr
+            assert np.array_equal(vals[outer], curve.state.asymptote_energy + c * np.exp(-k * pts[outer]))
+
+
+@st.composite
+def _knots(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    x0 = draw(st.floats(min_value=0.1, max_value=50.0))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=n - 1, max_size=n - 1))
+    x = x0 + np.cumsum([0.0, *steps])
+    assume(np.all(np.diff(x) > 0.0))
+    y = draw(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=n, max_size=n))
+    return x, np.asarray(y, dtype=float)
+
+
+@given(_knots())
+@example((np.array([1.0, 2.5]), np.array([3.0, -1.0])))
+# signed zeros: scipy's end row keeps a zero slope positive here, and PPoly
+# sums from 0.0, which turns a -0.0 knot value positive
+@example((np.array([3.5, 4.5, 9.0]), np.array([0.0, 0.0, -0.0])))
+@example((np.array([2.0, 4.5, 8.0, 8.5]), np.array([-0.0, -1.0, -1.0, -0.0])))
+@settings(max_examples=300, deadline=None)
+def test_natural_spline_matches_cubic_spline_on_drawn_knots(knots):
+    _assert_matches_cubic_spline(*knots)
+    x, y = knots
+    state = ElectronicState("X", 0, math.inf)
+    pot = PotentialCurve(state, x, y)
+    dip = DipoleCurve("X", "A", x, y)
+    ref = CubicSpline(x, y, bc_type="natural", extrapolate=False)
+    pts, outside = _probe_points(x)
+    assert _same_bits(dip(pts), ref(np.clip(pts, x[0], x[-1])))
+    assert np.all(np.isfinite(pot(outside)))
+    assert np.array_equal(pot(outside[2:]), np.full(2, y[-1]))    # no asymptote: constant tail

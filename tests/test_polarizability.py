@@ -327,6 +327,16 @@ def test_resonances_respect_scan_range(rotor):
     assert 2.0 * b < 10.0
 
 
+def test_scan_needs_a_strictly_ascending_grid():
+    ds = load_dataset(Path(__file__).resolve().parents[1] / "datasets" / "krb_rotor_standin")
+    level = LevelId("X0", 0, 0, 0)
+    nus = 0.005 + 0.001 * np.arange(296)   # 0.005:0.3:0.001
+    assert len(scan_spectrum(ds, level, SZ, nus).resonances) == 1
+    for bad in (nus[::-1], np.repeat(nus, 2), nus.reshape(2, -1)):
+        with pytest.raises(DataError, match="strictly ascending"):
+            scan_spectrum(ds, level, SZ, bad)
+
+
 def test_scan_matches_pointwise(rotor):
     nus = np.arange(0.0, 0.3, 0.007)
     spec = scan_spectrum(rotor, LevelId("X0", 0, 0, 0), SZ, nus, G0)
