@@ -33,7 +33,7 @@ from .control import (
     lattice_plan,
     microwave_plan,
 )
-from .coupling import Polarization, franck_condon, vibronic_dipole
+from .coupling import POLARIZATIONS, Polarization, franck_condon, vibronic_dipole
 from .dataset import load_dataset
 from .errors import DataError, NumericalError
 from .polarizability import (
@@ -49,15 +49,10 @@ from .rovib import RadialGrid, convergence_check, solve_radial
 
 
 def _fmt(x) -> str:
-    """Fixed 12-significant-digit rendering, deterministic for inf/nan too."""
+    """Fixed 12-significant-digit rendering; nan, inf and -inf come out as those words."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+    return f"{float(x):.12g}"
 
 
 def _jclean(obj):
@@ -490,9 +485,6 @@ def _add_dataset_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("dataset", nargs="?", default=None, help="dataset directory (default: $MOLPOL_DATASET)")
 
 
-POLARIZATIONS = ("sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1")
-
-
 def _add_state_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", default=None, help="electronic state label (default: ground state)")
 
@@ -512,7 +504,7 @@ def _add_level_args(p: argparse.ArgumentParser, tag: str = "", J: int = 0) -> No
     p.add_argument(
         f"--pol-{tag}" if tag else "--pol",
         default="sigma_z",
-        choices=POLARIZATIONS,
+        choices=list(POLARIZATIONS),
         help=f"{about}lab polarization (default: sigma_z)",
     )
 
@@ -586,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_level_args(p, "b", J=1)
     p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
     p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
-    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance in cm^-1 (default: 1e-6)")
+    p.add_argument("--tol", type=float, default=1e-6, help="drop a crossing within this many cm^-1 of the previous one (default: 1e-6)")
     _add_engine_args(p)
     _add_out_args(p)
     p.set_defaults(func=cmd_magic)

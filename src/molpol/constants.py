@@ -59,16 +59,6 @@ POTENTIAL_UNITS = {"cm-1": 1.0, "hartree": HARTREE_CM1}
 DIPOLE_UNITS = {"debye": 1.0, "au": EA0_DEBYE}
 
 
-def nm_to_cm1(wavelength_nm: float) -> float:
-    """Vacuum wavelength in nm -> wavenumber in cm^-1."""
-    return 1.0e7 / wavelength_nm
-
-
-def cm1_to_nm(nu_cm1: float) -> float:
-    """Wavenumber in cm^-1 -> vacuum wavelength in nm."""
-    return 1.0e7 / nu_cm1
-
-
 def field_from_intensity(intensity_wcm2: float) -> float:
     """Peak electric field E [V/m] of a wave with intensity I [W/cm^2].
 

@@ -31,7 +31,6 @@ from .polarizability import (
     LineListOptions,
     PolarizabilitySpectrum,
     alpha_kernel,
-    default_grid,
     solve_initial,
 )
 from .coupling import vibronic_dipole

@@ -19,6 +19,10 @@ per call (dipole_matrix); vibronic_dipole is its 1 x 1 case. Einstein-A
 linewidths of a whole upper (state, J) block come from one masked
 nu^3 d^2 * branch sum per lower (state, J) block (natural_linewidths);
 natural_linewidth is its one-level case.
+
+Every lab polarization is one entry of the POLARIZATIONS table, name ->
+spherical components ((q, amplitude), ...); Polarization.parse, its named
+constructors and the command line's choices all read that table.
 """
 
 from __future__ import annotations
@@ -31,12 +35,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import EINSTEIN_A_FACTOR, MHZ_CM1
+from .constants import EINSTEIN_A_FACTOR
 from .dataset import DipoleCurve, MoleculeDataset
 from .errors import QuantumNumberError
-from .rovib import RovibLevel, wavefunction_matrix
+from .rovib import RadialGrid, RovibLevel, wavefunction_matrix
 
 __all__ = [
+    "POLARIZATIONS",
     "Polarization",
     "LineStrength",
     "wigner3j",
@@ -131,6 +136,19 @@ def wigner3j(j1: float, j2: float, j3: float, m1: float, m2: float, m3: float) -
     return _w3j(_half(j1), _half(j2), _half(j3), _half(m1), _half(m2), _half(m3))
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# every lab polarization by name, as its spherical components ((q, amplitude), ...)
+POLARIZATIONS: dict[str, tuple[tuple[int, complex], ...]] = {
+    "sigma_x": ((-1, _INV_SQRT2 + 0j), (1, -_INV_SQRT2 + 0j)),
+    "sigma_y": ((-1, _INV_SQRT2 * 1j), (1, _INV_SQRT2 * 1j)),
+    "sigma_z": ((0, 1.0 + 0j),),
+    "q+1": ((1, 1.0 + 0j),),
+    "q0": ((0, 1.0 + 0j),),
+    "q-1": ((-1, 1.0 + 0j),),
+}
+
+
 @dataclass(frozen=True)
 class Polarization:
     """Lab polarization as spherical components ((q, amplitude), ...)."""
@@ -139,39 +157,28 @@ class Polarization:
     components: tuple[tuple[int, complex], ...]
 
     @classmethod
+    def parse(cls, name: str) -> "Polarization":
+        if name not in POLARIZATIONS:
+            raise ValueError(f"unknown polarization {name!r}")
+        return cls(name, POLARIZATIONS[name])
+
+    @classmethod
     def sigma_z(cls) -> "Polarization":
-        return cls("sigma_z", ((0, 1.0 + 0j),))
+        return cls.parse("sigma_z")
 
     @classmethod
     def sigma_x(cls) -> "Polarization":
-        s = 1.0 / math.sqrt(2.0)
-        return cls("sigma_x", ((-1, s + 0j), (1, -s + 0j)))
+        return cls.parse("sigma_x")
 
     @classmethod
     def sigma_y(cls) -> "Polarization":
-        s = 1.0 / math.sqrt(2.0)
-        return cls("sigma_y", ((-1, s * 1j), (1, s * 1j)))
+        return cls.parse("sigma_y")
 
     @classmethod
     def spherical(cls, q: int) -> "Polarization":
         if q not in (-1, 0, 1):
             raise ValueError("q must be -1, 0, or +1")
-        name = "q0" if q == 0 else f"q{q:+d}"
-        return cls(name, ((q, 1.0 + 0j),))
-
-    @classmethod
-    def parse(cls, name: str) -> "Polarization":
-        table = {
-            "sigma_x": cls.sigma_x,
-            "sigma_y": cls.sigma_y,
-            "sigma_z": cls.sigma_z,
-            "q+1": lambda: cls.spherical(1),
-            "q0": lambda: cls.spherical(0),
-            "q-1": lambda: cls.spherical(-1),
-        }
-        if name not in table:
-            raise ValueError(f"unknown polarization {name!r}")
-        return table[name]()
+        return cls.parse("q0" if q == 0 else f"q{q:+d}")
 
     def weight_on(self, q: int) -> float:
         return sum(abs(a) ** 2 for qq, a in self.components if qq == q)
@@ -235,9 +242,12 @@ def dipole_route(ds: MoleculeDataset, a: str, b: str) -> DipoleCurve | None:
     return dip
 
 
-def _same_grid(a: RovibLevel, b: RovibLevel) -> None:
-    if a.grid != b.grid:
+def _shared_grid(levels: Sequence[RovibLevel]) -> RadialGrid:
+    """The radial grid every level lives on; ValueError when they differ."""
+    grid = levels[0].grid
+    if any(lev.grid != grid for lev in levels):
         raise ValueError("levels live on different radial grids")
+    return grid
 
 
 def dipole_matrix(
@@ -250,9 +260,7 @@ def dipole_matrix(
     """
     if not (levels_a and levels_b):
         return np.zeros((len(levels_a), len(levels_b)))
-    grid = levels_a[0].grid
-    if any(lev.grid != grid for lev in (*levels_a, *levels_b)):
-        raise ValueError("levels live on different radial grids")
+    grid = _shared_grid([*levels_a, *levels_b])
     d_h = dip(grid.points) * grid.h
     return wavefunction_matrix(levels_a) @ (wavefunction_matrix(levels_b) * d_h).T
 
@@ -264,8 +272,8 @@ def vibronic_dipole(level_i: RovibLevel, level_f: RovibLevel, dip: DipoleCurve) 
 
 def franck_condon(level_i: RovibLevel, level_f: RovibLevel) -> float:
     """Franck-Condon factor |<psi_f|psi_i>|^2."""
-    _same_grid(level_i, level_f)
-    ov = float(np.sum(level_f.wavefunction * level_i.wavefunction) * level_i.grid.h)
+    h = _shared_grid([level_i, level_f]).h
+    ov = float(np.sum(level_f.wavefunction * level_i.wavefunction) * h)
     return ov * ov
 
 
@@ -325,8 +333,3 @@ def natural_linewidth(
 ) -> float:
     """Natural linewidth of one level in MHz: the one-level natural_linewidths."""
     return float(natural_linewidths([level], ds, lower_levels, default_gamma)[0])
-
-
-def gamma_cm1(gamma_mhz: float) -> float:
-    """Linewidth in MHz -> the h*gamma energy in cm^-1."""
-    return gamma_mhz * MHZ_CM1

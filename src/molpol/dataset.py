@@ -9,10 +9,11 @@ A dataset is a directory::
 Curve files are two-column text with ``#`` comments and a mandatory
 ``units: <length> <value>`` header line. Accepted units: bohr/angstrom for
 length, cm-1/hartree for potentials, debye/au for dipoles. Everything is
-converted to the canonical units (Bohr, cm^-1, Debye) on load. Numbers in
-molecule.json are checked on load too: omega and a rotor's j_max must be
-integers, asymptote_energy finite or null (no asymptote), a rotor's r_e
-finite and > 0.
+converted to the canonical units (Bohr, cm^-1, Debye) on load. molecule.json
+is checked on load too: the top level, each state and the rotor block must be
+objects and states a list; no number may be a boolean; omega and a
+rotor's j_max must be integers, asymptote_energy finite or null (no
+asymptote), a rotor's r_e finite and > 0, and parity_tag null, "+" or "-".
 
 Curves interpolate with a natural cubic spline between the tabulated nodes,
 built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in
@@ -29,6 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,8 @@ class ElectronicState:
     def __post_init__(self):
         if self.omega not in (0, 1):
             raise DataError(f"state {self.label!r}: omega must be 0 or 1, got {self.omega}")
+        if self.parity_tag not in (None, "+", "-"):
+            raise DataError(f"state {self.label!r}: parity_tag must be null, '+' or '-', got {self.parity_tag!r}")
 
 
 def _check_samples(r: np.ndarray, y: np.ndarray, what: str) -> None:
@@ -142,13 +146,11 @@ class PotentialCurve:
         w1, w2 = r[0] ** -12, r[1] ** -12
         self._sr_b = (v[0] - v[1]) / (w1 - w2)
         self._sr_a = v[0] - self._sr_b * w1
-        self.short_range_rule = "A + B/R^12"
         # outer tail: exponential approach of V - asymptote, through the two
         # outermost samples; degenerate data falls back as documented
         asym = self.state.asymptote_energy
         if not math.isfinite(asym):
             self._lr = None
-            self.long_range_rule = "constant"
             return
         ra, rb = r[-2], r[-1]
         pa, pb = v[-2] - asym, v[-1] - asym
@@ -160,7 +162,6 @@ class PotentialCurve:
         else:
             k = 1.0 / (rb - ra)
             self._lr = (pb * math.exp(k * rb), k)
-        self.long_range_rule = "asymptote + C*exp(-k*R)"
 
     @property
     def has_interior_minimum(self) -> bool:
@@ -346,18 +347,12 @@ def synthesize(model, grid=None, *, reduced_mass: float, name: str = "synthetic"
     picks its own grid (r_e +- 1 Bohr) when none is given; the well models
     have no natural span, so they require one.
     """
-    if isinstance(model, MorseModel):
+    if isinstance(model, (MorseModel, HarmonicModel)):
         if grid is None:
-            raise DataError("synthesize needs an explicit grid for a Morse model")
+            raise DataError(f"synthesize needs an explicit grid for a {type(model).__name__}")
         r = _grid_points(grid)
-        state = ElectronicState("X0", 0, 0.0)
-        pot = PotentialCurve(state, r, model.value(r))
-        return MoleculeDataset(name, reduced_mass, [state], {"X0": pot}, [], "X0")
-    if isinstance(model, HarmonicModel):
-        if grid is None:
-            raise DataError("synthesize needs an explicit grid for a harmonic model")
-        r = _grid_points(grid)
-        state = ElectronicState("X0", 0, math.inf)
+        # a Morse well dissociates to 0; a harmonic one never does
+        state = ElectronicState("X0", 0, 0.0 if isinstance(model, MorseModel) else math.inf)
         pot = PotentialCurve(state, r, model.value(r))
         return MoleculeDataset(name, reduced_mass, [state], {"X0": pot}, [], "X0")
     if isinstance(model, RigidRotorModel):
@@ -377,8 +372,8 @@ def synthesize(model, grid=None, *, reduced_mass: float, name: str = "synthetic"
 # directory IO
 
 
-def _read_curve(path: Path, data: bytes, value_units: dict[str, float]):
-    """Parse the bytes of one curve file; path only names it in errors."""
+def _read_curve(path: Path, data: bytes, value_units: dict[str, float], make):
+    """make(R, values) on the parsed bytes of one curve file; path only names it in errors."""
     r_vals: list[float] = []
     y_vals: list[float] = []
     scale_r = None
@@ -412,18 +407,16 @@ def _read_curve(path: Path, data: bytes, value_units: dict[str, float]):
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     if scale_r is None:
         raise DataError(f"{path}: missing 'units: <length> <value>' header")
-    r = np.asarray(r_vals) * scale_r
-    y = np.asarray(y_vals) * scale_y
-    if len(r) >= 2 and not np.all(np.diff(r) > 0):
-        bad = int(np.argmin(np.diff(r) > 0)) + 2
-        raise DataError(f"{path}: R not strictly increasing at sample {bad}")
-    return r, y
+    try:
+        return make(np.asarray(r_vals) * scale_r, np.asarray(y_vals) * scale_y)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _meta_number(value, what: str, integer: bool = False):
-    """A finite number from molecule.json; a whole number when integer is set."""
+    """A finite number from molecule.json, not a boolean; a whole number when integer is set."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or (integer and not x.is_integer()):
@@ -480,42 +473,61 @@ def load_dataset(path) -> MoleculeDataset:
     return ds
 
 
-def _parse_dataset(root: Path, files: dict[str, bytes]) -> MoleculeDataset:
-    meta_path = root / "molecule.json"
-    try:
-        meta = json.loads(files[meta_path.name])
-    except ValueError as exc:
-        raise DataError(f"{meta_path}: {exc}") from exc
+def _parse_meta(meta) -> dict:
+    """The MoleculeDataset fields that molecule.json holds, checked; errors name the field."""
+    if not isinstance(meta, dict):
+        raise DataError("the top level must be an object")
     for key in ("name", "reduced_mass", "ground_label", "states"):
         if key not in meta:
-            raise DataError(f"{meta_path}: missing field {key!r}")
+            raise DataError(f"missing field {key!r}")
+    if not isinstance(meta["states"], list):
+        raise DataError("'states' must be a list")
     states = []
     for entry in meta["states"]:
-        if "label" not in entry or "omega" not in entry:
-            raise DataError(f"{meta_path}: every state needs 'label' and 'omega'")
+        if not isinstance(entry, dict) or "label" not in entry or "omega" not in entry:
+            raise DataError("every state needs 'label' and 'omega'")
         label = str(entry["label"])
         asym = entry.get("asymptote_energy")
         states.append(
             ElectronicState(
                 label=label,
-                omega=_meta_number(entry["omega"], f"{meta_path}: state {label!r} omega", integer=True),
+                omega=_meta_number(entry["omega"], f"state {label!r} omega", integer=True),
                 asymptote_energy=(
-                    math.inf if asym is None
-                    else _meta_number(asym, f"{meta_path}: state {label!r} asymptote_energy")
+                    math.inf if asym is None else _meta_number(asym, f"state {label!r} asymptote_energy")
                 ),
                 parity_tag=entry.get("parity_tag"),
             )
         )
+    rotor = meta.get("rotor")
+    if rotor is not None:
+        if not isinstance(rotor, dict) or "r_e" not in rotor:
+            raise DataError("rotor block needs 'r_e'")
+        rotor = RotorInfo(
+            r_e=_meta_number(rotor["r_e"], "rotor r_e"),
+            j_max=_meta_number(rotor.get("j_max", 10), "rotor j_max", integer=True),
+        )
+    return dict(
+        name=str(meta["name"]),
+        reduced_mass=_meta_number(meta["reduced_mass"], "reduced_mass"),
+        states=states,
+        ground_label=str(meta["ground_label"]),
+        default_gamma=_meta_number(meta.get("default_gamma", 6.0), "default_gamma"),
+        rotor=rotor,
+    )
+
+
+def _parse_dataset(root: Path, files: dict[str, bytes]) -> MoleculeDataset:
+    meta_path = root / "molecule.json"
+    try:
+        fields = _parse_meta(json.loads(files[meta_path.name]))
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{meta_path}: {exc}") from exc
     potentials = {}
-    for s in states:
+    for s in fields["states"]:
         pfile = root / f"pot__{s.label}.dat"
         if pfile.name not in files:
             raise DataError(f"{pfile}: not found (potential for state {s.label!r})")
-        r, v = _read_curve(pfile, files[pfile.name], POTENTIAL_UNITS)
-        try:
-            potentials[s.label] = PotentialCurve(s, r, v)
-        except DataError as exc:
-            raise DataError(f"{pfile}: {exc}") from exc
+        potentials[s.label] = _read_curve(pfile, files[pfile.name], POTENTIAL_UNITS, partial(PotentialCurve, s))
     dipoles = []
     for name in sorted(n for n in files if n.startswith("dip__")):
         dfile = root / name
@@ -523,32 +535,10 @@ def _parse_dataset(root: Path, files: dict[str, bytes]) -> MoleculeDataset:
         if len(parts) != 3:
             raise DataError(f"{dfile}: dipole filename must be dip__<bra>__<ket>.dat")
         _, bra, ket = parts
-        r, d = _read_curve(dfile, files[name], DIPOLE_UNITS)
-        try:
-            dipoles.append(DipoleCurve(bra, ket, r, d))
-        except DataError as exc:
-            raise DataError(f"{dfile}: {exc}") from exc
-    rotor = None
-    if "rotor" in meta and meta["rotor"] is not None:
-        rb = meta["rotor"]
-        if "r_e" not in rb:
-            raise DataError(f"{meta_path}: rotor block needs 'r_e'")
-        rotor = RotorInfo(
-            r_e=_meta_number(rb["r_e"], f"{meta_path}: rotor r_e"),
-            j_max=_meta_number(rb.get("j_max", 10), f"{meta_path}: rotor j_max", integer=True),
-        )
+        dipoles.append(_read_curve(dfile, files[name], DIPOLE_UNITS, partial(DipoleCurve, bra, ket)))
     try:
-        return MoleculeDataset(
-            name=str(meta["name"]),
-            reduced_mass=float(meta["reduced_mass"]),
-            states=states,
-            potentials=potentials,
-            dipoles=dipoles,
-            ground_label=str(meta["ground_label"]),
-            default_gamma=float(meta.get("default_gamma", 6.0)),
-            rotor=rotor,
-        )
-    except (TypeError, ValueError) as exc:
+        return MoleculeDataset(potentials=potentials, dipoles=dipoles, **fields)
+    except DataError as exc:
         raise DataError(f"{meta_path}: {exc}") from exc
 
 

@@ -50,8 +50,8 @@ effective potential on every point.
 Eigenvectors are normalized as sum_i psi_i^2 h = 1 and sign-fixed so the
 innermost antinode is positive. The k levels of one solve are the rows of
 one read-only (k, n) matrix W, and each level's wavefunction is a view of its
-row: callers share them, and the coupling layer takes W itself
-(wavefunction_matrix) for its block products without a copy.
+row, so callers share them; the coupling layer stacks the rows of any level
+list (wavefunction_matrix) for its block products.
 
 A rotor-tagged dataset whose potential has no interior minimum bypasses the
 eigensolve: the single v = 0 level is a one-node delta at the grid node
@@ -297,17 +297,7 @@ def solve_radial(
 
 
 def wavefunction_matrix(levels: Sequence[RovibLevel]) -> np.ndarray:
-    """(k, n) matrix whose rows are the levels' wavefunctions.
-
-    Levels v = 0..k-1 of one solve are answered with a view of that solve's
-    own read-only matrix; any other list is stacked into a new array.
-    """
-    if levels:
-        w = levels[0].wavefunction.base
-        if w is not None and w.ndim == 2 and all(
-            lev.v == v and lev.wavefunction.base is w for v, lev in enumerate(levels)
-        ):
-            return w[: len(levels)]
+    """(k, n) matrix whose rows are the levels' wavefunctions, stacked into a new array."""
     return np.array([lev.wavefunction for lev in levels], dtype=float).reshape(len(levels), -1)
 
 

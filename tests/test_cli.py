@@ -479,21 +479,35 @@ def test_infinite_criteria_are_accepted(rotor_dir, argv, reply, tmp_path, capsys
         ("optical_dir", ("states", 1, "asymptote_energy"), math.nan),
         ("rotor_dir", ("rotor", "j_max"), "x"),
         ("rotor_dir", ("rotor", "r_e"), -RBCS["r_e"]),
+        # JSON of the wrong shape: each of these raised a TypeError
+        ("rotor_dir", (), ["name", "reduced_mass", "ground_label", "states"]),
+        ("rotor_dir", ("states",), 0),
+        ("rotor_dir", ("states", 0), ["label", "omega"]),
+        ("rotor_dir", ("rotor",), RBCS["r_e"]),
+        # these loaded: a bad parity_tag silently dropped every line to the
+        # state, and a boolean omega read as 1
+        ("optical_dir", ("states", 1, "parity_tag"), "plus"),
+        ("optical_dir", ("states", 1, "parity_tag"), 5),
+        ("optical_dir", ("states", 1, "parity_tag"), True),
+        ("optical_dir", ("states", 1, "omega"), True),
     ],
 )
 def test_bad_molecule_json_fields_are_data_errors(request, dataset, path, value, tmp_path, capsys):
     ds_dir = tmp_path / "ds"
     shutil.copytree(request.getfixturevalue(dataset), ds_dir)
     meta = json.loads((ds_dir / "molecule.json").read_text())
-    entry = meta
-    for key in path[:-1]:
-        entry = entry[key]
-    entry[path[-1]] = value
+    if path:
+        entry = meta
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+    else:
+        meta = value
     (ds_dir / "molecule.json").write_text(json.dumps(meta))
     for argv in (["validate", ds_dir], ["levels", ds_dir, "--out", tmp_path / "out"]):
         assert run_cli(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("molpol: data:")
+        assert err.startswith(f"molpol: data: {ds_dir / 'molecule.json'}: ")
         assert err.count("\n") == 1
 
 

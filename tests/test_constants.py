@@ -55,16 +55,6 @@ def test_key_constants_recomputed_from_codata():
     assert math.isclose(C.MHZ_CM1, 1e6 / (sc.c * 100.0), rel_tol=1e-12)
 
 
-def test_wavelength_frequency_inverse_pair():
-    assert math.isclose(C.nm_to_cm1(1064.0), 1e7 / 1064.0, rel_tol=1e-15)
-    assert math.isclose(C.cm1_to_nm(C.nm_to_cm1(810.0)), 810.0, rel_tol=1e-12)
-
-
-@given(st.floats(min_value=1e-3, max_value=1e8))
-def test_nm_cm1_round_trip(x):
-    assert math.isclose(C.cm1_to_nm(C.nm_to_cm1(x)), x, rel_tol=1e-12)
-
-
 @given(st.floats(min_value=1e-12, max_value=1e12))
 def test_unit_tables_round_trip(x):
     for table in (C.LENGTH_UNITS, C.POTENTIAL_UNITS, C.DIPOLE_UNITS):

@@ -246,6 +246,18 @@ def test_magic_bisection_matches_pointwise_alpha_at(monkeypatch):
     assert all(r.alpha == alpha_at(a.lines, r.nu) for r in roots)
 
 
+def test_magic_tol_merges_roots_and_does_not_round_them():
+    ds = load_dataset(OPTICAL_STANDIN)
+    opts = LineListOptions(grid=RadialGrid(5.0, 20.0, 301))
+    nus = np.arange(8800.0, 9600.0, 2.0)
+    a = scan_spectrum(ds, LevelId("X0", 0, 0, 0), SZ, nus, opts)
+    b = scan_spectrum(ds, LevelId("X0", 0, 1, 0), SZ, nus, opts)
+    roots = find_magic(a, b)
+    assert len(roots) >= 2
+    # an infinite merge radius keeps the first crossing, polished to the same bits
+    assert find_magic(a, b, tol=math.inf) == roots[:1]
+
+
 def test_find_magic_symmetric_in_arguments(rotor):
     a, b = _rotor_specs(rotor)
     fwd = find_magic(a, b)

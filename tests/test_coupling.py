@@ -8,7 +8,6 @@ from sympy.physics.wigner import wigner_3j
 from molpol import (
     EINSTEIN_A_FACTOR,
     HBAR2_OVER_TWO,
-    MHZ_CM1,
     DipoleCurve,
     ElectronicState,
     HarmonicModel,
@@ -19,7 +18,6 @@ from molpol import (
     angular_weight,
     branch_strength,
     franck_condon,
-    gamma_cm1,
     natural_linewidth,
     solve_radial,
     vibronic_dipole,
@@ -352,10 +350,3 @@ def test_linewidth_falls_back_without_route():
     # J=1 does see J=0 through the permanent dipole
     assert natural_linewidth(j1, ds, [j0]) > 0.0
     assert natural_linewidth(j1, ds, [j0]) != ds.default_gamma
-
-
-def test_gamma_unit_bridge():
-    assert gamma_cm1(1.0) == pytest.approx(MHZ_CM1, rel=1e-15)
-    assert gamma_cm1(0.0) == 0.0
-    # 6 MHz is about 2e-4 cm^-1
-    assert gamma_cm1(6.0) == pytest.approx(2.0014e-4, rel=1e-3)

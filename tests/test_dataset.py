@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from molpol import (
     write_dataset,
 )
 
+from molpol.cli import main
 from molpol.dataset import _NaturalSpline
 
 from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_optical, make_rotor
@@ -131,6 +135,85 @@ def test_dangling_dipole_reference():
             dipoles=[DipoleCurve("X", "GHOST", r, np.ones_like(r))],
             ground_label="X",
         )
+
+
+def _write(name: str, text: str):
+    return lambda root: (root / name).write_text(text)
+
+
+def _copy(src: str, dst: str):
+    return lambda root: shutil.copyfile(root / src, root / dst)
+
+
+def _meta(change):
+    def edit(root: Path) -> None:
+        meta = json.loads((root / MOL).read_text())
+        change(meta)
+        (root / MOL).write_text(json.dumps(meta))
+
+    return edit
+
+
+POT, MOL = "pot__X.dat", "molecule.json"
+# case: (the file its error must name, an edit that breaks the on-disk
+# make_optical() dataset: states X, E, H; dipoles X-E, X-H)
+ON_DISK = {
+    "units header without a value unit": (POT, _write(POT, "units: bohr\n5 1\n6 0\n")),
+    "unknown value unit": (POT, _write(POT, "units: bohr joule\n5 1\n6 0\n")),
+    "no units header": (POT, _write(POT, "5 1\n6 0\n")),
+    "three columns": (POT, _write(POT, "units: bohr cm-1\n5 1 2\n6 0 2\n")),
+    "non-numeric value": (POT, _write(POT, "units: bohr cm-1\n5 deep\n6 0\n")),
+    "NaN value": (POT, _write(POT, "units: bohr cm-1\n5 nan\n6 0\n")),
+    "one sample": (POT, _write(POT, "units: bohr cm-1\n5 1\n")),
+    "R not positive": (POT, _write(POT, "units: bohr cm-1\n0 1\n6 0\n")),
+    "state without omega": (MOL, _meta(lambda m: m["states"][1].pop("omega"))),
+    "omega 2": (MOL, _meta(lambda m: m["states"][1].update(omega=2))),
+    "missing potential file": ("pot__H.dat", lambda root: (root / "pot__H.dat").unlink()),
+    "dipole filename with three labels": ("dip__X__E__H.dat", _copy("dip__X__E.dat", "dip__X__E__H.dat")),
+    "rotor without r_e": (MOL, _meta(lambda m: m.update(rotor={"j_max": 3}))),
+    "non-numeric reduced_mass": (MOL, _meta(lambda m: m.update(reduced_mass="heavy"))),
+    "negative reduced_mass": (MOL, _meta(lambda m: m.update(reduced_mass=-1.0))),
+    "duplicate labels": (MOL, _meta(lambda m: m["states"][2].update(label="E"))),
+    "unknown ground_label": (MOL, _meta(lambda m: m.update(ground_label="Z"))),
+    "dipole to an undeclared state": (MOL, _copy("dip__X__E.dat", "dip__X__Z.dat")),
+}
+
+R3 = np.array([5.0, 6.0, 7.0])
+# each is a library call on make_optical() that no dataset directory can reach
+IN_LIBRARY = {
+    "state without potential": lambda ds: dataclasses.replace(ds, potentials={"X": ds.potentials["X"]}),
+    "potential for an undeclared state": lambda ds: dataclasses.replace(
+        ds, potentials={**ds.potentials, "Z": ds.potentials["X"]}
+    ),
+    "two permanent dipoles": lambda ds: dataclasses.replace(ds, dipoles=[DipoleCurve("X", "X", R3, R3)] * 2),
+    "unknown state": lambda ds: ds.state("nope"),
+    "columns of unequal length": lambda ds: PotentialCurve(ds.states[0], R3, R3[:2]),
+    "potential at R = 0": lambda ds: ds.potentials["X"](0.0),
+    "harmonic model without grid": lambda ds: synthesize(HarmonicModel(100.0, 8.0), reduced_mass=10.0),
+}
+
+
+@pytest.mark.parametrize(
+    "where, case",
+    [("disk", c) for c in ON_DISK] + [("library", c) for c in IN_LIBRARY],
+    ids=[f"disk: {c}" for c in ON_DISK] + [f"library: {c}" for c in IN_LIBRARY],
+)
+def test_every_dataset_error_is_one_data_error(where, case, tmp_path, capsys):
+    ds = make_optical()
+    if where == "library":
+        with pytest.raises(DataError):
+            IN_LIBRARY[case](ds)
+        return
+    root = tmp_path / "ds"
+    write_dataset(ds, root)
+    named, edit = ON_DISK[case]
+    edit(root)
+    assert main(["validate", str(root)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"molpol: data: {root / named}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_potential_node_exactness_and_midpoint(morse_ds):

@@ -144,6 +144,25 @@ def test_initial_level_errors(rotor):
         build_line_list(rotor, LevelId("X0", 0, 1, 2), SZ)
 
 
+def test_initial_level_is_not_among_its_own_lines():
+    # omega = 1 allows J' = J, and a sloped permanent dipole reaches every v' of
+    # the initial (state, J) block: the sum must skip the initial level itself
+    r = np.linspace(5.0, 14.0, 181)
+    x = ElectronicState("X", 1, 0.0)
+    ds = MoleculeDataset(
+        name="omega_one",
+        reduced_mass=50.0,
+        states=[x],
+        potentials={"X": PotentialCurve(x, r, MorseModel(2000.0, 0.5, 8.0).value(r))},
+        dipoles=[DipoleCurve("X", "X", r, 0.5 + 0.2 * (r - 8.0))],
+        ground_label="X",
+    )
+    opts = LineListOptions(grid=RadialGrid(5.0, 14.0, 181), max_levels=7, gamma=0.0)
+    lines = build_line_list(ds, LevelId("X", 0, 1, 1), SZ, opts)
+    assert [ln.v for ln in lines if ln.J == 1] == [1, 2, 3, 4, 5, 6]
+    assert all(ln.delta_e != 0.0 for ln in lines)
+
+
 # -------------------------------------------------------------- alpha values
 
 

@@ -52,16 +52,17 @@ def test_wavefunctions_are_read_only(morse_levels, krb_rotor):
 
 
 def test_block_wavefunctions_are_rows_of_one_read_only_matrix(morse_levels):
-    w = wavefunction_matrix(morse_levels)
+    w = morse_levels[0].wavefunction.base
     assert w.shape == (len(morse_levels), MORSE_GRID.n)
     assert not w.flags.writeable
     for lev, row in zip(morse_levels, w):
-        assert np.shares_memory(lev.wavefunction, w)
+        assert lev.wavefunction.base is w
         np.testing.assert_array_equal(lev.wavefunction, row)
-    # any other selection is stacked into a new array with the same rows
+    # wavefunction_matrix stacks any selection into a new array with the same rows
     picked = wavefunction_matrix(morse_levels[3:5])
     assert not np.shares_memory(picked, w)
     np.testing.assert_array_equal(picked, w[3:5])
+    np.testing.assert_array_equal(wavefunction_matrix(morse_levels), w)
 
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
