@@ -11,13 +11,17 @@ Curve files are two-column text with ``#`` comments and a mandatory
 length, cm-1/hartree for potentials, debye/au for dipoles. Everything is
 converted to the canonical units (Bohr, cm^-1, Debye) on load. molecule.json
 is checked on load too: the top level, each state and the rotor block must be
-objects and states a list; no number may be a boolean; omega and a
-rotor's j_max must be integers, asymptote_energy finite or null (no
-asymptote), a rotor's r_e finite and > 0, and parity_tag null, "+" or "-".
+objects and states a list; every number must be a finite JSON number (not
+a boolean or a string); omega and a rotor's j_max must be integers,
+asymptote_energy a number or null (no asymptote), a rotor's r_e > 0, and
+parity_tag null, "+" or "-".
 
 Curves interpolate with a natural cubic spline between the tabulated nodes,
 built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in
-the same order, so values match it bit for bit.
+the same order, so values match it bit for bit. Its tridiagonal system for the
+knot slopes is solved by _gtsv, a transcription of LAPACK's dgtsv (the routine
+behind scipy's ``solve_banded((1, 1), ...)``), so numpy is the only numerical
+dependency.
 Outside the table a potential follows physical tails: A + B/R^12 fitted to the
 two innermost points on the short-range side, and an exponential decay of
 V - asymptote fitted to the two outermost points on the long-range side.
@@ -34,7 +38,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .constants import DIPOLE_UNITS, HBAR2_OVER_TWO, LENGTH_UNITS, POTENTIAL_UNITS
 from .errors import DataError
@@ -70,7 +73,7 @@ class ElectronicState:
     parity_tag: str | None = None
 
     def __post_init__(self):
-        if self.omega not in (0, 1):
+        if isinstance(self.omega, bool) or self.omega not in (0, 1):
             raise DataError(f"state {self.label!r}: omega must be 0 or 1, got {self.omega}")
         if self.parity_tag not in (None, "+", "-"):
             raise DataError(f"state {self.label!r}: parity_tag must be null, '+' or '-', got {self.parity_tag!r}")
@@ -89,6 +92,48 @@ def _check_samples(r: np.ndarray, y: np.ndarray, what: str) -> None:
     if not np.all(dr > 0.0):
         bad = int(np.argmin(dr > 0.0)) + 2
         raise DataError(f"{what}: R not strictly increasing at sample {bad}")
+
+
+def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for the tridiagonal A in solve_banded's (1, 1) layout
+    (ab[0, 1:] above the diagonal, ab[1] on it, ab[2, :-1] below it).
+
+    LAPACK dgtsv for one right-hand side, statement for statement: Gaussian
+    elimination with partial pivoting by row interchanges, then back
+    substitution, so the result has the bits of solve_banded((1, 1), ab, b).
+    dgtsv's zero-pivot exits are left out: each pivot in the elimination is at
+    least as large in magnitude as the subdiagonal entry below it, which for
+    the spline is a dx > 0, and the last is nonzero because the spline's
+    system is strictly diagonally dominant.
+    """
+    du, d, dl, x = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist(), b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            x[i + 1] = x[i + 1] - fact * x[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1; the last row has no du[i + 1]
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = x[i]
+            x[i] = x[i + 1]
+            x[i + 1] = temp - fact * x[i + 1]
+    x[n - 1] = x[n - 1] / d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return np.array(x)
 
 
 class _NaturalSpline:
@@ -114,7 +159,7 @@ class _NaturalSpline:
         b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
         a[1, -1], a[-1, -2] = 2 * dx[-1], dx[-1]
         b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), a, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+        s = _gtsv(a, b)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -414,10 +459,11 @@ def _read_curve(path: Path, data: bytes, value_units: dict[str, float], make):
 
 
 def _meta_number(value, what: str, integer: bool = False):
-    """A finite number from molecule.json, not a boolean; a whole number when integer is set."""
+    """A finite JSON number from molecule.json (an int or float, not a bool or a
+    string); a whole number when integer is set."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+        x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:   # an int beyond the float range
         x = math.nan
     if not math.isfinite(x) or (integer and not x.is_integer()):
         raise DataError(f"{what} must be a finite {'integer' if integer else 'number'}, got {value!r}")

@@ -9,9 +9,10 @@ with the standard sinc-DVR kinetic matrix on a uniform grid of spacing h:
     T_ii' = hbar^2/(2 mu h^2) * pi^2/3                     (i = i')
     T_ii' = hbar^2/(2 mu h^2) * 2 (-1)^(i-i') / (i-i')^2    (i != i')
 
-T is a Toeplitz matrix, built from its first row. The eigensolve asks only
-for the max_levels lowest pairs (LAPACK evr on an index subset), then keeps
-those at least 1e-6 cm^-1 below the state's asymptote as bound levels.
+T is a Toeplitz matrix, built from its first row as T_ii' = row[|i - i'|].
+The eigensolve is numpy's full symmetric eigh; of its ascending pairs the
+lowest max_levels that lie at least 1e-6 cm^-1 below the state's asymptote
+are kept as bound levels.
 
 The kept levels live on part of the grid, so solve_radial first solves the
 principal submatrix of H on a span of consecutive grid points chosen before
@@ -69,7 +70,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
 
 from .constants import HBAR2_OVER_TWO
 from .dataset import MoleculeDataset
@@ -143,9 +143,19 @@ def _kinetic_row(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
     return row
 
 
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first row `row`: T_ij = row[|i - j|].
+
+    Row i is the window starting at m - 1 - i of (row reversed, then row[1:]);
+    copying the windows is about 10x faster than gathering row[|i - j|].
+    """
+    m = len(row)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), m)[::-1].copy()
+
+
 def kinetic_matrix(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
     """Sinc-DVR kinetic-energy matrix in cm^-1 for a mass in amu."""
-    return toeplitz(_kinetic_row(grid, reduced_mass))
+    return _toeplitz(_kinetic_row(grid, reduced_mass))
 
 
 def _antinode_sign(psi: np.ndarray) -> float:
@@ -229,18 +239,17 @@ def _trim_span(v_eff: np.ndarray, h: float, reduced_mass: float, max_levels: int
 
 
 def _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
-    """Energies below cutoff of the span's principal submatrix and their (k, n)
-    grid wavefunctions, zero outside the span; None when a trimmed span
-    (finite e_top) fails its check: no kept level, a kept level above e_top,
-    or one with |vec| > EDGE_AMP at an edge that is not the grid's own.
+    """The lowest max_levels energies below cutoff of the span's principal
+    submatrix and their (k, n) grid wavefunctions, zero outside the span;
+    None when a trimmed span (finite e_top) fails its check: no kept level, a
+    kept level above e_top, or one with |vec| > EDGE_AMP at an edge that is
+    not the grid's own.
     """
     v = v_eff[span]
-    ham = toeplitz(row[: len(v)])
+    ham = _toeplitz(row[: len(v)])
     ham[np.diag_indices_from(ham)] += v
-    energies, vectors = eigh(
-        ham, overwrite_a=True, subset_by_index=(0, min(max_levels, len(v)) - 1), driver="evr"
-    )
-    k = int(np.count_nonzero(energies < cutoff))   # energies ascend
+    energies, vectors = np.linalg.eigh(ham)
+    k = min(max_levels, int(np.count_nonzero(energies < cutoff)))   # energies ascend
     if math.isfinite(e_top):
         edges = [i for i, cut in ((0, span.start > 0), (-1, span.stop < len(v_eff))) if cut]
         if not k or energies[k - 1] > e_top or np.abs(vectors[edges, :k]).max(initial=0.0) > EDGE_AMP:

@@ -490,6 +490,12 @@ def test_infinite_criteria_are_accepted(rotor_dir, argv, reply, tmp_path, capsys
         ("optical_dir", ("states", 1, "parity_tag"), 5),
         ("optical_dir", ("states", 1, "parity_tag"), True),
         ("optical_dir", ("states", 1, "omega"), True),
+        # these loaded too: a string float() parses read as a number
+        ("optical_dir", ("states", 1, "omega"), "1"),
+        ("rotor_dir", ("reduced_mass",), "27.3757"),
+        ("rotor_dir", ("rotor", "r_e"), "8.0"),
+        # an integer beyond the float range raised an OverflowError
+        pytest.param("rotor_dir", ("reduced_mass",), 10**400, id="rotor_dir-reduced_mass-1e400-int"),
     ],
 )
 def test_bad_molecule_json_fields_are_data_errors(request, dataset, path, value, tmp_path, capsys):

@@ -39,6 +39,22 @@ def test_package_imports_neither_scipy_interpolate_nor_constants():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_loads_no_scipy_module(tmp_path):
+    # numpy's LAPACK is the only one the package calls, through a request too
+    dataset = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+    argv = ["alpha", str(dataset), "--nu", "9000:9010:1", "--grid", "5:20:301", "--out", str(tmp_path)]
+    code = (
+        "import sys, molpol.cli\n"
+        f"assert molpol.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "alpha.csv").is_file()
+
+
 def test_key_constants_recomputed_from_codata():
     # independent reassembly from scipy.constants, not from the module's own chain
     j_per_cm1 = sc.h * sc.c * 100.0

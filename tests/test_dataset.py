@@ -3,11 +3,13 @@ import json
 import math
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from molpol import (
     DataError,
@@ -24,7 +26,8 @@ from molpol import (
 )
 
 from molpol.cli import main
-from molpol.dataset import _NaturalSpline
+from molpol import dataset
+from molpol.dataset import _NaturalSpline, _gtsv
 
 from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_optical, make_rotor
 
@@ -190,6 +193,7 @@ IN_LIBRARY = {
     "columns of unequal length": lambda ds: PotentialCurve(ds.states[0], R3, R3[:2]),
     "potential at R = 0": lambda ds: ds.potentials["X"](0.0),
     "harmonic model without grid": lambda ds: synthesize(HarmonicModel(100.0, 8.0), reduced_mass=10.0),
+    "boolean omega": lambda ds: ElectronicState("Z", True, math.inf),
 }
 
 
@@ -421,3 +425,28 @@ def test_natural_spline_matches_cubic_spline_on_drawn_knots(knots):
     assert _same_bits(dip(pts), ref(np.clip(pts, x[0], x[-1])))
     assert np.all(np.isfinite(pot(outside)))
     assert np.array_equal(pot(outside[2:]), np.full(2, y[-1]))    # no asymptote: constant tail
+
+
+# the spline's banded solve against scipy's solve_banded (LAPACK dgtsv), bit for bit
+
+
+def _assert_gtsv_matches_solve_banded(x, y):
+    with mock.patch.object(dataset, "_gtsv", wraps=_gtsv) as gtsv:
+        _NaturalSpline(x, y)
+    ab, b = gtsv.call_args.args    # the system the spline solves
+    assert _same_bits(_gtsv(ab, b), solve_banded((1, 1), ab, b))
+
+
+@pytest.mark.parametrize("curve", list(_shipped_curves()))
+def test_gtsv_matches_solve_banded_on_shipped_curves(curve):
+    _assert_gtsv_matches_solve_banded(curve.r, curve.v if isinstance(curve, PotentialCurve) else curve.d)
+
+
+@given(_knots())
+@example((np.array([1.0, 2.5]), np.array([3.0, -1.0])))              # n = 2
+@example((np.array([1.0, 2.0, 4.0]), np.array([0.5, -2.0, 7.0])))    # n = 3
+# dx[1] > 2 dx[0]: the first elimination step interchanges rows 0 and 1
+@example((np.array([1.0, 1.5, 4.0, 4.5]), np.array([2.0, -1.0, 3.0, 0.0])))
+@settings(max_examples=300, deadline=None)
+def test_gtsv_matches_solve_banded_on_drawn_knots(knots):
+    _assert_gtsv_matches_solve_banded(*knots)

@@ -121,6 +121,32 @@ def test_trimmed_solve_matches_full_solve_on_its_span():
             assert span.stop - span.start < 0.7 * grid.n
 
 
+# the blocks the optical magic request (X0 v0 J0 vs J1, default grid) solves
+MAGIC_BLOCKS = [("X0", 0), ("A0", 1), ("X0", 1), ("X0", 2), ("B1", 1), ("A0", 0), ("A0", 2), ("X0", 3), ("B1", 2)]
+
+
+@pytest.mark.parametrize("state, J", MAGIC_BLOCKS)
+def test_full_eigh_matches_scipy_subset_eigh_on_the_span(state, J):
+    # the reference is LAPACK evr asked for the lowest 64 pairs of the same
+    # span's Hamiltonian, sign-fixed as solve_radial fixes its own
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    span = _solved_span(ds, state, J, grid, 64)
+    levels = solve_radial(ds, state, J, grid)
+    w = wavefunction_matrix(levels)
+    assert not w[:, : span.start].any() and not w[:, span.stop :].any()
+    v = rovib._effective_potential(ds, state, J, grid)[span]
+    ham = scipy.linalg.toeplitz(rovib._kinetic_row(grid, ds.reduced_mass)[: len(v)]) + np.diag(v)
+    energies, vectors = scipy.linalg.eigh(ham, subset_by_index=(0, 63), driver="evr")
+    k = len(levels)
+    assert k == np.count_nonzero(energies < ds.state(state).asymptote_energy - rovib.BOUND_GUARD)
+    ref = np.zeros((k, grid.n))
+    ref[:, span] = vectors[:, :k].T / math.sqrt(grid.h)
+    ref *= [[rovib._antinode_sign(psi)] for psi in ref]
+    np.testing.assert_allclose([l.energy for l in levels], energies[:k], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("state", ["X0", "A0"])
 def test_keeping_every_bound_level_solves_the_full_grid(state):
     # 131 bound X0 and 149 bound A0 J=0 levels: the top kept ones reach the box
@@ -212,6 +238,15 @@ def test_hamiltonian_symmetric():
     grid = RadialGrid(5.0, 11.0, 128)
     t = kinetic_matrix(grid, 20.0)
     assert np.max(np.abs(t - t.T)) <= 1e-12 * np.max(np.abs(t))
+
+
+@pytest.mark.parametrize("n", [16, 17, 801])
+def test_kinetic_matrix_is_scipy_toeplitz_of_its_row(n):
+    grid = RadialGrid(5.0, 11.0, n)
+    row = rovib._kinetic_row(grid, 20.0)
+    assert np.array_equal(kinetic_matrix(grid, 20.0), scipy.linalg.toeplitz(row))
+    for m in (1, 2, 3):
+        assert np.array_equal(rovib._toeplitz(row[:m]), scipy.linalg.toeplitz(row[:m]))
 
 
 def test_kinetic_matrix_entries():

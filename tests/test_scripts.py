@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(name, out):
@@ -15,6 +18,11 @@ def _run(name, out):
     script.main()
 
 
+def _assert_matches_committed(fresh: Path, committed: Path) -> None:
+    """The table a script just wrote equals the one tracked under out/, to 1e-10 relative."""
+    np.testing.assert_allclose(np.loadtxt(fresh), np.loadtxt(committed), rtol=1e-10, atol=0)
+
+
 def test_optical_window_report(tmp_path, capsys):
     _run("optical_window_report", tmp_path)
     text = (tmp_path / "report.txt").read_text()
@@ -23,7 +31,7 @@ def test_optical_window_report(tmp_path, capsys):
     assert "lines kept: 136" in rows
     assert "resonances in range: 30" in rows
     assert sum(row.startswith("window ") for row in rows) == 20
-    assert (tmp_path / "alpha.dat").is_file()
+    _assert_matches_committed(tmp_path / "alpha.dat", ROOT / "out" / "optical" / "alpha.dat")
 
 
 def test_microwave_magic_scan(tmp_path, capsys):
@@ -31,4 +39,7 @@ def test_microwave_magic_scan(tmp_path, capsys):
     text = (tmp_path / "summary.txt").read_text()
     assert capsys.readouterr().out == text
     assert sum("= 8.000 B" in row for row in text.splitlines()) == 2
-    assert len(list(tmp_path.glob("*_alpha.dat"))) == 2
+    tables = sorted(tmp_path.glob("*_alpha.dat"))
+    assert len(tables) == 2
+    for table in tables:
+        _assert_matches_committed(table, ROOT / "out" / "microwave" / table.name)
