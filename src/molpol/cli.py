@@ -241,7 +241,7 @@ def cmd_levels(args) -> int:
             sys.stderr.write(
                 f"molpol: numerical: levels not converged "
                 f"(refine {_fmt(rep.shift_refine)}, extend {_fmt(rep.shift_extend)}, "
-                f"trim {_fmt(rep.shift_trim)} cm-1)\n"
+                f"trim {_fmt(rep.shift_trim)}, contract {_fmt(rep.shift_contract)} cm-1)\n"
             )
             return 4
     sys.stdout.write(f"{len(levels)} bound levels for {state} J={args.J} -> {out / 'levels.csv'}\n")

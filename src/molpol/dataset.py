@@ -289,11 +289,11 @@ class MoleculeDataset:
     ground_label: str
     default_gamma: float = 6.0       # MHz, fallback natural linewidth
     rotor: RotorInfo | None = None
-    # solved blocks (levels and their computed linewidths) per (state, J, grid,
-    # max_levels), filled by polarizability and never invalidated; load_dataset
-    # hands one object to every load of unchanged content, so a dataset is
-    # read-only once loaded or solved
-    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # rovib's block store: the solved (state, J) blocks with their computed
+    # linewidths, beside each state's J = omega basis; made on first solve and
+    # never invalidated. load_dataset hands one object to every load of
+    # unchanged content, so a dataset is read-only once loaded or solved
+    _store: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()

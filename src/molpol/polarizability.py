@@ -16,10 +16,12 @@ aligned with its nu grid. An exact hit on an undamped pole (gamma = 0,
 nu = |Delta|) is a NaN+NaNj entry of that array: scans keep the point, and
 np.isnan(values.real) marks the poles.
 
-Levels come from one lookup per loaded dataset (one object for every load of
-unchanged files), keyed by (state, J, grid, max_levels): the initial level,
-the final branches and the lower levels of every linewidth share a single
-eigensolve per block. Each stored block also holds its levels' computed
+Levels come from rovib's block store, one per loaded dataset (one object for
+every load of unchanged files), keyed by (state, J, grid, max_levels): the
+initial level, the final branches and the lower levels of every linewidth
+share one solve per block (rovib.solved_block). A state is solved densely
+at J = omega, and its other J contract in that solve's basis where rovib's
+certificate allows. Each stored block also holds its levels' computed
 linewidths, one coupling.natural_linewidths vector made on first use and
 shared by every spectrum on that dataset. A linewidth solves only the lower
 blocks that can hold a level below its upper block's top level: a block whose
@@ -48,7 +50,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, QuantumNumberError
-from .rovib import RadialGrid, RovibLevel, energy_floor, solve_radial
+from .rovib import Block, RadialGrid, RovibLevel, energy_floor, solved_block
 
 __all__ = [
     "LevelId",
@@ -128,26 +130,10 @@ def default_grid(ds: MoleculeDataset) -> RadialGrid:
     return RadialGrid(float(pot.r[0]), float(pot.r[-1]), 801)
 
 
-@dataclass
-class _Block:
-    """One solved (state, J) block and, once asked for, its computed linewidths."""
-
-    levels: tuple[RovibLevel, ...]
-    gammas: np.ndarray | None = None   # MHz per level, from natural_linewidths
-
-
-def _block(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int) -> _Block:
-    """The bound levels of one (state, J) block, solved once per loaded dataset."""
-    key = (state, J, grid, max_levels)
-    if key not in ds._levels:
-        ds._levels[key] = _Block(tuple(solve_radial(ds, state, J, grid, max_levels)))
-    return ds._levels[key]
-
-
 def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOptions | None = None) -> RovibLevel:
     """Resolve the initial LevelId to a solved bound level."""
     opts = options or LineListOptions()
-    levels = _block(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels).levels
+    levels = solved_block(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels).levels
     if not 0 <= initial.v < len(levels):
         raise DataError(
             f"initial level v={initial.v} not bound for state {initial.state!r} at J={initial.J}"
@@ -157,7 +143,7 @@ def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOption
     return levels[initial.v]
 
 
-def _gamma_for(ds: MoleculeDataset, blk: _Block, v: int, mode: str | float, max_levels: int) -> float:
+def _gamma_for(ds: MoleculeDataset, blk: Block, v: int, mode: str | float, max_levels: int) -> float:
     """Linewidth in MHz of level v of a block under the LineListOptions.gamma mode."""
     if isinstance(mode, (int, float)):
         return float(mode)
@@ -176,7 +162,7 @@ def _gamma_for(ds: MoleculeDataset, blk: _Block, v: int, mode: str | float, max_
                 # it drops only exact zeros from the Einstein-A sums
                 if energy_floor(ds, st.label, J2, lev0.grid) > e_top:
                     continue
-                lowers.extend(_block(ds, st.label, J2, lev0.grid, max_levels).levels)
+                lowers.extend(solved_block(ds, st.label, J2, lev0.grid, max_levels).levels)
         blk.gammas = natural_linewidths(blk.levels, ds, lowers)
     return float(blk.gammas[v])
 
@@ -215,7 +201,7 @@ def build_line_list(
             if opts.j_max_branch is not None and Jp > opts.j_max_branch:
                 capped.add("j_max_branch")
                 continue
-            blk = _block(ds, st.label, Jp, grid, opts.max_levels)
+            blk = solved_block(ds, st.label, Jp, grid, opts.max_levels)
             finals = blk.levels[:v_end]
             if len(finals) < len(blk.levels):
                 capped.add("v_max")

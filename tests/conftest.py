@@ -135,3 +135,14 @@ def shifted_solve(shift: float):
         return [dataclasses.replace(l, energy=l.energy + shift) for l in solve(*args)]
 
     return shifted
+
+
+def shifted_contract(shift: float):
+    """rovib._contract with every contracted energy raised by `shift` cm^-1."""
+    contract = rovib._contract
+
+    def shifted(*args):
+        energies, vectors = contract(*args)
+        return energies + shift, vectors
+
+    return shifted

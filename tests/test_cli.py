@@ -2,18 +2,20 @@ import json
 import math
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
 from molpol import cli, rovib
+from molpol import dataset as dataset_module
 from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
 from molpol.dataset import DipoleCurve
 from molpol.errors import DataError
 from molpol.rovib import MAX_GRID_POINTS
 
-from conftest import RBCS, make_optical, make_rotor, rotor_b, shifted_solve
+from conftest import RBCS, make_optical, make_rotor, rotor_b, shifted_contract, shifted_solve
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 KRB_ROTOR_STANDIN = OPTICAL_STANDIN.parent / "krb_rotor_standin"
@@ -140,6 +142,16 @@ def test_levels_check_flags_a_bad_trim(optical_standin_dir, tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.startswith("molpol: numerical:") and err.count("\n") == 1
     assert "refine" in err and "extend" in err and "trim" in err
+
+
+def test_levels_check_flags_a_bad_contraction(optical_standin_dir, tmp_path, capsys, monkeypatch):
+    # contracted levels off by 0.01 cm^-1: only the direct re-solve sees it
+    monkeypatch.setattr(rovib, "_contract", shifted_contract(0.01))
+    argv = ["levels", optical_standin_dir, "--J", "1", "--grid", "5:20:401", "--check", "--out", tmp_path]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: numerical:") and err.count("\n") == 1
+    assert "contract 0.01" in err
 
 
 def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
@@ -521,55 +533,99 @@ def test_bad_molecule_json_fields_are_data_errors(request, dataset, path, value,
 
 
 @pytest.fixture
-def solve_keys(monkeypatch):
-    """The (state, J, grid, max_levels) key of every eigensolve, in call order."""
-    keys = []
-    solve = polarizability.solve_radial
+def solves(monkeypatch):
+    """What the CLI solves, in call order: `blocks`, the (state, J, grid,
+    max_levels) key of every block the store solves; `direct`, the (state, J)
+    of every direct solve; `dense`, one entry per dense span eigensolve."""
+    seen = SimpleNamespace(blocks=[], direct=[], dense=[])
+    solve_radial, solve, eigensolve = rovib.solve_radial, rovib._solve, rovib._eigensolve
 
-    def counting(ds, state, J, grid, max_levels):
-        keys.append((state, J, grid, max_levels))
-        return solve(ds, state, J, grid, max_levels)
+    def counting_block(ds, state, J, grid, max_levels):
+        seen.blocks.append((state, J, grid, max_levels))
+        return solve_radial(ds, state, J, grid, max_levels)
 
-    monkeypatch.setattr(polarizability, "solve_radial", counting)
-    return keys
+    def counting_direct(ds, state, J, grid, max_levels, trim):
+        seen.direct.append((state, J))
+        return solve(ds, state, J, grid, max_levels, trim)
+
+    def counting_dense(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
+        seen.dense.append(span)
+        return eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top)
+
+    monkeypatch.setattr(rovib, "solve_radial", counting_block)
+    monkeypatch.setattr(rovib, "_solve", counting_direct)
+    monkeypatch.setattr(rovib, "_eigensolve", counting_dense)
+    return seen
+
+
+# each state is solved directly once, at J = omega, and every other block of
+# it contracts in that solve's basis: a fallback would add a direct solve
+DIRECT = [("A0", 0), ("B1", 1), ("X0", 0)]
+GRID_301 = ["--grid", "5:20:301"]
 
 
 @pytest.mark.parametrize(
-    "argv, blocks",
+    "argv, blocks, dense",
     [
-        (["alpha", "--nu", "9000:9010:1"], 5),
-        (["magic", "--Ja", "0", "--Jb", "1", "--nu", "9000:9010:1"], 9),
+        (["alpha", "--nu", "9000:9010:1", *GRID_301], 6, 5),
+        (["magic", "--Ja", "0", "--Jb", "1", "--nu", "9000:9010:1", *GRID_301], 9, 5),
+        (["magic", "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"], 9, 3),
     ],
 )
-def test_each_state_j_block_is_solved_once_per_request(argv, blocks, tmp_path, solve_keys):
-    # alpha: X0 J0..J2 and the A0/B1 J1 finals; magic adds X0 J1's A0 J0/J2
-    # and B1 J2 finals and X0 J3, which lies below X0 J2's top level.
-    # Linewidths solve no block lying wholly above the level that decays
-    # (A0 J0, A0 J2 and B1 J2 for X0 J1): 8 and 11 solves without that rule
-    code = run_cli([argv[0], OPTICAL_STANDIN, *argv[1:], "--grid", "5:20:301", "--out", tmp_path])
+def test_each_state_j_block_is_solved_once_per_request(argv, blocks, dense, tmp_path, solves):
+    # alpha: X0 J0..J2, the A0/B1 J1 finals and A0 J0, solved as A0's basis;
+    # magic adds X0 J1's A0 J2 and B1 J2 finals and X0 J3, which lies below
+    # X0 J2's top level. Linewidths solve no block lying wholly above the
+    # level that decays (A0 J2 and B1 J2 for X0 J1): 8 and 11 blocks without
+    # that rule. On the 301-point grid two of the three trimmed solves fail
+    # their edge check and repeat on the full grid; the last case is the
+    # optical magic request on the default grid, where none does
+    code = run_cli([argv[0], OPTICAL_STANDIN, *argv[1:], "--out", tmp_path])
     assert code == 0
-    assert len(solve_keys) == blocks
-    assert len(set(solve_keys)) == blocks
+    assert len(solves.blocks) == blocks
+    assert len(set(solves.blocks)) == blocks
+    assert sorted(solves.direct) == DIRECT
+    assert len(solves.dense) == dense
 
 
-def test_consecutive_requests_share_solved_blocks(tmp_path, solve_keys):
+def test_consecutive_requests_share_solved_blocks(tmp_path, solves):
     # the second load of unchanged content returns the first's dataset with
     # its solved blocks, so windows after alpha solves nothing (16 before)
     level = ["--nu", "9000:9010:1"]
     assert run_cli(["alpha", OPTICAL_STANDIN, *level, "--out", tmp_path / "a"]) == 0
     assert run_cli(["windows", OPTICAL_STANDIN, *level, "--min-width", "5", "--out", tmp_path / "w"]) == 0
-    assert len(solve_keys) == 5
-    assert len(set(solve_keys)) == 5
+    assert len(solves.blocks) == 6
+    assert len(set(solves.blocks)) == 6
+    assert sorted(solves.direct) == DIRECT
+    assert len(solves.dense) == 3
 
 
-def test_rewritten_curve_file_forces_a_reload(tmp_path, solve_keys):
+def test_block_bits_do_not_depend_on_request_order(tmp_path):
+    # each run starts from a fresh load; the second solves X0 J1 before X0 J0
+    requests = {
+        "alpha": ["alpha", "--nu", "9000:9400:1"],
+        "windows": ["windows", "--nu", "9000:9400:1", "--min-width", "5"],
+        "alpha_j1": ["alpha", "--J", "1", "--nu", "9000:9400:1"],
+    }
+    for run, order in (("forward", list(requests)), ("reverse", list(requests)[::-1])):
+        dataset_module._LOADED.clear()
+        for name in order:
+            argv = requests[name]
+            assert run_cli([argv[0], OPTICAL_STANDIN, *argv[1:], "--out", tmp_path / run / name]) == 0
+    forward = sorted(p.relative_to(tmp_path / "forward") for p in (tmp_path / "forward").rglob("*") if p.is_file())
+    assert len(forward) >= 6
+    for rel in forward:
+        assert (tmp_path / "reverse" / rel).read_bytes() == (tmp_path / "forward" / rel).read_bytes(), rel
+
+
+def test_rewritten_curve_file_forces_a_reload(tmp_path, solves):
     ds_dir = tmp_path / "ds"
     shutil.copytree(OPTICAL_STANDIN, ds_dir)
     argv = ["alpha", ds_dir, "--nu", "9000:9400:1", "--grid", "5:20:301"]
     assert run_cli([*argv, "--out", tmp_path / "first"]) == 0
     held = load_dataset(ds_dir)
     assert run_cli([*argv, "--out", tmp_path / "same"]) == 0
-    assert len(solve_keys) == 5
+    assert len(solves.blocks) == 6 and len(solves.dense) == 5
     # raise A0 by 1 cm^-1: new bytes, a new dataset, fresh solves and new lines
     pot = ds_dir / "pot__A0.dat"
     rows = [
@@ -579,7 +635,7 @@ def test_rewritten_curve_file_forces_a_reload(tmp_path, solve_keys):
     pot.write_text("\n".join(rows) + "\n")
     assert run_cli([*argv, "--out", tmp_path / "edited"]) == 0
     assert load_dataset(ds_dir) is not held
-    assert len(solve_keys) == 10
+    assert len(solves.blocks) == 12 and len(solves.dense) == 10
     assert (tmp_path / "same" / "alpha.csv").read_bytes() == (tmp_path / "first" / "alpha.csv").read_bytes()
     assert (tmp_path / "edited" / "alpha.csv").read_bytes() != (tmp_path / "first" / "alpha.csv").read_bytes()
 

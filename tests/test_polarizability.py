@@ -26,7 +26,7 @@ from molpol import (
     scan_spectrum,
     solve_radial,
 )
-from molpol import polarizability
+from molpol import polarizability, rovib
 from molpol.coupling import natural_linewidths
 from molpol.errors import DataError, QuantumNumberError
 
@@ -409,24 +409,34 @@ def test_line_gammas_come_from_block_linewidths(optical):
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 
 
-def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit():
+def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit(monkeypatch):
     ds = load_dataset(OPTICAL_STANDIN)
     grid = RadialGrid(5.0, 20.0, 301)
     opts = LineListOptions(grid=grid)
+    lowers_of = {}   # (state, J) of a decaying block -> (state, J) of the lower levels it was given
+
+    def recording(levels, ds, lowers):
+        lowers_of[(levels[0].state, levels[0].J)] = {(lev.state, lev.J) for lev in lowers}
+        return natural_linewidths(levels, ds, lowers)
+
+    monkeypatch.setattr(polarizability, "natural_linewidths", recording)
     build_line_list(ds, LevelId("X0", 0, 0, 0), SZ, opts)
-    # X0 J1's width skipped A0 J0, A0 J2 and B1 J2, which lie wholly above it
-    assert ("A0", 0, grid, 64) not in ds._levels
     build_line_list(ds, LevelId("X0", 0, 1, 0), SZ, opts)
-    widths = {key: blk.gammas for key, blk in ds._levels.items() if blk.gammas is not None}
+    # X0 J1's width took X0 levels only: every A0 and B1 block lies wholly
+    # above it, A0 J0 (solved all the same, as A0's basis), A0 J2 and B1 J2
+    # included
+    assert lowers_of[("X0", 1)] == {("X0", 0), ("X0", 1), ("X0", 2)}
+    blocks = rovib._store(ds).blocks
+    widths = {key: blk.gammas for key, blk in blocks.items() if blk.gammas is not None}
     assert len(widths) >= 6
     for (state, J, _, max_levels), gammas in widths.items():
         lowers = [
             lev
             for st in sorted(ds.states, key=lambda s: s.label)
             for J2 in range(max(st.omega, J - 1), J + 2)
-            for lev in polarizability._block(ds, st.label, J2, grid, max_levels).levels
+            for lev in rovib.solved_block(ds, st.label, J2, grid, max_levels).levels
         ]
-        full = natural_linewidths(ds._levels[(state, J, grid, max_levels)].levels, ds, lowers)
+        full = natural_linewidths(blocks[(state, J, grid, max_levels)].levels, ds, lowers)
         assert np.array_equal(gammas.view(np.uint64), full.view(np.uint64))
 
 

@@ -21,7 +21,7 @@ from molpol import rovib
 from molpol.errors import GridError
 from molpol.rovib import energy_floor, kinetic_matrix, wavefunction_matrix
 
-from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor, shifted_solve
+from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor, shifted_contract, shifted_solve
 
 
 def morse_energy(v: int) -> float:
@@ -174,9 +174,14 @@ def test_too_narrow_span_falls_back_to_the_full_grid(monkeypatch):
     monkeypatch.setattr(rovib, "_eigensolve", counting)
     for ds, state, J, grid, max_levels in _trim_cases():
         solves.clear()
+        direct = rovib._solve(ds, state, J, grid, max_levels, trim=True)
+        # the trimmed solve, then the full one, which the untrimmed solve repeats bit for bit
+        assert len(solves) == 2 and solves[1] == slice(0, grid.n), (ds.name, state, J)
+        full = rovib._solve(ds, state, J, grid, max_levels, trim=False)
+        assert [l.energy for l in direct] == [l.energy for l in full]
+        np.testing.assert_array_equal(wavefunction_matrix(direct), wavefunction_matrix(full))
+        # solve_radial, which contracts J != omega in the full-grid J = omega basis, agrees too
         assert_matches_full_solve(ds, state, J, grid, max_levels)
-        # the trimmed solve, then the full one; the reference full solve last
-        assert len(solves) == 3 and solves[1] == solves[2] == slice(0, grid.n), (ds.name, state, J)
 
 
 def test_convergence_check_reports_the_trim_shift(monkeypatch):
@@ -191,6 +196,81 @@ def test_convergence_check_reports_the_trim_shift(monkeypatch):
     rep = convergence_check(ds, "X0", 0, grid, 64)
     assert rep.shift_refine < rep.tol and rep.shift_extend < rep.tol
     assert rep.shift_trim == pytest.approx(0.01, rel=1e-6)
+    assert not rep.converged
+
+
+def _counting_direct_solves(monkeypatch):
+    """Patch rovib._solve to record the (state, J) of every direct solve."""
+    calls = []
+    solve = rovib._solve
+
+    def counting(ds, state, J, grid, max_levels, trim):
+        calls.append((state, J))
+        return solve(ds, state, J, grid, max_levels, trim)
+
+    monkeypatch.setattr(rovib, "_solve", counting)
+    return calls
+
+
+CONTRACTED = [("X0", 1), ("X0", 2), ("X0", 3), ("A0", 1), ("A0", 2), ("B1", 2)]
+
+
+@pytest.mark.parametrize("state, J", CONTRACTED)
+def test_contracted_block_matches_the_direct_solve(state, J, monkeypatch):
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    direct = _counting_direct_solves(monkeypatch)
+    levels = solve_radial(ds, state, J, grid)
+    # the state's J = omega basis is the only direct solve: nothing fell back
+    assert direct == [(state, ds.state(state).omega)]
+    monkeypatch.undo()
+    ref = rovib._solve(ds, state, J, grid, 64, trim=True)
+    assert len(levels) == len(ref) == 64
+    np.testing.assert_allclose([l.energy for l in levels], [l.energy for l in ref], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(wavefunction_matrix(levels), wavefunction_matrix(ref), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("J", [1, 10, 60])
+def test_a_contraction_that_fails_its_certificate_falls_back(J, monkeypatch):
+    # K = 2 * 4 = 8 J0 eigenvectors cannot hold the J levels to RESIDUAL_TOL
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    direct = _counting_direct_solves(monkeypatch)
+    levels = solve_radial(ds, "X0", J, grid, 4)
+    assert direct == [("X0", 0), ("X0", J)]
+    monkeypatch.undo()
+    ref = rovib._solve(ds, "X0", J, grid, 4, trim=True)
+    assert [l.energy for l in levels] == [l.energy for l in ref]
+    np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
+
+
+def test_rotor_blocks_build_no_basis():
+    ds = make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rot")
+    grid = default_grid(ds)
+    for J in (0, 1, 5):
+        delta = rovib._rotor_level(ds, "X0", J, grid)
+        for (level,) in (solve_radial(ds, "X0", J, grid), rovib.solved_block(ds, "X0", J, grid, 64).levels):
+            assert level.energy == delta.energy
+            np.testing.assert_array_equal(level.wavefunction, delta.wavefunction)
+    assert rovib._store(ds).bases == {}
+    rep = convergence_check(ds, "X0", 1, grid)
+    assert rep.shift_contract == 0.0 and rep.shift_trim == 0.0
+
+
+def test_convergence_check_reports_the_contraction_shift(monkeypatch):
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    rep = convergence_check(ds, "X0", 0, grid, 64)
+    assert rep.shift_contract == 0.0   # J = omega is the direct solve
+    rep = convergence_check(ds, "X0", 1, grid, 64)
+    assert rep.converged
+    assert 0.0 < rep.shift_contract < 1e-10
+    # contracted levels off by 0.01 cm^-1 on every grid: only the direct
+    # trimmed re-solve sees it
+    monkeypatch.setattr(rovib, "_contract", shifted_contract(0.01))
+    rep = convergence_check(ds, "X0", 1, grid, 64)
+    assert rep.shift_refine < 1e-6 and rep.shift_extend < 1e-6 and rep.shift_trim < 1e-9
+    assert rep.shift_contract == pytest.approx(0.01, rel=1e-6)
     assert not rep.converged
 
 
