@@ -178,10 +178,19 @@ def _dataset(args):
     return load_dataset(path)
 
 
+def _grid(args, ds) -> RadialGrid:
+    return _parse_radial_grid(args.grid) if args.grid else default_grid(ds)
+
+
+def _level(args, ds) -> tuple[LevelId, Polarization]:
+    """The initial level (--state, default the ground state, --v/--J/--M) and its --pol."""
+    return LevelId(args.state or ds.ground_label, args.v, args.J, args.M), Polarization.parse(args.pol)
+
+
 def _options(args, ds) -> LineListOptions:
     _nonnegative(args, "d_floor")
     return LineListOptions(
-        grid=_parse_radial_grid(args.grid) if args.grid else default_grid(ds),
+        grid=_grid(args, ds),
         max_levels=args.max_levels,
         gamma=_parse_gamma(args.gamma),
         d_floor=args.d_floor,
@@ -227,7 +236,7 @@ def cmd_validate(args) -> int:
 def cmd_levels(args) -> int:
     ds = _dataset(args)
     state = args.state or ds.ground_label
-    grid = _parse_radial_grid(args.grid) if args.grid else default_grid(ds)
+    grid = _grid(args, ds)
     levels = solve_radial(ds, state, args.J, grid, args.max_levels)
     out = _outdir(args)
     _write_csv(
@@ -254,7 +263,7 @@ def cmd_fcf(args) -> int:
     upper = args.final_state
     if args.max_v < 0:
         raise DataError(f"--max-v must be at least 0, got {args.max_v}")
-    grid = _parse_radial_grid(args.grid) if args.grid else default_grid(ds)
+    grid = _grid(args, ds)
     lev_i = solve_radial(ds, lower, args.J, grid, args.max_v + 1)
     lev_f = solve_radial(ds, upper, args.Jp, grid, args.max_v + 1)
     dip = ds.dipole_between(lower, upper)
@@ -272,8 +281,7 @@ def cmd_fcf(args) -> int:
 def cmd_alpha(args) -> int:
     ds = _dataset(args)
     opts = _options(args, ds)
-    initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)
-    pol = Polarization.parse(args.pol)
+    initial, pol = _level(args, ds)
     nus = _parse_range(args.nu, args.nm)
     spec = scan_spectrum(ds, initial, pol, nus, opts)
     out = _outdir(args)
@@ -386,8 +394,7 @@ def cmd_plan(args) -> int:
     nu = 1.0e7 / wavelength
     ds = _dataset(args)
     opts = _options(args, ds)
-    initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)
-    pol = Polarization.parse(args.pol)
+    initial, pol = _level(args, ds)
     lines = build_line_list(ds, initial, pol, opts)
     alpha = alpha_at(lines, nu)
     trap = lattice_plan(alpha, args.intensity, wavelength)
@@ -427,8 +434,7 @@ def cmd_windows(args) -> int:
     _nonnegative(args, "min_width", "flatness_cap", "ratio_floor")
     ds = _dataset(args)
     opts = _options(args, ds)
-    initial = LevelId(args.state or ds.ground_label, args.v, args.J, args.M)
-    pol = Polarization.parse(args.pol)
+    initial, pol = _level(args, ds)
     nus = _parse_range(args.nu, args.nm)
     spec = scan_spectrum(ds, initial, pol, nus, opts)
     wins = find_windows(spec, args.min_width, args.flatness_cap, args.ratio_floor)
@@ -522,6 +528,11 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v-max", type=int, default=None, help="cap on final v per state (default: all bound)")
 
 
+def _add_scan_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
+    p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
+
+
 def _add_out_args(p: argparse.ArgumentParser, plot: bool = True) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
     if plot:
@@ -566,8 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     _add_level_args(p)
     _add_engine_args(p)
-    p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
-    p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
+    _add_scan_args(p)
     _add_out_args(p)
     p.set_defaults(func=cmd_alpha)
 
@@ -576,8 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arg(p)
     _add_level_args(p, "a")
     _add_level_args(p, "b", J=1)
-    p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
-    p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
+    _add_scan_args(p)
     p.add_argument("--tol", type=float, default=1e-6, help="drop a crossing within this many cm^-1 of the previous one (default: 1e-6)")
     _add_engine_args(p)
     _add_out_args(p)
@@ -609,8 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     _add_level_args(p)
     _add_engine_args(p)
-    p.add_argument("--nu", required=True, help="scan range lo:hi:step in cm^-1 (or nm with --nm)")
-    p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
+    _add_scan_args(p)
     p.add_argument("--min-width", type=float, default=10.0, help="minimum window width in cm^-1 (default: 10)")
     p.add_argument("--flatness-cap", type=float, default=0.1, help="max |d ln|alpha||/d nu in 1/cm^-1 (default: 0.1)")
     p.add_argument("--ratio-floor", type=float, default=1e6, help="min |Re alpha|/|Im alpha| (default: 1e6)")

@@ -281,7 +281,6 @@ def natural_linewidths(
     upper: Sequence[RovibLevel],
     ds: MoleculeDataset,
     lower_levels: Sequence[RovibLevel],
-    default_gamma: float | None = None,
 ) -> np.ndarray:
     """Natural linewidths in MHz (total decay rate over 2 pi) of one (state, J) block.
 
@@ -293,9 +292,9 @@ def natural_linewidths(
         A = nu^3 d_vib^2 * (2J_lo+1) [3j]^2 * EINSTEIN_A_FACTOR   [1/s],
 
     with d_vib from one dipole_matrix. A level's result is sum(A)/(2 pi) in
-    MHz, or the dataset default (or the explicit default_gamma) when no
-    radiative route leads below it. The h*gamma/2 half-width of the
-    polarizability denominators uses exactly this gamma.
+    MHz, or the dataset's default_gamma when no radiative route leads below
+    it. The h*gamma/2 half-width of the polarizability denominators uses
+    exactly this gamma.
     """
     if not upper:
         return np.zeros(0)
@@ -321,15 +320,13 @@ def natural_linewidths(
         d = dipole_matrix(upper, group, dip)
         total += np.where(below, EINSTEIN_A_FACTOR * nu**3 * d * d * br, 0.0).sum(axis=1)
         routed |= below.any(axis=1)
-    fallback = ds.default_gamma if default_gamma is None else default_gamma
-    return np.where(routed, total / (2.0 * math.pi * 1.0e6), fallback)
+    return np.where(routed, total / (2.0 * math.pi * 1.0e6), ds.default_gamma)
 
 
 def natural_linewidth(
     level: RovibLevel,
     ds: MoleculeDataset,
     lower_levels: Sequence[RovibLevel],
-    default_gamma: float | None = None,
 ) -> float:
     """Natural linewidth of one level in MHz: the one-level natural_linewidths."""
-    return float(natural_linewidths([level], ds, lower_levels, default_gamma)[0])
+    return float(natural_linewidths([level], ds, lower_levels)[0])

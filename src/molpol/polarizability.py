@@ -19,18 +19,19 @@ np.isnan(values.real) marks the poles.
 Levels come from rovib's block store, one per loaded dataset (one object for
 every load of unchanged files), keyed by (state, J, grid, max_levels): the
 initial level, the final branches and the lower levels of every linewidth
-share one solve per block (rovib.solved_block). A state is solved densely
-at J = omega, and its other J contract in that solve's basis where rovib's
-certificate allows. Each stored block also holds its levels' computed
+share one solve per block (rovib.solved_block, a memo of rovib.solve_radial,
+which alone decides whether a block is solved densely or contracted in its
+state's J = omega basis). Each stored block also holds its levels' computed
 linewidths, one coupling.natural_linewidths vector made on first use and
 shared by every spectrum on that dataset. A linewidth solves only the lower
 blocks that can hold a level below its upper block's top level: a block whose
 rovib.energy_floor lies above that energy is skipped unsolved, since all its
 levels lie higher and its Einstein-A terms would be exact zeros. A line list
 takes the dipoles of one final block from one coupling.dipole_matrix row.
-Both the line list and the Einstein-A linewidths take their partner states
-from one route rule, coupling.dipole_route: a dipole curve must join the two
-states, and omega 0+ <-> 0- has no route.
+The line list and the Einstein-A linewidths walk the same branches
+(_branches), whose partner states come from one route rule,
+coupling.dipole_route: a dipole curve must join the two states, and
+omega 0+ <-> 0- has no route.
 
 The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
 line axis in list order, so a scan and a single-point alpha_at add the same
@@ -143,6 +144,17 @@ def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOption
     return levels[initial.v]
 
 
+def _branches(ds: MoleculeDataset, state: str, J: int):
+    """(partner state, dipole curve, J') of every branch out of a (state, J)
+    block: partners in label order that coupling.dipole_route joins to the
+    state, J' from J - 1 to J + 1 and at least the partner's omega."""
+    for st in sorted(ds.states, key=lambda s: s.label):
+        dip = dipole_route(ds, state, st.label)
+        if dip is not None:
+            for Jp in range(max(st.omega, J - 1), J + 2):
+                yield st, dip, Jp
+
+
 def _gamma_for(ds: MoleculeDataset, blk: Block, v: int, mode: str | float, max_levels: int) -> float:
     """Linewidth in MHz of level v of a block under the LineListOptions.gamma mode."""
     if isinstance(mode, (int, float)):
@@ -154,15 +166,12 @@ def _gamma_for(ds: MoleculeDataset, blk: Block, v: int, mode: str | float, max_l
     if blk.gammas is None:
         lev0, e_top = blk.levels[0], blk.levels[-1].energy
         lowers: list[RovibLevel] = []
-        for st in sorted(ds.states, key=lambda s: s.label):
-            if dipole_route(ds, lev0.state, st.label) is None:
+        for st, _, J2 in _branches(ds, lev0.state, lev0.J):
+            # a block wholly above this one takes no emission: skipping
+            # it drops only exact zeros from the Einstein-A sums
+            if energy_floor(ds, st.label, J2, lev0.grid) > e_top:
                 continue
-            for J2 in range(max(st.omega, lev0.J - 1), lev0.J + 2):
-                # a block wholly above this one takes no emission: skipping
-                # it drops only exact zeros from the Einstein-A sums
-                if energy_floor(ds, st.label, J2, lev0.grid) > e_top:
-                    continue
-                lowers.extend(solved_block(ds, st.label, J2, lev0.grid, max_levels).levels)
+            lowers.extend(solved_block(ds, st.label, J2, lev0.grid, max_levels).levels)
         blk.gammas = natural_linewidths(blk.levels, ds, lowers)
     return float(blk.gammas[v])
 
@@ -184,41 +193,37 @@ def build_line_list(
 
     lines: list[LineStrength] = []
     capped: set[str] = set()   # the caps that removed a line with angular weight
-    for st in sorted(ds.states, key=lambda s: s.label):
-        dip = dipole_route(ds, initial.state, st.label)
-        if dip is None:
+    for st, dip, Jp in _branches(ds, initial.state, initial.J):
+        # (q, M', weight) per driven component; the same for every v'
+        weights = []
+        for q, amp in polarization.components:
+            Mp = initial.M + q
+            w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, om_i, st.omega)
+            if w > 0.0:
+                weights.append((q, Mp, w))
+        if not weights:
             continue
-        for Jp in range(max(st.omega, initial.J - 1), initial.J + 2):
-            # (q, M', weight) per driven component; the same for every v'
-            weights = []
-            for q, amp in polarization.components:
-                Mp = initial.M + q
-                w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, om_i, st.omega)
-                if w > 0.0:
-                    weights.append((q, Mp, w))
-            if not weights:
+        if opts.j_max_branch is not None and Jp > opts.j_max_branch:
+            capped.add("j_max_branch")
+            continue
+        blk = solved_block(ds, st.label, Jp, grid, opts.max_levels)
+        finals = blk.levels[:v_end]
+        if len(finals) < len(blk.levels):
+            capped.add("v_max")
+        for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, dip)[0].tolist()):
+            if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
+                continue   # the sum excludes the initial level
+            if abs(d) < opts.d_floor:
                 continue
-            if opts.j_max_branch is not None and Jp > opts.j_max_branch:
-                capped.add("j_max_branch")
-                continue
-            blk = solved_block(ds, st.label, Jp, grid, opts.max_levels)
-            finals = blk.levels[:v_end]
-            if len(finals) < len(blk.levels):
-                capped.add("v_max")
-            for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, dip)[0].tolist()):
-                if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
-                    continue   # the sum excludes the initial level
-                if abs(d) < opts.d_floor:
-                    continue
-                gamma = _gamma_for(ds, blk, lev_f.v, opts.gamma, opts.max_levels)
-                delta_e = lev_f.energy - lev_i.energy
-                lines.extend(
-                    LineStrength(
-                        state=st.label, v=lev_f.v, J=Jp, M=Mp, q=q,
-                        d_vib=d, weight=w, delta_e=delta_e, gamma=gamma,
-                    )
-                    for q, Mp, w in weights
+            gamma = _gamma_for(ds, blk, lev_f.v, opts.gamma, opts.max_levels)
+            delta_e = lev_f.energy - lev_i.energy
+            lines.extend(
+                LineStrength(
+                    state=st.label, v=lev_f.v, J=Jp, M=Mp, q=q,
+                    d_vib=d, weight=w, delta_e=delta_e, gamma=gamma,
                 )
+                for q, Mp, w in weights
+            )
     if not lines and capped:
         caps = " and ".join(f"{cap} = {getattr(opts, cap)}" for cap in sorted(capped))
         raise QuantumNumberError(

@@ -57,14 +57,15 @@ where the kept count could differ. A state whose J0 block may keep every
 bound level (the WKB test above) is not contracted: its top levels lie near
 the threshold, where the basis holds the other J only to about 3e-8 cm^-1.
 
-J0 is always omega, solved even when no J0 level is asked for, so a block's
-bits never depend on which J a process solved first. The basis lives in the
-dataset's block store (solved_block) beside the solved blocks, and the store
-solves a state's J0 block before any other J of it. On the optical stand-in's
-default grid contracted energies agree with the direct trimmed solve to
-about 2e-11 cm^-1 and wavefunctions to about 5e-13; on 2 vCPUs with two
-BLAS threads a contracted block costs 7-9 ms against 38-47 ms for its dense
-solve. Rotor blocks keep their delta path and build no basis.
+J0 is always omega. solve_radial alone decides whether a state contracts, and
+solves a contracting state directly at J0 first, even when no J0 level is
+asked for, so a block's bits never depend on which J a process solved first.
+That solve writes the basis into the dataset's block store (solved_block), and
+the J0 levels are read back from it. On the optical stand-in's default grid
+contracted energies agree with the direct trimmed solve to about 2e-11 cm^-1
+and wavefunctions to about 5e-13; on 2 vCPUs with two BLAS threads a
+contracted block costs 7-9 ms against 38-47 ms for its dense solve. Rotor
+blocks keep their delta path and build no basis.
 
 T is a finite section of the Toeplitz matrix whose symbol
 hbar^2/(2 mu h^2) theta^2 is >= 0 on [-pi, pi], so T is positive definite and
@@ -372,20 +373,6 @@ def _is_rotor(ds: MoleculeDataset, state: str) -> bool:
     return ds.rotor is not None and not ds.potentials[state].has_interior_minimum
 
 
-def _contracts(ds: MoleculeDataset, state: str, omega: int, grid: RadialGrid, max_levels: int) -> bool:
-    """Whether the state's J != omega blocks contract in its J = omega basis.
-
-    Not for a rotor, nor when the J = omega block may keep every bound level:
-    its top levels lie near the threshold, where the basis holds the other J
-    only to about 3e-8 cm^-1 (max_levels 200 on the optical stand-in), so
-    every contraction would fall back.
-    """
-    if _is_rotor(ds, state):
-        return False
-    v_eff = _effective_potential(ds, state, omega, grid)
-    return not _keeps_every_level(v_eff, grid.h, ds.reduced_mass, max_levels, ds.state(state).asymptote_energy)
-
-
 def _block_inputs(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid):
     """(row, v_eff, cutoff): T's first row, the diagonal H adds to T, and the bound-level cutoff."""
     row = _kinetic_row(grid, ds.reduced_mass)
@@ -401,7 +388,7 @@ def _solve(
 ) -> list[RovibLevel]:
     """The direct solve of one block: trimmed (or its full-grid fallback) when
     trim, else on the full grid. A trimmed solve at J = omega keeps its basis
-    in the dataset's store, for solve_radial to contract the other J in."""
+    in the dataset's store, unless the block may keep every bound level."""
     omega = _checked_omega(ds, state, J, max_levels)
     if _is_rotor(ds, state):
         return [_rotor_level(ds, state, J, grid)]
@@ -411,7 +398,8 @@ def _solve(
     basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, *trimmed) if trimmed else None
     if basis is None:
         basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
-    if trim and J == omega and _contracts(ds, state, omega, grid, max_levels):
+    # the same contraction rule solve_radial applies before it reads the basis
+    if trim and J == omega and not _keeps_every_level(v_eff, grid.h, ds.reduced_mass, max_levels, asym):
         # only the K columns are kept: the m x m eigenvectors go when this returns
         _store(ds).bases[(state, grid, max_levels)] = replace(basis, vectors=basis.vectors.copy())
     k = basis.kept
@@ -427,20 +415,26 @@ def solve_radial(
 ) -> list[RovibLevel]:
     """Bound levels of one electronic state at fixed J, lowest first, at most max_levels.
 
-    J = omega and rotor blocks are solved directly, trimmed. Any other J is
-    contracted in the state's J = omega basis (solved first when the dataset's
-    store holds none), and solved directly when the contraction fails its
+    A rotor, or a state whose J = omega block may keep every bound level, is
+    solved directly, trimmed. Any other state is solved directly at J = omega
+    first, into the store's basis: J = omega levels are read from it, and any
+    other J is contracted in it, or solved directly when that fails its
     certificate.
     """
     omega = _checked_omega(ds, state, J, max_levels)
-    if J == omega or not _contracts(ds, state, omega, grid, max_levels):
+    asym = ds.state(state).asymptote_energy
+    if _is_rotor(ds, state) or _keeps_every_level(
+        _effective_potential(ds, state, omega, grid), grid.h, ds.reduced_mass, max_levels, asym
+    ):
         return _solve(ds, state, J, grid, max_levels, trim=True)
-    row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     bases = _store(ds).bases
     key = (state, grid, max_levels)
     if key not in bases:
         _solve(ds, state, omega, grid, max_levels, trim=True)
     basis = bases[key]
+    if J == omega:
+        return _levels(state, J, grid, basis.span, basis.energies[: basis.kept], basis.vectors[:, : basis.kept])
+    row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     contracted = _contract(row, v_eff, cutoff, basis, max_levels)
     if contracted is None:
         return _solve(ds, state, J, grid, max_levels, trim=True)
@@ -470,17 +464,10 @@ def _store(ds: MoleculeDataset) -> _Store:
 
 
 def solved_block(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int) -> Block:
-    """The bound levels of one (state, J) block, solved once per loaded dataset.
-
-    A state's J = omega block is solved before any other J of it, so each of
-    those contracts in the same basis whatever order a caller asks in.
-    """
+    """The bound levels of one (state, J) block, solved once per loaded dataset."""
     blocks = _store(ds).blocks
     key = (state, J, grid, max_levels)
     if key not in blocks:
-        omega = ds.state(state).omega
-        if J > omega and _contracts(ds, state, omega, grid, max_levels):
-            solved_block(ds, state, omega, grid, max_levels)
         blocks[key] = Block(tuple(solve_radial(ds, state, J, grid, max_levels)))
     return blocks[key]
 

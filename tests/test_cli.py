@@ -165,9 +165,9 @@ def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
     monkeypatch.setattr(rovib, "_solve", counting)
     assert run_cli(["levels", OPTICAL_STANDIN, "--out", tmp_path / "plain"]) == 0
     assert run_cli(["levels", OPTICAL_STANDIN, "--check", "--out", tmp_path / "check"]) == 0
-    # the plain run's solve, then the check's base (solved once) plus its
-    # 2n, extended and untrimmed re-solves
-    assert calls == [(801, True), (801, True), (1602, True), (1201, True), (801, False)]
+    # the plain run's solve, whose basis the held dataset keeps, so the
+    # check's base solves nothing; then its 2n, extended and untrimmed re-solves
+    assert calls == [(801, True), (1602, True), (1201, True), (801, False)]
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert check.read_bytes() == plain.read_bytes()
 
@@ -567,14 +567,15 @@ GRID_301 = ["--grid", "5:20:301"]
 @pytest.mark.parametrize(
     "argv, blocks, dense",
     [
-        (["alpha", "--nu", "9000:9010:1", *GRID_301], 6, 5),
+        (["alpha", "--nu", "9000:9010:1", *GRID_301], 5, 5),
         (["magic", "--Ja", "0", "--Jb", "1", "--nu", "9000:9010:1", *GRID_301], 9, 5),
         (["magic", "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"], 9, 3),
     ],
 )
 def test_each_state_j_block_is_solved_once_per_request(argv, blocks, dense, tmp_path, solves):
-    # alpha: X0 J0..J2, the A0/B1 J1 finals and A0 J0, solved as A0's basis;
-    # magic adds X0 J1's A0 J2 and B1 J2 finals and X0 J3, which lies below
+    # alpha: X0 J0..J2 and the A0/B1 J1 finals (A0 J0 is solved directly as
+    # A0's basis, but no block asks for it); magic adds X0 J1's A0 J0, A0 J2
+    # and B1 J2 finals and X0 J3, which lies below
     # X0 J2's top level. Linewidths solve no block lying wholly above the
     # level that decays (A0 J2 and B1 J2 for X0 J1): 8 and 11 blocks without
     # that rule. On the 301-point grid two of the three trimmed solves fail
@@ -594,8 +595,8 @@ def test_consecutive_requests_share_solved_blocks(tmp_path, solves):
     level = ["--nu", "9000:9010:1"]
     assert run_cli(["alpha", OPTICAL_STANDIN, *level, "--out", tmp_path / "a"]) == 0
     assert run_cli(["windows", OPTICAL_STANDIN, *level, "--min-width", "5", "--out", tmp_path / "w"]) == 0
-    assert len(solves.blocks) == 6
-    assert len(set(solves.blocks)) == 6
+    assert len(solves.blocks) == 5
+    assert len(set(solves.blocks)) == 5
     assert sorted(solves.direct) == DIRECT
     assert len(solves.dense) == 3
 
@@ -625,7 +626,7 @@ def test_rewritten_curve_file_forces_a_reload(tmp_path, solves):
     assert run_cli([*argv, "--out", tmp_path / "first"]) == 0
     held = load_dataset(ds_dir)
     assert run_cli([*argv, "--out", tmp_path / "same"]) == 0
-    assert len(solves.blocks) == 6 and len(solves.dense) == 5
+    assert len(solves.blocks) == 5 and len(solves.dense) == 5
     # raise A0 by 1 cm^-1: new bytes, a new dataset, fresh solves and new lines
     pot = ds_dir / "pot__A0.dat"
     rows = [
@@ -635,7 +636,7 @@ def test_rewritten_curve_file_forces_a_reload(tmp_path, solves):
     pot.write_text("\n".join(rows) + "\n")
     assert run_cli([*argv, "--out", tmp_path / "edited"]) == 0
     assert load_dataset(ds_dir) is not held
-    assert len(solves.blocks) == 12 and len(solves.dense) == 10
+    assert len(solves.blocks) == 10 and len(solves.dense) == 10
     assert (tmp_path / "same" / "alpha.csv").read_bytes() == (tmp_path / "first" / "alpha.csv").read_bytes()
     assert (tmp_path / "edited" / "alpha.csv").read_bytes() != (tmp_path / "first" / "alpha.csv").read_bytes()
 

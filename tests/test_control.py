@@ -329,10 +329,9 @@ def _windows_by_run_loop(spectrum, min_width, flatness_cap, ratio_floor):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(im == 0.0, math.inf, re / np.where(im == 0.0, 1.0, im))
         logmag = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -math.inf)
+        slope = np.abs(np.diff(logmag)) / np.diff(nus)
     point_ok = np.isfinite(mag) & (mag > 0.0) & (ratio >= ratio_floor)
 
-    dnu = np.diff(nus)
-    slope = np.abs(np.diff(logmag)) / dnu
     pair_ok = np.isfinite(slope) & (slope <= flatness_cap)
     for r in spectrum.resonances:
         cut = (nus[:-1] <= r.nu) & (r.nu <= nus[1:])

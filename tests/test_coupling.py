@@ -346,7 +346,6 @@ def test_linewidth_falls_back_without_route():
     j1 = solve_radial(ds, "X0", 1, grid, 1)[0]
     # J=0 is the ground level; nothing sits below it
     assert natural_linewidth(j0, ds, [j1]) == ds.default_gamma
-    assert natural_linewidth(j0, ds, [j1], default_gamma=3.5) == 3.5
     # J=1 does see J=0 through the permanent dipole
     assert natural_linewidth(j1, ds, [j0]) > 0.0
     assert natural_linewidth(j1, ds, [j0]) != ds.default_gamma

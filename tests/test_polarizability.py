@@ -423,7 +423,7 @@ def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit(monkeypatch):
     build_line_list(ds, LevelId("X0", 0, 0, 0), SZ, opts)
     build_line_list(ds, LevelId("X0", 0, 1, 0), SZ, opts)
     # X0 J1's width took X0 levels only: every A0 and B1 block lies wholly
-    # above it, A0 J0 (solved all the same, as A0's basis), A0 J2 and B1 J2
+    # above it, A0 J0 (a final of X0 J1 all the same), A0 J2 and B1 J2
     # included
     assert lowers_of[("X0", 1)] == {("X0", 0), ("X0", 1), ("X0", 2)}
     blocks = rovib._store(ds).blocks
@@ -438,6 +438,17 @@ def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit(monkeypatch):
         ]
         full = natural_linewidths(blocks[(state, J, grid, max_levels)].levels, ds, lowers)
         assert np.array_equal(gammas.view(np.uint64), full.view(np.uint64))
+
+
+def test_branches_run_in_label_order_then_rising_j():
+    # linewidth sums add their lower blocks in this order, so its bits rest on
+    # it: partners by label (the dataset lists X0, A0, B1), then J' from
+    # max(omega', J - 1) to J + 1
+    ds = load_dataset(OPTICAL_STANDIN)
+    branches = {J: [(st.label, Jp) for st, _, Jp in polarizability._branches(ds, "X0", J)] for J in (0, 1)}
+    assert branches[0] == [("A0", 0), ("A0", 1), ("B1", 1), ("X0", 0), ("X0", 1)]
+    assert branches[1] == [("A0", 0), ("A0", 1), ("A0", 2), ("B1", 1), ("B1", 2), ("X0", 0), ("X0", 1), ("X0", 2)]
+    assert [(st.label, Jp) for st, _, Jp in polarizability._branches(ds, "B1", 1)] == [("X0", 0), ("X0", 1), ("X0", 2)]
 
 
 def test_caps_that_leave_no_weighted_line_are_named():

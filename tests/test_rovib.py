@@ -158,6 +158,7 @@ def test_keeping_every_bound_level_solves_the_full_grid(state):
     assert 100 < len(levels) < 200
     assert [l.energy for l in levels] == [l.energy for l in full]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(full))
+    assert rovib._store(ds).bases == {}
 
 
 def test_too_narrow_span_falls_back_to_the_full_grid(monkeypatch):
