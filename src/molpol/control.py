@@ -212,22 +212,35 @@ def _resonance_screen(nus: np.ndarray, resonances) -> np.ndarray:
     return first[:-1] > nus[1:]
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
-    # polish far past the reporting tolerance: a root must still satisfy the
-    # crossing when re-evaluated off-grid, so run down to float resolution
-    limit = max(1e-15, 1e-14 * max(abs(a), abs(b)))
-    while (b - a) > limit:
+def _bisect_all(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Roots of g in the brackets [a_i, b_i] (g(a_i) = fa_i, opposite in sign
+    to g(b_i)), bisected in lockstep: each step evaluates g, a function of a
+    frequency array, once on the midpoints of every bracket still open.
+
+    Each bracket follows its own midpoints and stops on its own: on an exact
+    zero of g, within max(1e-15, 1e-14 max(|a_i|, |b_i|)) of width (far past
+    the reporting tolerance, so that a root still satisfies the crossing when
+    re-evaluated off-grid), or when the midpoint is not inside the bracket
+    (which that width limit leaves only to an overflowing a + b). The root is
+    then that midpoint, 0.5 (a + b).
+    """
+    limit = np.maximum(1e-15, 1e-14 * np.maximum(np.abs(a), np.abs(b)))
+    root = np.empty(len(a))
+    i = np.arange(len(a))   # the open brackets
+    while True:
         m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+        go = (b - a > limit) & (m > a) & (m < b)
+        root[i[~go]] = m[~go]
+        if not go.any():
+            return root
+        i, a, b, fa, limit, m = i[go], a[go], b[go], fa[go], limit[go], m[go]
+        fm = g(m)
+        zero = fm == 0.0
+        root[i[zero]] = m[zero]
+        go = ~zero
+        i, a, b, fa, limit, m, fm = i[go], a[go], b[go], fa[go], limit[go], m[go], fm[go]
+        left = (fa < 0.0) != (fm < 0.0)
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
 
 
 def find_magic(
@@ -238,11 +251,12 @@ def find_magic(
     """All crossings of Re alpha_a and Re alpha_b on the scan grid.
 
     Sign changes are bracketed on the shared grid and polished by bisection of
-    the off-grid difference; `tol` (cm^-1) sets the radius within which nearby
-    roots are merged. Brackets containing a listed resonance of either spectrum
-    are skipped (those sign flips are poles, not crossings). Raises
-    DegenerateSpectraError when the spectra agree to 1e-12 (relative)
-    everywhere.
+    the off-grid difference, every bracket in lockstep (_bisect_all: one
+    kernel call per spectrum and step, each bracket on its own midpoints);
+    `tol` (cm^-1) sets the radius within which nearby roots are merged.
+    Brackets containing a listed resonance of either spectrum are skipped
+    (those sign flips are poles, not crossings). Raises DegenerateSpectraError
+    when the spectra agree to 1e-12 (relative) everywhere.
     """
     if not np.array_equal(spec_a.nu, spec_b.nu):
         raise ValueError("spectra must share a frequency grid")
@@ -266,23 +280,21 @@ def find_magic(
     crossing = finite[:-1] & finite[1:] & ((d1 == 0.0) | (d1 * d2 < 0.0)) & clear
 
     # each spectrum's line arrays are built once for the whole bisection; the
-    # kernels return alpha_at's bits at every frequency
+    # kernels return alpha_at's bits at every frequency, each column on its own
     kernel_a, kernel_b = alpha_kernel(spec_a.lines), alpha_kernel(spec_b.lines)
 
-    def alpha_a(nu: float) -> complex:
-        return complex(kernel_a(np.asarray([nu]))[0])
+    def g(nu: np.ndarray) -> np.ndarray:
+        return kernel_a(nu).real - kernel_b(nu).real
 
-    def g(nu: float) -> float:
-        return alpha_a(nu).real - complex(kernel_b(np.asarray([nu]))[0]).real
-
-    roots: list[MagicPoint] = []
-    for i in np.flatnonzero(crossing):
-        a, b, fa, fb = float(lo[i]), float(hi[i]), float(d1[i]), float(d2[i])
-        root = a if fa == 0.0 else _bisect(g, a, b, fa, fb)
-        if roots and abs(root - roots[-1].nu) <= tol:
-            continue
-        roots.append(MagicPoint(nu=root, alpha=alpha_a(root)))
-    return roots
+    at = np.flatnonzero(crossing)
+    found = lo[at]   # a zero at a bracket's low end is its root
+    change = d1[at] != 0.0
+    found[change] = _bisect_all(g, lo[at][change], hi[at][change], d1[at][change])
+    kept: list[float] = []
+    for root in found.tolist():
+        if not (kept and abs(root - kept[-1]) <= tol):
+            kept.append(root)
+    return [MagicPoint(nu=nu, alpha=a) for nu, a in zip(kept, kernel_a(np.array(kept)).tolist())]
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ incoherent sums over their spherical components: each component feeds a
 distinct final M', so cross terms vanish identically.
 
 Radial dipole matrix elements between two lists of levels on one grid come
-from one product, W_a diag(d(R) h) W_b^T, with the dipole curve sampled once
-per call (dipole_matrix); vibronic_dipole is its 1 x 1 case. Einstein-A
+from one product, W_a diag(d(R) h) W_b^T (dipole_matrix), with the dipole
+curve sampled once per loaded dataset and grid (rovib.sampled_curve);
+vibronic_dipole is its 1 x 1 case, which samples the curve itself. Einstein-A
 linewidths of a whole upper (state, J) block come from one masked
 nu^3 d^2 * branch sum per lower (state, J) block (natural_linewidths);
 natural_linewidth is its one-level case.
@@ -38,7 +39,7 @@ import numpy as np
 from .constants import EINSTEIN_A_FACTOR
 from .dataset import DipoleCurve, MoleculeDataset
 from .errors import QuantumNumberError
-from .rovib import RadialGrid, RovibLevel, wavefunction_matrix
+from .rovib import RadialGrid, RovibLevel, sampled_curve, wavefunction_matrix
 
 __all__ = [
     "POLARIZATIONS",
@@ -251,23 +252,23 @@ def _shared_grid(levels: Sequence[RovibLevel]) -> RadialGrid:
 
 
 def dipole_matrix(
-    levels_a: Sequence[RovibLevel], levels_b: Sequence[RovibLevel], dip: DipoleCurve
+    levels_a: Sequence[RovibLevel], levels_b: Sequence[RovibLevel], d_r: np.ndarray
 ) -> np.ndarray:
     """Radial matrix elements <a| d(R) |b> in Debye, shape (len(a), len(b)).
 
-    Grid quadrature as one product W_a diag(d(R) h) W_b^T, sampling the
-    dipole curve once; every level must live on the same grid.
+    Grid quadrature as one product W_a diag(d(R) h) W_b^T, with d_r the
+    dipole curve sampled on the grid every level lives on
+    (rovib.sampled_curve).
     """
     if not (levels_a and levels_b):
         return np.zeros((len(levels_a), len(levels_b)))
     grid = _shared_grid([*levels_a, *levels_b])
-    d_h = dip(grid.points) * grid.h
-    return wavefunction_matrix(levels_a) @ (wavefunction_matrix(levels_b) * d_h).T
+    return wavefunction_matrix(levels_a) @ (wavefunction_matrix(levels_b) * (d_r * grid.h)).T
 
 
 def vibronic_dipole(level_i: RovibLevel, level_f: RovibLevel, dip: DipoleCurve) -> float:
     """Radial matrix element <psi_f| d(R) |psi_i> by grid quadrature, Debye."""
-    return float(dipole_matrix([level_f], [level_i], dip)[0, 0])
+    return float(dipole_matrix([level_f], [level_i], dip(level_i.grid.points))[0, 0])
 
 
 def franck_condon(level_i: RovibLevel, level_f: RovibLevel) -> float:
@@ -317,7 +318,7 @@ def natural_linewidths(
             continue
         nu = e_up[:, None] - np.array([lo.energy for lo in group])
         below = nu > 0.0
-        d = dipole_matrix(upper, group, dip)
+        d = dipole_matrix(upper, group, sampled_curve(ds, dip, upper[0].grid))
         total += np.where(below, EINSTEIN_A_FACTOR * nu**3 * d * d * br, 0.0).sum(axis=1)
         routed |= below.any(axis=1)
     return np.where(routed, total / (2.0 * math.pi * 1.0e6), ds.default_gamma)

@@ -51,7 +51,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, QuantumNumberError
-from .rovib import Block, RadialGrid, RovibLevel, energy_floor, solved_block
+from .rovib import Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block
 
 __all__ = [
     "LevelId",
@@ -210,7 +210,7 @@ def build_line_list(
         finals = blk.levels[:v_end]
         if len(finals) < len(blk.levels):
             capped.add("v_max")
-        for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, dip)[0].tolist()):
+        for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, sampled_curve(ds, dip, grid))[0].tolist()):
             if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
                 continue   # the sum excludes the initial level
             if abs(d) < opts.d_floor:
@@ -289,7 +289,6 @@ def _capture(ds: MoleculeDataset, lev_i: RovibLevel, lines: list[LineStrength]) 
     compared to the full vibrational closure of that branch; the minimum over
     branches is reported. Diagnostic only.
     """
-    pts = lev_i.grid.points
     wi = lev_i.wavefunction**2 * lev_i.grid.h
     uniq: dict[tuple[str, int, int], float] = {}
     for ln in lines:
@@ -300,7 +299,7 @@ def _capture(ds: MoleculeDataset, lev_i: RovibLevel, lines: list[LineStrength]) 
     out: dict[str, float] = {}
     for (stt, _Jp), num in sorted(by_branch.items()):
         dip = ds.dipole_between(lev_i.state, stt)
-        tot = float(np.sum(dip(pts) ** 2 * wi))
+        tot = float(np.sum(sampled_curve(ds, dip, lev_i.grid) ** 2 * wi))
         frac = num / tot if tot > 0 else 0.0
         out[stt] = min(out.get(stt, 1.0), frac)
     return out

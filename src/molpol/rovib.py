@@ -25,15 +25,20 @@ solving (a trimmed grid, as in mapped-grid DVRs):
   ones reach the box, so the full grid is solved.
 - The span runs from the outermost turning points at e_top outward until the
   Agmon sum sum_i kappa_i h, kappa_i = sqrt(mu (V_J(R_i) - e_top) / (hbar^2/2)),
-  reaches AGMON_DEPTH on each side. A span over 90% of the grid is not worth
-  trimming; the full grid is solved.
+  reaches AGMON_DEPTH = ln(1/EDGE_AMP) ~ 27.6 on each side: where the WKB
+  decay e^-sum reaches the amplitude the edge check allows. A span over 90%
+  of the grid is not worth trimming; the full grid is solved.
 - Edge check: when a kept level has |psi| sqrt(h) > EDGE_AMP at a trimmed edge,
   or lies above e_top, the block is solved again on the full grid. There is no
   widening loop: one trimmed solve and at most one full one.
 
 The wavefunctions of a trimmed solve are zero outside the span, on the same
 grid, so every consumer of W is unchanged; energies and wavefunctions agree
-with the full solve to about 1e-11 cm^-1 and 1e-13.
+with the full solve to about 1e-11 cm^-1 and 1e-13. On the optical stand-in's
+default grid the J0 spans are 457 (X0), 448 (A0) and 472 (B1) of 801 points
+at max_levels 64, and kept levels read 2-6e-14 at the span edges, about what
+they read on spans cut at an Agmon sum of 37 (1.5-4.4e-14): the eigensolver's
+rounding, not the tail, sets that amplitude.
 
 solve_radial solves a state directly only at J0 = omega. Two J of one state
 on one grid differ by a diagonal,
@@ -58,14 +63,20 @@ bound level (the WKB test above) is not contracted: its top levels lie near
 the threshold, where the basis holds the other J only to about 3e-8 cm^-1.
 
 J0 is always omega. solve_radial alone decides whether a state contracts, and
-solves a contracting state directly at J0 first, even when no J0 level is
-asked for, so a block's bits never depend on which J a process solved first.
-That solve writes the basis into the dataset's block store (solved_block), and
-the J0 levels are read back from it. On the optical stand-in's default grid
-contracted energies agree with the direct trimmed solve to about 2e-11 cm^-1
-and wavefunctions to about 5e-13; on 2 vCPUs with two BLAS threads a
-contracted block costs 7-9 ms against 38-47 ms for its dense solve. Rotor
-blocks keep their delta path and build no basis.
+solves a contracting state directly at J0 first, trimmed, even when no J0
+level is asked for, so a block's bits never depend on which J a process
+solved first. That solve, the only trimmed direct solve at J0, writes the
+basis into the dataset's block store (solved_block), and the J0 levels are
+read back from it; a state that does not contract is solved on the full
+grid, where _trim_span leaves its J0 block anyway. On the optical stand-in's
+default grid contracted energies agree with the direct trimmed solve to about
+2e-11 cm^-1 and wavefunctions to about 5e-13; on 2 vCPUs with two BLAS
+threads a contracted block costs 6-7 ms against 34-42 ms for its dense solve.
+Rotor blocks keep their delta path and build no basis.
+
+Each potential and dipole curve is sampled on a grid once per loaded dataset
+(sampled_curve): the store holds the read-only samples beside the blocks and
+bases. convergence_check removes the bases and samples its re-solves add.
 
 T is a finite section of the Toeplitz matrix whose symbol
 hbar^2/(2 mu h^2) theta^2 is >= 0 on [-pi, pi], so T is positive definite and
@@ -83,10 +94,11 @@ MAX_GRID_POINTS points (checked before any matrix exists), and a finite
 effective potential on every point.
 
 Eigenvectors are normalized as sum_i psi_i^2 h = 1 and sign-fixed so the
-innermost antinode is positive. The k levels of one solve are the rows of
-one read-only (k, n) matrix W, and each level's wavefunction is a view of its
-row, so callers share them; the coupling layer stacks the rows of any level
-list (wavefunction_matrix) for its block products.
+innermost antinode is positive, one array pass for a whole block. The k
+levels of one solve are the rows of one read-only (k, n) matrix W, and each
+level's wavefunction is a view of its row, so callers share them; the
+coupling layer stacks the rows of any level list (wavefunction_matrix) for
+its block products.
 
 A rotor-tagged dataset whose potential has no interior minimum bypasses the
 eigensolve: the single v = 0 level is a one-node delta at the grid node
@@ -117,6 +129,7 @@ __all__ = [
     "solve_radial",
     "Block",
     "solved_block",
+    "sampled_curve",
     "energy_floor",
     "wavefunction_matrix",
     "convergence_check",
@@ -127,7 +140,9 @@ log = logging.getLogger(__name__)
 
 BOUND_GUARD = 1e-6   # cm^-1 below the asymptote
 EDGE_AMP = 1e-12     # largest |psi| sqrt(h) a kept level may have at a trimmed span's edge
-AGMON_DEPTH = 37.0   # sum kappa h from a turning point to a trimmed edge (e^-37 ~ 1e-16)
+# sum kappa h from a turning point to a trimmed edge: e^-AGMON_DEPTH is the
+# edge check's own amplitude, so a span is as short as that check allows
+AGMON_DEPTH = math.log(1.0 / EDGE_AMP)
 MAX_GRID_POINTS = 5000   # a dense n x n Hamiltonian of at most 200 MB
 BASIS_PER_LEVEL = 2      # J0 eigenvectors a contraction keeps per requested level
 RESIDUAL_TOL = 1e-8      # cm^-1, largest ||H x - E x|| a contracted level may have
@@ -210,14 +225,15 @@ def kinetic_matrix(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
     return _toeplitz(_kinetic_row(grid, reduced_mass))
 
 
-def _antinode_sign(psi: np.ndarray) -> float:
-    """Sign of psi at its innermost antinode (first interior local max of |psi|)."""
-    a = np.abs(psi)
-    thr = 0.01 * a.max()
-    interior = a[1:-1]
-    cand = np.nonzero((interior >= a[:-2]) & (interior > a[2:]) & (interior >= thr))[0]
-    i = int(cand[0]) + 1 if len(cand) else int(np.argmax(a >= thr))
-    return -1.0 if psi[i] < 0.0 else 1.0
+def _antinode_signs(w: np.ndarray) -> np.ndarray:
+    """Sign of each row of w at its innermost antinode: the first interior local
+    max of |psi| at or above 1% of its largest, else its first point there."""
+    a = np.abs(w)
+    thr = 0.01 * a.max(axis=1, keepdims=True)
+    interior = a[:, 1:-1]
+    peak = (interior >= a[:, :-2]) & (interior > a[:, 2:]) & (interior >= thr)
+    i = np.where(peak.any(axis=1), peak.argmax(axis=1) + 1, (a >= thr).argmax(axis=1))
+    return np.where(w[np.arange(len(w)), i] < 0.0, -1.0, 1.0)
 
 
 def _rotor_level(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> RovibLevel:
@@ -240,7 +256,8 @@ def _effective_potential(ds: MoleculeDataset, state: str, J: int, grid: RadialGr
     """
     pts = grid.points
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return ds.potentials[state](pts) + HBAR2_OVER_TWO * J * (J + 1) / (ds.reduced_mass * pts**2)
+        v = sampled_curve(ds, ds.potentials[state], grid)
+        return v + HBAR2_OVER_TWO * J * (J + 1) / (ds.reduced_mass * pts**2)
 
 
 def energy_floor(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> float:
@@ -347,8 +364,7 @@ def _levels(state: str, J: int, grid: RadialGrid, span: slice, energies, vectors
     (columns): the rows of one read-only W, zero outside the span, sign-fixed."""
     w = np.zeros((len(energies), grid.n))
     w[:, span] = vectors.T / math.sqrt(grid.h)
-    for psi in w:
-        psi *= _antinode_sign(psi)
+    w *= _antinode_signs(w)[:, None]
     w.flags.writeable = False
     levels = [
         RovibLevel(state=state, v=v, J=J, energy=float(energies[v]), grid=grid, wavefunction=w[v])
@@ -387,8 +403,9 @@ def _solve(
     ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int, trim: bool
 ) -> list[RovibLevel]:
     """The direct solve of one block: trimmed (or its full-grid fallback) when
-    trim, else on the full grid. A trimmed solve at J = omega keeps its basis
-    in the dataset's store, unless the block may keep every bound level."""
+    trim, else on the full grid. A trimmed solve at J = omega is its state's
+    basis solve, which solve_radial makes only for a contracting state: it
+    keeps its basis in the dataset's store."""
     omega = _checked_omega(ds, state, J, max_levels)
     if _is_rotor(ds, state):
         return [_rotor_level(ds, state, J, grid)]
@@ -398,8 +415,7 @@ def _solve(
     basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, *trimmed) if trimmed else None
     if basis is None:
         basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
-    # the same contraction rule solve_radial applies before it reads the basis
-    if trim and J == omega and not _keeps_every_level(v_eff, grid.h, ds.reduced_mass, max_levels, asym):
+    if trim and J == omega:
         # only the K columns are kept: the m x m eigenvectors go when this returns
         _store(ds).bases[(state, grid, max_levels)] = replace(basis, vectors=basis.vectors.copy())
     k = basis.kept
@@ -416,17 +432,17 @@ def solve_radial(
     """Bound levels of one electronic state at fixed J, lowest first, at most max_levels.
 
     A rotor, or a state whose J = omega block may keep every bound level, is
-    solved directly, trimmed. Any other state is solved directly at J = omega
-    first, into the store's basis: J = omega levels are read from it, and any
-    other J is contracted in it, or solved directly when that fails its
-    certificate.
+    solved directly on the full grid, where _trim_span leaves such a block.
+    Any other state is solved directly at J = omega first, trimmed, into the
+    store's basis: J = omega levels are read from it, and any other J is
+    contracted in it, or solved directly when that fails its certificate.
     """
     omega = _checked_omega(ds, state, J, max_levels)
     asym = ds.state(state).asymptote_energy
     if _is_rotor(ds, state) or _keeps_every_level(
         _effective_potential(ds, state, omega, grid), grid.h, ds.reduced_mass, max_levels, asym
     ):
-        return _solve(ds, state, J, grid, max_levels, trim=True)
+        return _solve(ds, state, J, grid, max_levels, trim=False)
     bases = _store(ds).bases
     key = (state, grid, max_levels)
     if key not in bases:
@@ -451,16 +467,31 @@ class Block:
 
 @dataclass
 class _Store:
-    """One dataset's solved blocks and its states' J = omega bases; never invalidated."""
+    """One dataset's solved blocks, its states' J = omega bases and its curves
+    sampled on grids; never invalidated (convergence_check only drops what its
+    own re-solves add)."""
 
-    blocks: dict = field(default_factory=dict)   # (state, J, grid, max_levels) -> Block
-    bases: dict = field(default_factory=dict)    # (state, grid, max_levels) -> _Basis
+    blocks: dict = field(default_factory=dict)    # (state, J, grid, max_levels) -> Block
+    bases: dict = field(default_factory=dict)     # (state, grid, max_levels) -> _Basis
+    samples: dict = field(default_factory=dict)   # (curve, grid) -> read-only (n,) array
 
 
 def _store(ds: MoleculeDataset) -> _Store:
     if ds._store is None:
         ds._store = _Store()
     return ds._store
+
+
+def sampled_curve(ds: MoleculeDataset, curve, grid: RadialGrid) -> np.ndarray:
+    """A potential or dipole curve of ds on the grid's points, sampled once per
+    loaded dataset; read-only."""
+    samples = _store(ds).samples
+    key = (curve, grid)
+    if key not in samples:
+        values = curve(grid.points)
+        values.flags.writeable = False
+        samples[key] = values
+    return samples[key]
 
 
 def solved_block(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int) -> Block:
@@ -504,6 +535,9 @@ def convergence_check(
     base is solve_radial(ds, state, J, grid, max_levels) when the caller has
     already solved it; it is solved here otherwise. At J = omega base is the
     direct trimmed solve, so its contraction shift is 0 without a re-solve.
+    The re-solves leave the dataset's store as they found it: the bases and
+    curve samples they add, those of the probe grids, are removed before the
+    check returns.
     """
     # both probe grids are built, and checked against MAX_GRID_POINTS, before any solve
     fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n)
@@ -511,10 +545,18 @@ def convergence_check(
     ext_grid = RadialGrid(grid.r_min, r_ext, int(round((r_ext - grid.r_min) / grid.h)) + 1)
     if base is None:
         base = solve_radial(ds, state, J, grid, max_levels)
-    fine = solve_radial(ds, state, J, fine_grid, max_levels)
-    ext = solve_radial(ds, state, J, ext_grid, max_levels)
-    direct = base if J == ds.state(state).omega else _solve(ds, state, J, grid, max_levels, trim=True)
-    full = _solve(ds, state, J, grid, max_levels, trim=False)
+    store = _store(ds)
+    memos = (store.bases, store.samples)
+    held = [set(memo) for memo in memos]
+    try:
+        fine = solve_radial(ds, state, J, fine_grid, max_levels)
+        ext = solve_radial(ds, state, J, ext_grid, max_levels)
+        direct = base if J == ds.state(state).omega else _solve(ds, state, J, grid, max_levels, trim=True)
+        full = _solve(ds, state, J, grid, max_levels, trim=False)
+    finally:
+        for memo, keys in zip(memos, held):
+            for key in memo.keys() - keys:
+                del memo[key]
 
     def max_shift(a: list[RovibLevel], b: list[RovibLevel]) -> float:
         k = min(len(a), len(b))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
-from molpol import cli, rovib
+from molpol import cli, control, rovib
 from molpol import dataset as dataset_module
 from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
-from molpol.dataset import DipoleCurve
+from molpol.dataset import DipoleCurve, PotentialCurve
 from molpol.errors import DataError
 from molpol.rovib import MAX_GRID_POINTS
 
@@ -170,6 +170,16 @@ def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
     assert calls == [(801, True), (1602, True), (1201, True), (801, False)]
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert check.read_bytes() == plain.read_bytes()
+
+
+def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
+    # the check's 1602- and 1201-point solves add X0 bases and curve samples
+    # that nothing reuses; the check removes them before it returns
+    assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path]) == 0
+    store = rovib._store(load_dataset(OPTICAL_STANDIN))
+    assert store.bases and store.samples
+    assert {grid.n for _, grid, _ in store.bases} == {801}
+    assert {grid.n for _, grid in store.samples} == {801}
 
 
 def test_bad_grid_argument(optical_dir, tmp_path, capsys):
@@ -589,6 +599,50 @@ def test_each_state_j_block_is_solved_once_per_request(argv, blocks, dense, tmp_
     assert len(solves.dense) == dense
 
 
+def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monkeypatch):
+    # the pass by counts: each state's J0 span solved densely (X0 457, A0 448,
+    # B1 472 points), six K = 2 * 64 contractions, and a bisection that
+    # evaluates each spectrum's kernel once per step for all its brackets
+    # (625 evaluations when each bracket was bisected on its own)
+    sizes, evaluations = [], []
+    eigh, kernel = np.linalg.eigh, polarizability.alpha_kernel
+
+    def counting_eigh(matrix):
+        sizes.append(len(matrix))
+        return eigh(matrix)
+
+    def counting_kernel(lines):
+        evaluate = kernel(lines)
+
+        def counted(nus):
+            evaluations.append(len(nus))
+            return evaluate(nus)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(polarizability, "alpha_kernel", counting_kernel)
+    monkeypatch.setattr(control, "alpha_kernel", counting_kernel)
+    argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"]
+    assert run_cli([*argv, "--out", tmp_path]) == 0
+    assert sorted(sizes) == [128] * 6 + [448, 457, 472]
+    assert 0 < len(evaluations) <= 100
+
+
+def test_optical_blocks_need_no_full_grid_fallback(solves):
+    # a span ends where the Agmon sum reaches the edge check's own amplitude,
+    # so no trimmed optical block up to J = 10 fails that check or covers
+    # over 90% of the grid at these depths
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = polarizability.default_grid(ds)
+    for max_levels in (16, 32, 64, 100):
+        for st in ds.states:
+            for J in range(st.omega, 11):
+                rovib.solve_radial(ds, st.label, J, grid, max_levels)
+    assert len(solves.dense) >= 12
+    assert slice(0, grid.n) not in solves.dense
+
+
 def test_consecutive_requests_share_solved_blocks(tmp_path, solves):
     # the second load of unchanged content returns the first's dataset with
     # its solved blocks, so windows after alpha solves nothing (16 before)
@@ -688,3 +742,26 @@ def test_dipole_curve_is_sampled_per_block_pair(tmp_path, monkeypatch):
     code = run_cli(["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1", "--out", tmp_path])
     assert code == 0
     assert 0 < len(calls) <= 50
+
+
+def test_each_curve_is_sampled_once_per_grid(tmp_path, monkeypatch):
+    # potentials for the radial blocks and their energy floors, dipoles for
+    # the line list, the linewidths and the capture diagnostic: one sample
+    # per (curve, grid) each, held read-only by the loaded dataset
+    calls = []
+
+    def counting(call):
+        def sample(self, r_eval):
+            r = np.asarray(r_eval)
+            calls.append((self, r.size, float(r.flat[0]), float(r.flat[-1])))
+            return call(self, r_eval)
+
+        return sample
+
+    for curve in (PotentialCurve, DipoleCurve):
+        monkeypatch.setattr(curve, "__call__", counting(curve.__call__))
+    assert run_cli(["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1", "--out", tmp_path]) == 0
+    assert len(set(calls)) == len(calls)
+    samples = rovib._store(load_dataset(OPTICAL_STANDIN)).samples
+    assert len(samples) == len(calls) >= 5
+    assert not any(values.flags.writeable for values in samples.values())

@@ -186,6 +186,24 @@ def _rotor_specs(rotor, grid=None):
     return a, b
 
 
+def _bisect(f, a, b, fa, fb):
+    """One bracket's bisection, a scalar f evaluated once per step: the
+    reference for control._bisect_all."""
+    limit = max(1e-15, 1e-14 * max(abs(a), abs(b)))
+    while (b - a) > limit:
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fa < 0.0) != (fm < 0.0):
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
 def _magic_by_bracket_loop(spec_a, spec_b, tol=1e-6):
     """find_magic's bracket search written as a per-bracket loop over every resonance."""
     nus, diff = spec_a.nu, spec_a.values.real - spec_b.values.real
@@ -205,7 +223,7 @@ def _magic_by_bracket_loop(spec_a, spec_b, tol=1e-6):
         if d1 == 0.0:
             root = lo
         elif d1 * d2 < 0.0:
-            root = control._bisect(g, lo, hi, d1, d2)
+            root = _bisect(g, lo, hi, d1, d2)
         else:
             continue
         if roots and abs(root - roots[-1][0]) <= tol:
@@ -311,6 +329,89 @@ def test_find_magic_skips_resonances_on_grid_nodes(rotor, gamma):
     assert [(r.nu, r.alpha) for r in roots] == _magic_by_bracket_loop(a, b)
     assert len(roots) == 1
     assert all(not nus[k - 1] <= roots[0].nu <= nus[k + 1] for k in nodes)
+
+
+def _bracketed_lines(origin, scale, brackets):
+    """Disjoint brackets [a_k, b_k] from (width, root fraction, slope) triples,
+    all lengths times scale, and g(x) = slope_k (x - root_k) on each: a
+    function of a frequency array alone, exact in every element, so a
+    bracket's values do not depend on which others share the array."""
+    width, frac, slope = (np.array(col) for col in zip(*brackets))
+    a = (origin + 16.0 * np.arange(len(brackets))) * scale
+    b, roots = a + width * scale, a + width * scale * frac
+
+    def g(x):
+        k = np.searchsorted(b, x)
+        return slope[k] * (x - roots[k])
+
+    return a, b, g
+
+
+def _dyadic_fraction(depth):
+    """An odd multiple of 2^-depth in (0, 1): bisection lands on it at step depth."""
+    return st.integers(0, 2 ** (depth - 1) - 1).map(lambda j: (2 * j + 1) / 2**depth)
+
+
+_BRACKET = st.tuples(
+    st.sampled_from([1.0, 2.0, 8.0]),
+    st.one_of(
+        st.integers(1, 30).flatmap(_dyadic_fraction),   # an exact zero at a midpoint
+        st.just(0.0),                                   # a zero at the low end
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    st.sampled_from([-3.0, -1.0, 0.5, 2.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    origin=st.integers(-1000, 1000),
+    exponent=st.integers(-20, 20),
+    brackets=st.lists(_BRACKET, min_size=1, max_size=12),
+)
+def test_lockstep_bisection_gives_each_bracket_the_scalar_bits(origin, exponent, brackets):
+    # brackets of different widths, magnitudes (so width limits) and roots
+    # finish at different steps
+    a, b, g = _bracketed_lines(origin, 2.0**exponent, brackets)
+    fa, fb = g(a), g(b)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return g(x)
+
+    roots = control._bisect_all(counted, a, b, fa)
+    reference, steps = [], []
+    for ends in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()):
+        points = []
+
+        def f(x):
+            points.append(x)
+            return float(g(np.array([x]))[0])
+
+        reference.append(_bisect(f, *ends))
+        steps.append(len(points))
+    assert roots.tolist() == reference
+    # one evaluation per step, over every bracket still open at that step
+    assert len(calls) == max(steps)
+    assert sum(calls) == sum(steps)
+
+
+def test_lockstep_bisection_stops_a_bracket_whose_midpoint_leaves_it():
+    # a + b overflows: the midpoint is -inf (m <= a) or inf (m >= b), so these
+    # brackets stop before any evaluation, as the scalar loop does
+    a = np.array([-1.7e308, 1.0, 1.0e308])
+    b = np.array([-1.0e308, 2.0, 1.7e308])
+    fa, fb = np.array([1.0, -1.0, 1.0]), np.array([-1.0, 0.75, -1.0])
+
+    def g(x):
+        assert np.all(np.isfinite(x))
+        return x - 1.25
+
+    with np.errstate(over="ignore"):
+        roots = control._bisect_all(g, a, b, fa)
+    assert roots.tolist() == [-math.inf, 1.25, math.inf]
+    assert [_bisect(g, *ends) for ends in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())] == roots.tolist()
 
 
 # ------------------------------------------------------------------- windows

@@ -121,6 +121,18 @@ def test_trimmed_solve_matches_full_solve_on_its_span():
             assert span.stop - span.start < 0.7 * grid.n
 
 
+def _antinode_sign(psi):
+    """Sign of psi at its innermost antinode (first interior local max of |psi|
+    at or above 1% of its largest, else its first point there): the per-row
+    reference for rovib._antinode_signs."""
+    a = np.abs(psi)
+    thr = 0.01 * a.max()
+    interior = a[1:-1]
+    cand = np.nonzero((interior >= a[:-2]) & (interior > a[2:]) & (interior >= thr))[0]
+    i = int(cand[0]) + 1 if len(cand) else int(np.argmax(a >= thr))
+    return -1.0 if psi[i] < 0.0 else 1.0
+
+
 # the blocks the optical magic request (X0 v0 J0 vs J1, default grid) solves
 MAGIC_BLOCKS = [("X0", 0), ("A0", 1), ("X0", 1), ("X0", 2), ("B1", 1), ("A0", 0), ("A0", 2), ("X0", 3), ("B1", 2)]
 
@@ -142,7 +154,7 @@ def test_full_eigh_matches_scipy_subset_eigh_on_the_span(state, J):
     assert k == np.count_nonzero(energies < ds.state(state).asymptote_energy - rovib.BOUND_GUARD)
     ref = np.zeros((k, grid.n))
     ref[:, span] = vectors[:, :k].T / math.sqrt(grid.h)
-    ref *= [[rovib._antinode_sign(psi)] for psi in ref]
+    ref *= [[_antinode_sign(psi)] for psi in ref]
     np.testing.assert_allclose([l.energy for l in levels], energies[:k], rtol=0, atol=1e-10)
     np.testing.assert_allclose(w, ref, rtol=0, atol=1e-9)
 
@@ -263,6 +275,10 @@ def test_convergence_check_reports_the_contraction_shift(monkeypatch):
     grid = default_grid(ds)
     rep = convergence_check(ds, "X0", 0, grid, 64)
     assert rep.shift_contract == 0.0   # J = omega is the direct solve
+    # the base solved here stays in the store; the probe grids' solves do not
+    store = rovib._store(ds)
+    assert list(store.bases) == [("X0", grid, 64)]
+    assert {key[1] for key in store.samples} == {grid}
     rep = convergence_check(ds, "X0", 1, grid, 64)
     assert rep.converged
     assert 0.0 < rep.shift_contract < 1e-10
@@ -359,6 +375,25 @@ def test_sign_convention_inner_antinode(morse_levels):
             if mags[i] >= floor and mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1]
         )
         assert psi[inner] > 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.integers(-4, 4).map(float) | st.floats(-1.0, 1.0), min_size=16, max_size=16),
+        min_size=0,
+        max_size=8,
+    )
+)
+def test_block_sign_fix_matches_the_per_row_rule(rows):
+    # small integers make plateaus and ties; the fixed rows cover a ramp with
+    # no interior antinode (the first-point-above-1% fallback), a row whose
+    # innermost antinode is negative though its largest is positive, and zeros
+    fixed = [np.linspace(-1.0, -0.1, 16), np.linspace(0.0, 3.0, 16), np.zeros(16),
+             np.array([0.0, -0.5, 0.0, 1.0, 2.0, 1.0] + [0.0] * 10)]
+    w = np.array([*rows, *fixed])
+    assert rovib._antinode_signs(w).tolist() == [_antinode_sign(psi) for psi in w]
+    assert rovib._antinode_signs(w)[-4:].tolist() == [-1.0, 1.0, 1.0, -1.0]
 
 
 def test_centrifugal_raises_energy(morse_ds):
