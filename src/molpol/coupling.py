@@ -246,7 +246,7 @@ def dipole_route(ds: MoleculeDataset, a: str, b: str) -> DipoleCurve | None:
 def _shared_grid(levels: Sequence[RovibLevel]) -> RadialGrid:
     """The radial grid every level lives on; ValueError when they differ."""
     grid = levels[0].grid
-    if any(lev.grid != grid for lev in levels):
+    if any(lev.grid is not grid and lev.grid != grid for lev in levels):
         raise ValueError("levels live on different radial grids")
     return grid
 

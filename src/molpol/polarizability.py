@@ -268,7 +268,9 @@ def alpha_kernel(lines: list[LineStrength]) -> Callable[[np.ndarray], np.ndarray
         if not lines:
             return out
         for lo in range(0, len(nus), step):
-            den = z2 - nus[lo : lo + step] ** 2
+            # nu^2 past the float range makes den infinite: each term is 0, the limit alpha -> 0
+            with np.errstate(over="ignore"):
+                den = z2 - nus[lo : lo + step] ** 2
             pole = den == 0
             den[pole] = 1.0
             term = z / den

@@ -62,21 +62,26 @@ where the kept count could differ. A state whose J0 block may keep every
 bound level (the WKB test above) is not contracted: its top levels lie near
 the threshold, where the basis holds the other J only to about 3e-8 cm^-1.
 
-J0 is always omega. solve_radial alone decides whether a state contracts, and
-solves a contracting state directly at J0 first, trimmed, even when no J0
-level is asked for, so a block's bits never depend on which J a process
-solved first. That solve, the only trimmed direct solve at J0, writes the
-basis into the dataset's block store (solved_block), and the J0 levels are
-read back from it; a state that does not contract is solved on the full
-grid, where _trim_span leaves its J0 block anyway. On the optical stand-in's
+J0 is always omega. There is one solve path. _solve is the direct solve of
+one block: it returns the _Basis it solved (span, diagonal, eigenpairs, kept
+count) and writes nothing. _contract returns a contracted block as a _Basis on
+the same span, and _levels alone turns a basis into RovibLevels. solve_radial
+checks J, max_levels and the rotor tag once, alone decides whether a state
+contracts, and is the only writer of the store's bases: it solves a
+contracting state directly at J0 first, trimmed, even when no J0 level is
+asked for, so a block's bits never depend on which J a process solved first,
+and keeps that basis's K columns; J0's levels are read from it. A state that
+does not contract is solved on the full grid, where _trim_span leaves its J0
+block anyway. Each block's levels are built once. On the optical stand-in's
 default grid contracted energies agree with the direct trimmed solve to about
 2e-11 cm^-1 and wavefunctions to about 5e-13; on 2 vCPUs with two BLAS
 threads a contracted block costs 6-7 ms against 34-42 ms for its dense solve.
-Rotor blocks keep their delta path and build no basis.
 
 Each potential and dipole curve is sampled on a grid once per loaded dataset
 (sampled_curve): the store holds the read-only samples beside the blocks and
-bases. convergence_check removes the bases and samples its re-solves add.
+bases. convergence_check runs its re-solves on dataclasses.replace(ds), a
+copy that shares the curves and starts with an empty store, so the probe
+grids' bases and samples never reach the dataset's own store.
 
 T is a finite section of the Toeplitz matrix whose symbol
 hbar^2/(2 mu h^2) theta^2 is >= 0 on [-pi, pi], so T is positive definite and
@@ -101,10 +106,12 @@ coupling layer stacks the rows of any level list (wavefunction_matrix) for
 its block products.
 
 A rotor-tagged dataset whose potential has no interior minimum bypasses the
-eigensolve: the single v = 0 level is a one-node delta at the grid node
-nearest the rotor radius, with E = V + B J(J+1), B = hbar^2/(2 mu R_node^2).
-A minimum-free potential without the rotor tag is solved honestly, which
-leaves no bound levels; that case returns an empty list and logs a warning.
+eigensolve: its block is a one-node basis, the single v = 0 level a delta at
+the grid node nearest the rotor radius, with E = V + B J(J+1),
+B = hbar^2/(2 mu R_node^2). It is never contracted and never stored as a
+basis. A minimum-free potential without the rotor tag is solved honestly,
+which leaves no bound levels; that case returns an empty list and logs a
+warning.
 """
 
 from __future__ import annotations
@@ -188,9 +195,10 @@ class RovibLevel:
 
 @dataclass(frozen=True)
 class _Basis:
-    """The lowest K eigenpairs of one span Hamiltonian T + diag(v_eff), from
-    its eigh. The first `kept` are the block's levels; `edges` are the span's
-    ends that are not the grid's own."""
+    """One block solved on a span of the grid: the lowest K eigenpairs of the
+    span Hamiltonian T + diag(v_eff) (a direct solve), the kept pairs of a
+    contraction, or a rotor's one node. The first `kept` are the block's
+    levels; `edges` are the span's ends that are not the grid's own."""
 
     span: slice
     v_eff: np.ndarray      # (m,) the diagonal on the span
@@ -234,18 +242,6 @@ def _antinode_signs(w: np.ndarray) -> np.ndarray:
     peak = (interior >= a[:, :-2]) & (interior > a[:, 2:]) & (interior >= thr)
     i = np.where(peak.any(axis=1), peak.argmax(axis=1) + 1, (a >= thr).argmax(axis=1))
     return np.where(w[np.arange(len(w)), i] < 0.0, -1.0, 1.0)
-
-
-def _rotor_level(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> RovibLevel:
-    pts = grid.points
-    i = int(np.argmin(np.abs(pts - ds.rotor.r_e)))
-    r_node = pts[i]
-    b_node = HBAR2_OVER_TWO / (ds.reduced_mass * r_node**2)
-    energy = float(ds.potentials[state](r_node)) + b_node * J * (J + 1)
-    w = np.zeros((1, grid.n))
-    w[0, i] = 1.0 / math.sqrt(grid.h)
-    w.flags.writeable = False
-    return RovibLevel(state=state, v=0, J=J, energy=energy, grid=grid, wavefunction=w[0])
 
 
 def _effective_potential(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> np.ndarray:
@@ -336,7 +332,7 @@ def _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
 
 
 def _contract(row, v_eff, cutoff, basis, max_levels):
-    """Energies and unit span vectors of one J's kept levels in a J0 basis, or None.
+    """One J's kept levels in a J0 basis, as a _Basis on its span, or None.
 
     With B = basis.vectors, diag(E0) + B^T diag(v_J - v_J0) B = c diag(e) c^T
     gives x = B c. None unless every kept level's residual ||H_J x - e x||
@@ -356,33 +352,24 @@ def _contract(row, v_eff, cutoff, basis, max_levels):
         return None
     if np.abs(x[basis.edges, :k]).max(initial=0.0) > EDGE_AMP:
         return None
-    return e[:k], x[:, :k]
+    return _Basis(basis.span, v, e[:k], x[:, :k], k, basis.edges)
 
 
-def _levels(state: str, J: int, grid: RadialGrid, span: slice, energies, vectors) -> list[RovibLevel]:
-    """One block's levels from ascending energies and their unit span vectors
-    (columns): the rows of one read-only W, zero outside the span, sign-fixed."""
-    w = np.zeros((len(energies), grid.n))
-    w[:, span] = vectors.T / math.sqrt(grid.h)
+def _levels(state: str, J: int, grid: RadialGrid, basis: _Basis) -> list[RovibLevel]:
+    """One block's levels, the basis's first `kept` pairs: the rows of one
+    read-only W, zero outside the span, sign-fixed."""
+    k = basis.kept
+    w = np.zeros((k, grid.n))
+    w[:, basis.span] = basis.vectors[:, :k].T / math.sqrt(grid.h)
     w *= _antinode_signs(w)[:, None]
     w.flags.writeable = False
     levels = [
-        RovibLevel(state=state, v=v, J=J, energy=float(energies[v]), grid=grid, wavefunction=w[v])
-        for v in range(len(energies))
+        RovibLevel(state=state, v=v, J=J, energy=float(basis.energies[v]), grid=grid, wavefunction=w[v])
+        for v in range(k)
     ]
     if not levels:
         log.warning("no bound levels for state %r at J=%d on %s", state, J, grid)
     return levels
-
-
-def _checked_omega(ds: MoleculeDataset, state: str, J: int, max_levels: int) -> int:
-    """The state's omega, once J and max_levels are checked against it."""
-    omega = ds.state(state).omega
-    if J < omega:
-        raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")
-    if max_levels < 1:
-        raise QuantumNumberError(f"max_levels must be at least 1, got {max_levels}")
-    return omega
 
 
 def _is_rotor(ds: MoleculeDataset, state: str) -> bool:
@@ -399,27 +386,25 @@ def _block_inputs(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid):
     return row, v_eff, asym - BOUND_GUARD if math.isfinite(asym) else math.inf
 
 
-def _solve(
-    ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int, trim: bool
-) -> list[RovibLevel]:
-    """The direct solve of one block: trimmed (or its full-grid fallback) when
-    trim, else on the full grid. A trimmed solve at J = omega is its state's
-    basis solve, which solve_radial makes only for a contracting state: it
-    keeps its basis in the dataset's store."""
-    omega = _checked_omega(ds, state, J, max_levels)
+def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int, trim: bool) -> _Basis:
+    """The direct solve of one block, as the _Basis it solved; writes nothing.
+
+    Trimmed (or its full-grid fallback) when trim, else on the full grid. A
+    rotor's block is a one-node basis: the grid node nearest the rotor
+    radius, a unit vector, and E = V + B J(J+1) with B = hbar^2/(2 mu R_node^2).
+    """
     if _is_rotor(ds, state):
-        return [_rotor_level(ds, state, J, grid)]
+        pts = grid.points
+        i = int(np.argmin(np.abs(pts - ds.rotor.r_e)))
+        r_node = pts[i]
+        b_node = HBAR2_OVER_TWO / (ds.reduced_mass * r_node**2)
+        energy = np.array([float(ds.potentials[state](r_node)) + b_node * J * (J + 1)])
+        return _Basis(slice(i, i + 1), energy, energy, np.ones((1, 1)), 1, [])
     row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     asym = ds.state(state).asymptote_energy
     trimmed = _trim_span(v_eff, grid.h, ds.reduced_mass, max_levels, asym) if trim else None
     basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, *trimmed) if trimmed else None
-    if basis is None:
-        basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
-    if trim and J == omega:
-        # only the K columns are kept: the m x m eigenvectors go when this returns
-        _store(ds).bases[(state, grid, max_levels)] = replace(basis, vectors=basis.vectors.copy())
-    k = basis.kept
-    return _levels(state, J, grid, basis.span, basis.energies[:k], basis.vectors[:, :k])
+    return basis or _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
 
 
 def solve_radial(
@@ -437,24 +422,27 @@ def solve_radial(
     store's basis: J = omega levels are read from it, and any other J is
     contracted in it, or solved directly when that fails its certificate.
     """
-    omega = _checked_omega(ds, state, J, max_levels)
+    omega = ds.state(state).omega
+    if J < omega:
+        raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")
+    if max_levels < 1:
+        raise QuantumNumberError(f"max_levels must be at least 1, got {max_levels}")
     asym = ds.state(state).asymptote_energy
     if _is_rotor(ds, state) or _keeps_every_level(
         _effective_potential(ds, state, omega, grid), grid.h, ds.reduced_mass, max_levels, asym
     ):
-        return _solve(ds, state, J, grid, max_levels, trim=False)
+        return _levels(state, J, grid, _solve(ds, state, J, grid, max_levels, trim=False))
     bases = _store(ds).bases
     key = (state, grid, max_levels)
     if key not in bases:
-        _solve(ds, state, omega, grid, max_levels, trim=True)
+        basis = _solve(ds, state, omega, grid, max_levels, trim=True)
+        # keep only the K columns, not the m x m eigenvector matrix they view
+        bases[key] = replace(basis, vectors=basis.vectors.copy())
     basis = bases[key]
-    if J == omega:
-        return _levels(state, J, grid, basis.span, basis.energies[: basis.kept], basis.vectors[:, : basis.kept])
-    row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
-    contracted = _contract(row, v_eff, cutoff, basis, max_levels)
-    if contracted is None:
-        return _solve(ds, state, J, grid, max_levels, trim=True)
-    return _levels(state, J, grid, basis.span, *contracted)
+    if J != omega:
+        row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
+        basis = _contract(row, v_eff, cutoff, basis, max_levels) or _solve(ds, state, J, grid, max_levels, trim=True)
+    return _levels(state, J, grid, basis)
 
 
 @dataclass
@@ -468,8 +456,8 @@ class Block:
 @dataclass
 class _Store:
     """One dataset's solved blocks, its states' J = omega bases and its curves
-    sampled on grids; never invalidated (convergence_check only drops what its
-    own re-solves add)."""
+    sampled on grids; never invalidated. solve_radial is the only writer of
+    bases, and convergence_check re-solves on a copy of the dataset."""
 
     blocks: dict = field(default_factory=dict)    # (state, J, grid, max_levels) -> Block
     bases: dict = field(default_factory=dict)     # (state, grid, max_levels) -> _Basis
@@ -535,9 +523,8 @@ def convergence_check(
     base is solve_radial(ds, state, J, grid, max_levels) when the caller has
     already solved it; it is solved here otherwise. At J = omega base is the
     direct trimmed solve, so its contraction shift is 0 without a re-solve.
-    The re-solves leave the dataset's store as they found it: the bases and
-    curve samples they add, those of the probe grids, are removed before the
-    check returns.
+    The re-solves run on a copy of ds that shares its curves and starts with an
+    empty store, so the bases and samples of the probe grids stay out of ds's.
     """
     # both probe grids are built, and checked against MAX_GRID_POINTS, before any solve
     fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n)
@@ -545,18 +532,14 @@ def convergence_check(
     ext_grid = RadialGrid(grid.r_min, r_ext, int(round((r_ext - grid.r_min) / grid.h)) + 1)
     if base is None:
         base = solve_radial(ds, state, J, grid, max_levels)
-    store = _store(ds)
-    memos = (store.bases, store.samples)
-    held = [set(memo) for memo in memos]
-    try:
-        fine = solve_radial(ds, state, J, fine_grid, max_levels)
-        ext = solve_radial(ds, state, J, ext_grid, max_levels)
-        direct = base if J == ds.state(state).omega else _solve(ds, state, J, grid, max_levels, trim=True)
-        full = _solve(ds, state, J, grid, max_levels, trim=False)
-    finally:
-        for memo, keys in zip(memos, held):
-            for key in memo.keys() - keys:
-                del memo[key]
+    probe = replace(ds)
+    fine = solve_radial(probe, state, J, fine_grid, max_levels)
+    ext = solve_radial(probe, state, J, ext_grid, max_levels)
+    if J == ds.state(state).omega:
+        direct = base
+    else:
+        direct = _levels(state, J, grid, _solve(probe, state, J, grid, max_levels, trim=True))
+    full = _levels(state, J, grid, _solve(probe, state, J, grid, max_levels, trim=False))
 
     def max_shift(a: list[RovibLevel], b: list[RovibLevel]) -> float:
         k = min(len(a), len(b))

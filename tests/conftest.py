@@ -142,7 +142,7 @@ def shifted_contract(shift: float):
     contract = rovib._contract
 
     def shifted(*args):
-        energies, vectors = contract(*args)
-        return energies + shift, vectors
+        basis = contract(*args)
+        return None if basis is None else dataclasses.replace(basis, energies=basis.energies + shift)
 
     return shifted

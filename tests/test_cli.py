@@ -173,13 +173,32 @@ def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
 
 
 def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
-    # the check's 1602- and 1201-point solves add X0 bases and curve samples
-    # that nothing reuses; the check removes them before it returns
+    # the check's 1602- and 1201-point solves make X0 bases and curve samples
+    # that nothing reuses; they go to a copy of the dataset, not the held one
+    held = load_dataset(OPTICAL_STANDIN)
+    rovib.solved_block(held, "X0", 1, polarizability.default_grid(held), 64)
+    blocks = dict(rovib._store(held).blocks)
     assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path]) == 0
-    store = rovib._store(load_dataset(OPTICAL_STANDIN))
+    assert load_dataset(OPTICAL_STANDIN) is held
+    store = rovib._store(held)
     assert store.bases and store.samples
     assert {grid.n for _, grid, _ in store.bases} == {801}
     assert {grid.n for _, grid in store.samples} == {801}
+    assert store.blocks.keys() == blocks.keys()
+    assert all(store.blocks[key] is block for key, block in blocks.items())
+
+
+@pytest.mark.parametrize("J", ["0", "2"])
+@pytest.mark.parametrize("name", ["krb_rotor_standin", "rbcs_rotor_standin"])
+def test_rotor_levels_check_passes_and_writes_the_plain_table(name, J, tmp_path, capsys):
+    # a rotor block is one node; its check re-solves it on the probe grids and untrimmed
+    ds_dir = OPTICAL_STANDIN.parent / name
+    assert run_cli(["levels", ds_dir, "--J", J, "--out", tmp_path / "plain"]) == 0
+    assert run_cli(["levels", ds_dir, "--J", J, "--check", "--out", tmp_path / "check"]) == 0
+    assert capsys.readouterr().err == ""
+    plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
+    assert len(read_lines(plain)) == 2
+    assert check.read_bytes() == plain.read_bytes()
 
 
 def test_bad_grid_argument(optical_dir, tmp_path, capsys):
@@ -480,6 +499,26 @@ def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, data
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["alpha", "--nu", "1e160:1.0001e160:1e156"], 0),
+        (["magic", "--nu", "1e200:1.0001e200:1e196"], 4),
+    ],
+)
+def test_scan_frequencies_whose_squares_overflow_warn_nothing(krb_rotor_standin_dir, argv, code, tmp_path, capsys):
+    # nu^2 overflows to inf in the alpha kernel, the alpha -> 0 limit: no
+    # RuntimeWarning, and at most the one `molpol: <class>:` line on stderr
+    assert run_cli([argv[0], krb_rotor_standin_dir, *argv[1:], "--out", tmp_path]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        rows = read_lines(tmp_path / "alpha.csv")[1:]
+        assert len(rows) == 2 and all(row.split(",")[1:] == ["0", "0"] for row in rows)
+    else:
+        assert err.startswith("molpol: numerical:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv, reply",
     [
         (["windows", "--nu", "0.1:0.2:0.01", "--min-width", "inf", "--flatness-cap", "inf"], "0 windows"),
@@ -627,6 +666,24 @@ def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monk
     assert run_cli([*argv, "--out", tmp_path]) == 0
     assert sorted(sizes) == [128] * 6 + [448, 457, 472]
     assert 0 < len(evaluations) <= 100
+
+
+def test_each_block_builds_its_levels_once(tmp_path, monkeypatch):
+    # the optical magic request stores 9 blocks and builds 9 level lists: a
+    # state's J = omega basis solve builds none of its own
+    built = []
+    levels = rovib._levels
+
+    def counting(state, J, grid, *solved):
+        built.append((state, J, grid))
+        return levels(state, J, grid, *solved)
+
+    monkeypatch.setattr(rovib, "_levels", counting)
+    argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"]
+    assert run_cli([*argv, "--out", tmp_path]) == 0
+    blocks = rovib._store(load_dataset(OPTICAL_STANDIN)).blocks
+    assert len(built) == len(blocks) == 9
+    assert sorted(built, key=repr) == sorted(((state, J, grid) for state, J, grid, _ in blocks), key=repr)
 
 
 def test_optical_blocks_need_no_full_grid_fallback(solves):

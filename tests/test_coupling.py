@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +256,23 @@ def test_dipole_matrix_matches_pairwise_quadrature(optical_blocks):
             ref = _quadrature(a, b, d_r, grid.h)
             assert abs(mat[a.v, b.v] - ref) <= 1e-13
             assert abs(vibronic_dipole(a, b, dip) - ref) <= 1e-13
+
+
+def test_dipole_matrix_needs_one_grid_but_not_one_grid_object(optical_blocks):
+    ds, grid, blocks = optical_blocks
+    d_r = ds.dipole_between("X", "E")(grid.points)
+    lo, up = blocks["X", 0][:3], blocks["E", 1][:2]
+    # an equal grid that is a different object is the same grid
+    twin = RadialGrid(grid.r_min, grid.r_max, grid.n)
+    assert twin == grid and twin is not grid
+    moved = [dataclasses.replace(lev, grid=twin) for lev in up]
+    np.testing.assert_array_equal(dipole_matrix(lo, moved, d_r), dipole_matrix(lo, up, d_r))
+    # the same number of points over a different range is not
+    other = [dataclasses.replace(lev, grid=RadialGrid(grid.r_min, grid.r_max + 1.0, grid.n)) for lev in up]
+    with pytest.raises(ValueError, match="different radial grids"):
+        dipole_matrix(lo, other, d_r)
+    with pytest.raises(ValueError, match="different radial grids"):
+        dipole_matrix([*lo, *other], up, d_r)
 
 
 def test_block_linewidths_match_per_level_sums(optical_blocks):

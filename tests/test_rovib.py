@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,9 +100,14 @@ def _solved_span(ds, state, J, grid, max_levels):
     return None if trimmed is None else trimmed[0]
 
 
+def direct_levels(ds, state, J, grid, max_levels, trim):
+    """The levels of rovib's direct solve of one block, trimmed or not."""
+    return rovib._levels(state, J, grid, rovib._solve(ds, state, J, grid, max_levels, trim))
+
+
 def assert_matches_full_solve(ds, state, J, grid, max_levels):
     trimmed = solve_radial(ds, state, J, grid, max_levels)
-    full = rovib._solve(ds, state, J, grid, max_levels, trim=False)
+    full = direct_levels(ds, state, J, grid, max_levels, trim=False)
     assert len(trimmed) == len(full) > 0
     np.testing.assert_allclose([l.energy for l in trimmed], [l.energy for l in full], rtol=0, atol=1e-9)
     np.testing.assert_allclose(wavefunction_matrix(trimmed), wavefunction_matrix(full), rtol=0, atol=1e-10)
@@ -166,7 +172,7 @@ def test_keeping_every_bound_level_solves_the_full_grid(state):
     grid = default_grid(ds)
     assert _solved_span(ds, state, 0, grid, 200) is None
     levels = solve_radial(ds, state, 0, grid, 200)
-    full = rovib._solve(ds, state, 0, grid, 200, trim=False)
+    full = direct_levels(ds, state, 0, grid, 200, trim=False)
     assert 100 < len(levels) < 200
     assert [l.energy for l in levels] == [l.energy for l in full]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(full))
@@ -187,10 +193,10 @@ def test_too_narrow_span_falls_back_to_the_full_grid(monkeypatch):
     monkeypatch.setattr(rovib, "_eigensolve", counting)
     for ds, state, J, grid, max_levels in _trim_cases():
         solves.clear()
-        direct = rovib._solve(ds, state, J, grid, max_levels, trim=True)
+        direct = direct_levels(ds, state, J, grid, max_levels, trim=True)
         # the trimmed solve, then the full one, which the untrimmed solve repeats bit for bit
         assert len(solves) == 2 and solves[1] == slice(0, grid.n), (ds.name, state, J)
-        full = rovib._solve(ds, state, J, grid, max_levels, trim=False)
+        full = direct_levels(ds, state, J, grid, max_levels, trim=False)
         assert [l.energy for l in direct] == [l.energy for l in full]
         np.testing.assert_array_equal(wavefunction_matrix(direct), wavefunction_matrix(full))
         # solve_radial, which contracts J != omega in the full-grid J = omega basis, agrees too
@@ -237,7 +243,7 @@ def test_contracted_block_matches_the_direct_solve(state, J, monkeypatch):
     # the state's J = omega basis is the only direct solve: nothing fell back
     assert direct == [(state, ds.state(state).omega)]
     monkeypatch.undo()
-    ref = rovib._solve(ds, state, J, grid, 64, trim=True)
+    ref = direct_levels(ds, state, J, grid, 64, trim=True)
     assert len(levels) == len(ref) == 64
     np.testing.assert_allclose([l.energy for l in levels], [l.energy for l in ref], rtol=0, atol=1e-10)
     np.testing.assert_allclose(wavefunction_matrix(levels), wavefunction_matrix(ref), rtol=0, atol=1e-9)
@@ -252,16 +258,27 @@ def test_a_contraction_that_fails_its_certificate_falls_back(J, monkeypatch):
     levels = solve_radial(ds, "X0", J, grid, 4)
     assert direct == [("X0", 0), ("X0", J)]
     monkeypatch.undo()
-    ref = rovib._solve(ds, "X0", J, grid, 4, trim=True)
+    ref = direct_levels(ds, "X0", J, grid, 4, trim=True)
     assert [l.energy for l in levels] == [l.energy for l in ref]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
+
+
+def _rotor_delta(ds, J, grid):
+    """The rotor level written out: a delta at the grid node nearest r_e, with
+    E = V + B J(J+1), B = hbar^2/(2 mu R_node^2), normalized as sum psi^2 h = 1."""
+    pts = grid.points
+    i = int(np.argmin(np.abs(pts - ds.rotor.r_e)))
+    b_node = HBAR2_OVER_TWO / (ds.reduced_mass * pts[i] ** 2)
+    psi = np.zeros(grid.n)
+    psi[i] = 1.0 / math.sqrt(grid.h)
+    return SimpleNamespace(energy=float(ds.potentials["X0"](pts[i])) + b_node * J * (J + 1), wavefunction=psi)
 
 
 def test_rotor_blocks_build_no_basis():
     ds = make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rot")
     grid = default_grid(ds)
     for J in (0, 1, 5):
-        delta = rovib._rotor_level(ds, "X0", J, grid)
+        delta = _rotor_delta(ds, J, grid)
         for (level,) in (solve_radial(ds, "X0", J, grid), rovib.solved_block(ds, "X0", J, grid, 64).levels):
             assert level.energy == delta.energy
             np.testing.assert_array_equal(level.wavefunction, delta.wavefunction)
