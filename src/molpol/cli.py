@@ -45,7 +45,7 @@ from .polarizability import (
     scan_spectrum,
     solve_initial,
 )
-from .rovib import RadialGrid, convergence_check, solve_radial
+from .rovib import RadialGrid, convergence_check, solved_block
 
 
 def _fmt(x) -> str:
@@ -73,6 +73,14 @@ def _jclean(obj):
     return obj
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file; a path the OS refuses is a data error naming it."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_table(path: Path, head: str, sep: str, columns) -> None:
     """One line per row, each rendered by one format string: a column of
     strings as is, of integers exact, of floats as _fmt renders them."""
@@ -84,7 +92,7 @@ def _write_table(path: Path, head: str, sep: str, columns) -> None:
             for x in (c[0] for c in cols)
         )
         lines += [fmt % row for row in zip(*cols)]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
@@ -92,7 +100,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jclean(obj), indent=2) + "\n")
+    _write(path, json.dumps(_jclean(obj), indent=2) + "\n")
 
 
 def _write_plot(path: Path, axis_names: list[str], columns) -> None:
@@ -201,7 +209,10 @@ def _options(args, ds) -> LineListOptions:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"--out {out} is not a usable directory: {exc.strerror or exc}")
     return out
 
 
@@ -237,7 +248,7 @@ def cmd_levels(args) -> int:
     ds = _dataset(args)
     state = args.state or ds.ground_label
     grid = _grid(args, ds)
-    levels = solve_radial(ds, state, args.J, grid, args.max_levels)
+    levels = solved_block(ds, state, args.J, grid, args.max_levels).levels
     out = _outdir(args)
     _write_csv(
         out / "levels.csv",
@@ -245,7 +256,7 @@ def cmd_levels(args) -> int:
         zip(*[(l.state, l.v, l.J, l.energy) for l in levels]),
     )
     if args.check:
-        rep = convergence_check(ds, state, args.J, grid, args.max_levels, base=levels)
+        rep = convergence_check(ds, state, args.J, grid, args.max_levels)
         if not rep.converged:
             sys.stderr.write(
                 f"molpol: numerical: levels not converged "
@@ -264,8 +275,8 @@ def cmd_fcf(args) -> int:
     if args.max_v < 0:
         raise DataError(f"--max-v must be at least 0, got {args.max_v}")
     grid = _grid(args, ds)
-    lev_i = solve_radial(ds, lower, args.J, grid, args.max_v + 1)
-    lev_f = solve_radial(ds, upper, args.Jp, grid, args.max_v + 1)
+    lev_i = solved_block(ds, lower, args.J, grid, args.max_v + 1).levels
+    lev_f = solved_block(ds, upper, args.Jp, grid, args.max_v + 1).levels
     dip = ds.dipole_between(lower, upper)
     rows = []
     for li in lev_i:
@@ -533,6 +544,12 @@ def _add_scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nm", action="store_true", help="interpret --nu as wavelengths in nm")
 
 
+def _add_frequency_args(p: argparse.ArgumentParser, what: str) -> None:
+    """One frequency as --nu or --nm; _frequency reads --nm when given, else --nu."""
+    p.add_argument("--nu", type=float, default=None, help=f"{what} frequency in cm^-1")
+    p.add_argument("--nm", type=float, default=None, help=f"{what} wavelength in nm (wins over --nu)")
+
+
 def _add_out_args(p: argparse.ArgumentParser, plot: bool = True) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
     if plot:
@@ -594,8 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dress", help="microwave dressing plan on the J=0 -> 1 line")
     _add_dataset_arg(p)
-    p.add_argument("--nu", type=float, default=None, help="drive frequency in cm^-1")
-    p.add_argument("--nm", type=float, default=None, help="drive wavelength in nm (alternative to --nu)")
+    _add_frequency_args(p, "drive")
     p.add_argument("--intensity", type=float, required=True, help="drive intensity in W/cm^2")
     p.add_argument("--v", type=int, default=0, help="vibrational index to dress (default: 0)")
     _add_engine_args(p)
@@ -606,9 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     _add_level_args(p)
     _add_engine_args(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--nm", type=float, default=None, help="trap wavelength in nm")
-    group.add_argument("--nu", type=float, default=None, help="trap frequency in cm^-1")
+    _add_frequency_args(p, "trap")
     p.add_argument("--intensity", type=float, required=True, help="peak intensity in W/cm^2")
     p.add_argument("--d-ind", type=float, default=None, help="induced dipole in Debye (default: d_perm/2)")
     _add_out_args(p, plot=False)

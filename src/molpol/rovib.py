@@ -79,9 +79,11 @@ threads a contracted block costs 6-7 ms against 34-42 ms for its dense solve.
 
 Each potential and dipole curve is sampled on a grid once per loaded dataset
 (sampled_curve): the store holds the read-only samples beside the blocks and
-bases. convergence_check runs its re-solves on dataclasses.replace(ds), a
-copy that shares the curves and starts with an empty store, so the probe
-grids' bases and samples never reach the dataset's own store.
+bases. convergence_check takes its base from the store (solved_block), so it
+examines exactly the block requests read, and runs its re-solves on
+dataclasses.replace(ds), a copy that shares the curves and starts with an
+empty store, so the probe grids' bases and samples never reach the dataset's
+own store.
 
 T is a finite section of the Toeplitz matrix whose symbol
 hbar^2/(2 mu h^2) theta^2 is >= 0 on [-pi, pi], so T is positive definite and
@@ -110,13 +112,11 @@ eigensolve: its block is a one-node basis, the single v = 0 level a delta at
 the grid node nearest the rotor radius, with E = V + B J(J+1),
 B = hbar^2/(2 mu R_node^2). It is never contracted and never stored as a
 basis. A minimum-free potential without the rotor tag is solved honestly,
-which leaves no bound levels; that case returns an empty list and logs a
-warning.
+which leaves no bound levels; that case returns an empty list.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from collections.abc import Sequence
@@ -143,8 +143,6 @@ __all__ = [
     "rotational_constant",
 ]
 
-log = logging.getLogger(__name__)
-
 BOUND_GUARD = 1e-6   # cm^-1 below the asymptote
 EDGE_AMP = 1e-12     # largest |psi| sqrt(h) a kept level may have at a trimmed span's edge
 # sum kappa h from a turning point to a trimmed edge: e^-AGMON_DEPTH is the
@@ -153,6 +151,7 @@ AGMON_DEPTH = math.log(1.0 / EDGE_AMP)
 MAX_GRID_POINTS = 5000   # a dense n x n Hamiltonian of at most 200 MB
 BASIS_PER_LEVEL = 2      # J0 eigenvectors a contraction keeps per requested level
 RESIDUAL_TOL = 1e-8      # cm^-1, largest ||H x - E x|| a contracted level may have
+CHECK_TOL = 1e-3         # cm^-1, largest shift convergence_check accepts
 
 
 @dataclass(frozen=True)
@@ -363,13 +362,10 @@ def _levels(state: str, J: int, grid: RadialGrid, basis: _Basis) -> list[RovibLe
     w[:, basis.span] = basis.vectors[:, :k].T / math.sqrt(grid.h)
     w *= _antinode_signs(w)[:, None]
     w.flags.writeable = False
-    levels = [
+    return [
         RovibLevel(state=state, v=v, J=J, energy=float(basis.energies[v]), grid=grid, wavefunction=w[v])
         for v in range(k)
     ]
-    if not levels:
-        log.warning("no bound levels for state %r at J=%d on %s", state, J, grid)
-    return levels
 
 
 def _is_rotor(ds: MoleculeDataset, state: str) -> bool:
@@ -515,14 +511,13 @@ def convergence_check(
     J: int,
     grid: RadialGrid,
     max_levels: int = 64,
-    tol: float = 1e-3,
-    base: list[RovibLevel] | None = None,
 ) -> ConvergenceReport:
-    """Re-solve on a denser grid, on a longer one, directly and untrimmed; compare per-level energies.
+    """Re-solve on a denser grid, on a longer one, directly and untrimmed; compare
+    per-level energies with the stored block; converged when every shift is below CHECK_TOL.
 
-    base is solve_radial(ds, state, J, grid, max_levels) when the caller has
-    already solved it; it is solved here otherwise. At J = omega base is the
-    direct trimmed solve, so its contraction shift is 0 without a re-solve.
+    The base is solved_block(ds, state, J, grid, max_levels), the block requests
+    read. At J = omega it is the direct trimmed solve, so its contraction shift
+    is 0 without a re-solve.
     The re-solves run on a copy of ds that shares its curves and starts with an
     empty store, so the bases and samples of the probe grids stay out of ds's.
     """
@@ -530,8 +525,7 @@ def convergence_check(
     fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n)
     r_ext = grid.r_min + 1.5 * (grid.r_max - grid.r_min)
     ext_grid = RadialGrid(grid.r_min, r_ext, int(round((r_ext - grid.r_min) / grid.h)) + 1)
-    if base is None:
-        base = solve_radial(ds, state, J, grid, max_levels)
+    base = solved_block(ds, state, J, grid, max_levels).levels
     probe = replace(ds)
     fine = solve_radial(probe, state, J, fine_grid, max_levels)
     ext = solve_radial(probe, state, J, ext_grid, max_levels)
@@ -541,7 +535,7 @@ def convergence_check(
         direct = _levels(state, J, grid, _solve(probe, state, J, grid, max_levels, trim=True))
     full = _levels(state, J, grid, _solve(probe, state, J, grid, max_levels, trim=False))
 
-    def max_shift(a: list[RovibLevel], b: list[RovibLevel]) -> float:
+    def max_shift(a: Sequence[RovibLevel], b: Sequence[RovibLevel]) -> float:
         k = min(len(a), len(b))
         if k == 0:
             return math.inf if a or b else 0.0
@@ -551,10 +545,10 @@ def convergence_check(
     s_ext = max_shift(base, ext)
     s_trim = max_shift(direct, full)
     s_contract = max_shift(base, direct)
-    ok = bool(base) and max(s_fine, s_ext, s_trim, s_contract) < tol
+    ok = bool(base) and max(s_fine, s_ext, s_trim, s_contract) < CHECK_TOL
     return ConvergenceReport(
         converged=ok,
-        tol=tol,
+        tol=CHECK_TOL,
         n_levels=len(base),
         shift_refine=s_fine,
         shift_extend=s_ext,

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
-from molpol import cli, control, rovib
+from molpol import control, rovib
 from molpol import dataset as dataset_module
 from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
 from molpol.dataset import DipoleCurve, PotentialCurve
@@ -134,9 +137,8 @@ def test_levels_check_passes_fine_grid(optical_dir, tmp_path, capsys):
 
 def test_levels_check_flags_a_bad_trim(optical_standin_dir, tmp_path, capsys, monkeypatch):
     # trimmed solves off by 0.01 cm^-1: only the untrimmed re-solve sees it
-    # (the check's base is the solve cmd_levels wrote levels.csv from)
+    # (the check's base is the stored block cmd_levels wrote levels.csv from)
     monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
-    monkeypatch.setattr(cli, "solve_radial", rovib.solve_radial)
     argv = ["levels", optical_standin_dir, "--grid", "5:20:401", "--check", "--out", tmp_path]
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
@@ -170,6 +172,52 @@ def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
     assert calls == [(801, True), (1602, True), (1201, True), (801, False)]
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert check.read_bytes() == plain.read_bytes()
+
+
+def test_levels_and_fcf_read_the_block_store(tmp_path, monkeypatch):
+    assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--out", tmp_path / "levels"]) == 0
+    assert run_cli(["fcf", OPTICAL_STANDIN, "--final-state", "A0", "--out", tmp_path / "fcf"]) == 0
+    held = load_dataset(OPTICAL_STANDIN)
+    grid = polarizability.default_grid(held)
+    blocks = rovib._store(held).blocks
+    assert {("X0", 1, grid, 64), ("X0", 0, grid, 11), ("A0", 1, grid, 11)} <= blocks.keys()
+    built = []
+    levels = rovib._levels
+
+    def counting(state, J, grid, *solved):
+        built.append(grid.n)
+        return levels(state, J, grid, *solved)
+
+    monkeypatch.setattr(rovib, "_levels", counting)
+    assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path / "check"]) == 0
+    # the base is the stored block: levels only for the 2n, extended, direct
+    # trimmed and untrimmed re-solves
+    assert built == [1602, 1201, 801, 801]
+    dataset_module._LOADED.clear()
+    built.clear()
+    assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path / "fresh"]) == 0
+    assert built == [801, 1602, 1201, 801, 801]
+    for name in ("check", "fresh"):
+        assert (tmp_path / name / "levels.csv").read_bytes() == (tmp_path / "levels" / "levels.csv").read_bytes()
+
+
+def test_an_empty_block_is_reported_once(tmp_path):
+    # rovib returns an empty block without a word and its caller reports it.
+    # Run as a process: a logged warning reaches stderr through logging's
+    # last-resort handler there, but pytest's own log handler takes it in process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def molpol(*argv):
+        args = [sys.executable, "-m", "molpol.cli", *map(str, argv), "--out", str(tmp_path)]
+        return subprocess.run(args, capture_output=True, text=True, env=env)
+
+    alpha = molpol("alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1")
+    assert alpha.returncode == 3
+    assert alpha.stderr.startswith("molpol: data:") and alpha.stderr.count("\n") == 1
+    levels = molpol("levels", OPTICAL_STANDIN, "--J", "100000")
+    assert levels.returncode == 0 and levels.stderr == ""
+    assert levels.stdout.startswith("0 bound levels for X0 J=100000")
 
 
 def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
@@ -379,6 +427,14 @@ def test_plan_explicit_induced_dipole(rotor_dir, tmp_path, capsys):
     assert plan["interaction"]["delta_t_s"] == "inf"
 
 
+def test_plan_reads_nm_before_nu_as_dress_does(rotor_dir, tmp_path, capsys):
+    argv = ["plan", rotor_dir, "--nm", "1064", "--intensity", "1e4"]
+    assert run_cli([*argv, "--out", tmp_path / "nm"]) == 0
+    assert run_cli([*argv, "--nu", "5", "--out", tmp_path / "both"]) == 0
+    assert (tmp_path / "both" / "plan.json").read_bytes() == (tmp_path / "nm" / "plan.json").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_plan_rejects_zero_frequency(rotor_dir, tmp_path, capsys):
     assert run_cli(["plan", rotor_dir, "--nu", "0", "--intensity", "1", "--out", tmp_path]) == 3
     assert capsys.readouterr().err.startswith("molpol: data:")
@@ -472,6 +528,8 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("rotor_dir", ["dress", "--nm", "-5", "--intensity", "1"]),
         ("rotor_dir", ["dress", "--nm", "0", "--nu", "0.1", "--intensity", "1"]),
         ("rotor_dir", ["dress", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--nm", "0", "--nu", "0.1", "--intensity", "1"]),
+        ("rotor_dir", ["plan", "--intensity", "1"]),
         # NaN or negative criteria
         ("rotor_dir", ["windows", "--nu", "0.1:0.2:0.01", "--min-width", "nan"]),
         ("rotor_dir", ["windows", "--nu", "0.1:0.2:0.01", "--min-width", "-1"]),
@@ -496,6 +554,26 @@ def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, data
     err = capsys.readouterr().err
     assert err.startswith("molpol: data:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "out, blocked",
+    [
+        ("file", "file"),
+        ("file/sub", "file"),
+        ("dir", "dir/levels.csv"),
+    ],
+)
+def test_an_out_path_that_cannot_be_written_is_a_data_error(out, blocked, tmp_path, capsys):
+    # an existing file as --out or on its way, or a directory where a table goes
+    if blocked.startswith("file"):
+        (tmp_path / blocked).write_text("")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)
+    assert run_cli(["levels", KRB_ROTOR_STANDIN, "--out", tmp_path / out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: data:") and err.count("\n") == 1
+    assert str(tmp_path / out) in err
 
 
 @pytest.mark.parametrize(

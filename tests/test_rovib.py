@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -210,9 +211,10 @@ def test_convergence_check_reports_the_trim_shift(monkeypatch):
     assert rep.converged
     assert 0.0 < rep.shift_trim < 1e-9
     # a trimmed solve off by 0.01 cm^-1 on every grid: refinement and
-    # extension cannot see it, the untrimmed solve does
+    # extension cannot see it, the untrimmed solve does. The block is stored
+    # already, so the faulty solver runs on a copy with a fresh store
     monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
-    rep = convergence_check(ds, "X0", 0, grid, 64)
+    rep = convergence_check(dataclasses.replace(ds), "X0", 0, grid, 64)
     assert rep.shift_refine < rep.tol and rep.shift_extend < rep.tol
     assert rep.shift_trim == pytest.approx(0.01, rel=1e-6)
     assert not rep.converged
@@ -300,9 +302,9 @@ def test_convergence_check_reports_the_contraction_shift(monkeypatch):
     assert rep.converged
     assert 0.0 < rep.shift_contract < 1e-10
     # contracted levels off by 0.01 cm^-1 on every grid: only the direct
-    # trimmed re-solve sees it
+    # trimmed re-solve sees it (on a copy with a fresh store: the block is stored)
     monkeypatch.setattr(rovib, "_contract", shifted_contract(0.01))
-    rep = convergence_check(ds, "X0", 1, grid, 64)
+    rep = convergence_check(dataclasses.replace(ds), "X0", 1, grid, 64)
     assert rep.shift_refine < 1e-6 and rep.shift_extend < 1e-6 and rep.shift_trim < 1e-9
     assert rep.shift_contract == pytest.approx(0.01, rel=1e-6)
     assert not rep.converged

@@ -31,6 +31,7 @@ def test_optical_window_report(tmp_path, capsys):
     assert "lines kept: 136" in rows
     assert "resonances in range: 30" in rows
     assert sum(row.startswith("window ") for row in rows) == 20
+    assert (tmp_path / "report.txt").read_bytes() == (ROOT / "out" / "optical" / "report.txt").read_bytes()
     _assert_matches_committed(tmp_path / "alpha.dat", ROOT / "out" / "optical" / "alpha.dat")
 
 
@@ -39,6 +40,7 @@ def test_microwave_magic_scan(tmp_path, capsys):
     text = (tmp_path / "summary.txt").read_text()
     assert capsys.readouterr().out == text
     assert sum("= 8.000 B" in row for row in text.splitlines()) == 2
+    assert (tmp_path / "summary.txt").read_bytes() == (ROOT / "out" / "microwave" / "summary.txt").read_bytes()
     tables = sorted(tmp_path.glob("*_alpha.dat"))
     assert len(tables) == 2
     for table in tables:
