@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import (
+    MAGIC_TOL,
     dd_interaction,
     find_magic,
     find_windows,
@@ -45,7 +46,7 @@ from .polarizability import (
     scan_spectrum,
     solve_initial,
 )
-from .rovib import RadialGrid, convergence_check, solved_block
+from .rovib import MAX_LEVELS, RadialGrid, convergence_check, solved_block
 
 
 def _fmt(x) -> str:
@@ -227,7 +228,7 @@ def cmd_validate(args) -> int:
         "reduced_mass_amu": ds.reduced_mass,
         "ground": ds.ground_label,
         "default_gamma_mhz": ds.default_gamma,
-        "rotor": None if ds.rotor is None else {"r_e_bohr": ds.rotor.r_e, "j_max": ds.rotor.j_max},
+        "rotor": None if ds.rotor is None else {"r_e_bohr": ds.rotor.r_e},
         "states": [
             {
                 "label": s.label,
@@ -248,8 +249,8 @@ def cmd_levels(args) -> int:
     ds = _dataset(args)
     state = args.state or ds.ground_label
     grid = _grid(args, ds)
-    levels = solved_block(ds, state, args.J, grid, args.max_levels).levels
     out = _outdir(args)
+    levels = solved_block(ds, state, args.J, grid, args.max_levels).levels
     _write_csv(
         out / "levels.csv",
         ["state", "v", "J", "E_cm1"],
@@ -258,12 +259,10 @@ def cmd_levels(args) -> int:
     if args.check:
         rep = convergence_check(ds, state, args.J, grid, args.max_levels)
         if not rep.converged:
-            sys.stderr.write(
-                f"molpol: numerical: levels not converged "
-                f"(refine {_fmt(rep.shift_refine)}, extend {_fmt(rep.shift_extend)}, "
-                f"trim {_fmt(rep.shift_trim)}, contract {_fmt(rep.shift_contract)} cm-1)\n"
+            raise NumericalError(
+                f"levels not converged (refine {_fmt(rep.shift_refine)}, extend {_fmt(rep.shift_extend)}, "
+                f"trim {_fmt(rep.shift_trim)}, contract {_fmt(rep.shift_contract)} cm-1)"
             )
-            return 4
     sys.stdout.write(f"{len(levels)} bound levels for {state} J={args.J} -> {out / 'levels.csv'}\n")
     return 0
 
@@ -275,6 +274,7 @@ def cmd_fcf(args) -> int:
     if args.max_v < 0:
         raise DataError(f"--max-v must be at least 0, got {args.max_v}")
     grid = _grid(args, ds)
+    out = _outdir(args)
     lev_i = solved_block(ds, lower, args.J, grid, args.max_v + 1).levels
     lev_f = solved_block(ds, upper, args.Jp, grid, args.max_v + 1).levels
     dip = ds.dipole_between(lower, upper)
@@ -283,7 +283,6 @@ def cmd_fcf(args) -> int:
         for lf in lev_f:
             d = vibronic_dipole(li, lf, dip) if dip is not None else math.nan
             rows.append((li.v, li.J, lf.v, lf.J, franck_condon(li, lf), d))
-    out = _outdir(args)
     _write_csv(out / "fcf.csv", ["v", "J", "vp", "Jp", "FCF", "d_vib"], zip(*rows))
     sys.stdout.write(f"{len(rows)} rows -> {out / 'fcf.csv'}\n")
     return 0
@@ -294,8 +293,8 @@ def cmd_alpha(args) -> int:
     opts = _options(args, ds)
     initial, pol = _level(args, ds)
     nus = _parse_range(args.nu, args.nm)
-    spec = scan_spectrum(ds, initial, pol, nus, opts)
     out = _outdir(args)
+    spec = scan_spectrum(ds, initial, pol, nus, opts)
     _write_csv(
         out / "alpha.csv",
         ["nu_cm1", "re_alpha_Hz_per_Wcm2", "im_alpha_Hz_per_Wcm2"],
@@ -338,10 +337,10 @@ def cmd_magic(args) -> int:
     pol_b = Polarization.parse(args.pol_b)
     ida = LevelId(state, args.va, args.Ja, args.Ma)
     idb = LevelId(state, args.vb, args.Jb, args.Mb)
+    out = _outdir(args)
     spec_a = scan_spectrum(ds, ida, pol_a, nus, opts)
     spec_b = scan_spectrum(ds, idb, pol_b, nus, opts)
     roots = find_magic(spec_a, spec_b, tol=args.tol)
-    out = _outdir(args)
     _write_json(
         out / "magic.json",
         {
@@ -377,8 +376,8 @@ def cmd_dress(args) -> int:
     nu, _ = _frequency(args)
     ds = _dataset(args)
     opts = _options(args, ds)
-    plan = microwave_plan(ds, nu, args.intensity, v=args.v, options=opts)
     out = _outdir(args)
+    plan = microwave_plan(ds, nu, args.intensity, v=args.v, options=opts)
     _write_json(
         out / "dress.json",
         {
@@ -406,6 +405,7 @@ def cmd_plan(args) -> int:
     ds = _dataset(args)
     opts = _options(args, ds)
     initial, pol = _level(args, ds)
+    out = _outdir(args)
     lines = build_line_list(ds, initial, pol, opts)
     alpha = alpha_at(lines, nu)
     trap = lattice_plan(alpha, args.intensity, wavelength)
@@ -415,7 +415,6 @@ def cmd_plan(args) -> int:
         dip = ds.permanent_dipole(initial.state)
         d_ind = 0.5 * abs(vibronic_dipole(lev0, lev0, dip)) if dip is not None else 0.0
     inter = dd_interaction(d_ind, trap.r_l)
-    out = _outdir(args)
     _write_json(
         out / "plan.json",
         {
@@ -447,9 +446,9 @@ def cmd_windows(args) -> int:
     opts = _options(args, ds)
     initial, pol = _level(args, ds)
     nus = _parse_range(args.nu, args.nm)
+    out = _outdir(args)
     spec = scan_spectrum(ds, initial, pol, nus, opts)
     wins = find_windows(spec, args.min_width, args.flatness_cap, args.ratio_floor)
-    out = _outdir(args)
     _write_csv(
         out / "windows.csv",
         ["nu_lo_cm1", "nu_hi_cm1", "lambda_lo_nm", "lambda_hi_nm", "min_ratio", "max_flatness"],
@@ -528,13 +527,13 @@ def _add_level_args(p: argparse.ArgumentParser, tag: str = "", J: int = 0) -> No
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
     _add_grid_arg(p)
-    p.add_argument("--max-levels", type=int, default=64, help="bound levels kept per state and J (default: 64)")
+    p.add_argument("--max-levels", type=int, default=MAX_LEVELS, help="bound levels kept per state and J (default: %(default)s)")
     p.add_argument(
         "--gamma",
-        default="computed",
-        help="linewidths: 'computed', 'default', or a value in MHz (default: computed)",
+        default=LineListOptions.gamma,
+        help="linewidths: 'computed', 'default', or a value in MHz (default: %(default)s)",
     )
-    p.add_argument("--d-floor", type=float, default=1e-8, help="drop lines below this |d_vib| in Debye (default: 1e-8)")
+    p.add_argument("--d-floor", type=float, default=LineListOptions.d_floor, help="drop lines below this |d_vib| in Debye (default: %(default)s)")
     p.add_argument("--j-max-branch", type=int, default=None, help="cap on final J (default: J+1)")
     p.add_argument("--v-max", type=int, default=None, help="cap on final v per state (default: all bound)")
 
@@ -574,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arg(p)
     p.add_argument("--J", type=int, default=0, help="rotational quantum number (default: 0)")
     _add_grid_arg(p)
-    p.add_argument("--max-levels", type=int, default=64, help="maximum levels returned (default: 64)")
+    p.add_argument("--max-levels", type=int, default=MAX_LEVELS, help="maximum levels returned (default: %(default)s)")
     p.add_argument("--check", action="store_true", help="fail (exit 4) unless grid-converged to 1e-3 cm^-1")
     _add_out_args(p, plot=False)
     p.set_defaults(func=cmd_levels)
@@ -604,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_level_args(p, "a")
     _add_level_args(p, "b", J=1)
     _add_scan_args(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="drop a crossing within this many cm^-1 of the previous one (default: 1e-6)")
+    p.add_argument("--tol", type=float, default=MAGIC_TOL, help="drop a crossing within this many cm^-1 of the previous one (default: %(default)s)")
     _add_engine_args(p)
     _add_out_args(p)
     p.set_defaults(func=cmd_magic)

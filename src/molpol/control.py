@@ -6,7 +6,10 @@ The microwave-induced dipole uses the exact two-level dressed-state result
     hbar Omega = d_perm * E * sqrt(w_ang),   delta = h nu - Delta E,
 
 which saturates at d_perm/2 on resonance and reduces to the perturbative
-first-order mixing form for |delta| >> Omega.
+first-order mixing form for |delta| >> Omega. The drive is always the J=0 -> 1
+line, whose angular weight w_ang = (2J+1)(2J'+1) [3j]^2 is 1/3 for every lab
+polarization (each spherical component q feeds M' = q with the same weight),
+so w_ang is the constant DEFAULT_ANGULAR_WEIGHT, not a setting.
 
 find_magic and find_windows share one resonance screen: link i of a scan grid,
 [nu_i, nu_(i+1)], is clear when no listed resonance lies in it. A root is only
@@ -51,47 +54,36 @@ __all__ = [
     "find_windows",
 ]
 
-DEFAULT_ANGULAR_WEIGHT = 1.0 / 3.0    # J=0 -> J=1 line under linear polarization
+DEFAULT_ANGULAR_WEIGHT = 1.0 / 3.0    # the J=0 -> 1 line's weight, the same for every polarization
+MAGIC_TOL = 1e-6    # cm^-1, radius within which find_magic merges nearby roots
 
 
-def rabi_energy(d_perm: float, intensity: float, angular_weight: float = DEFAULT_ANGULAR_WEIGHT) -> float:
-    """hbar * Rabi frequency in cm^-1 for a dipole [Debye] in a wave of I [W/cm^2]."""
+def rabi_energy(d_perm: float, intensity: float) -> float:
+    """hbar * Rabi frequency in cm^-1 for a dipole [Debye] on the J=0 -> 1 line in a wave of I [W/cm^2]."""
     e_field = field_from_intensity(intensity)
-    return abs(d_perm) * DEBYE_CM * e_field * math.sqrt(angular_weight) / J_PER_CM1
+    return abs(d_perm) * DEBYE_CM * e_field * math.sqrt(DEFAULT_ANGULAR_WEIGHT) / J_PER_CM1
 
 
-def induced_dipole(
-    d_perm: float,
-    delta_e: float,
-    nu: float,
-    intensity: float,
-    angular_weight: float = DEFAULT_ANGULAR_WEIGHT,
-) -> float:
+def induced_dipole(d_perm: float, delta_e: float, nu: float, intensity: float) -> float:
     """Lab-frame dipole [Debye] induced by a microwave near the delta_e transition.
 
     Exactly d_perm/2 on resonance (nu = delta_e); 0 for zero drive.
     """
     if intensity == 0.0 or d_perm == 0.0:
         return 0.0
-    om = rabi_energy(d_perm, intensity, angular_weight)
+    om = rabi_energy(d_perm, intensity)
     det = nu - delta_e
     return 0.5 * abs(d_perm) * om / math.hypot(om, det)
 
 
-def induced_dipole_perturbative(
-    d_perm: float,
-    delta_e: float,
-    nu: float,
-    intensity: float,
-    angular_weight: float = DEFAULT_ANGULAR_WEIGHT,
-) -> float:
+def induced_dipole_perturbative(d_perm: float, delta_e: float, nu: float, intensity: float) -> float:
     """First-order mixing limit of induced_dipole, valid for |detuning| >> Rabi."""
     if intensity == 0.0 or d_perm == 0.0:
         return 0.0
     det = nu - delta_e
     if det == 0.0:
         return math.inf
-    return 0.5 * abs(d_perm) * rabi_energy(d_perm, intensity, angular_weight) / abs(det)
+    return 0.5 * abs(d_perm) * rabi_energy(d_perm, intensity) / abs(det)
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,6 @@ def microwave_plan(
     intensity: float,
     v: int = 0,
     options: LineListOptions | None = None,
-    angular_weight: float = DEFAULT_ANGULAR_WEIGHT,
 ) -> MicrowavePlan:
     """Dress the v-th ground level on its J=0 -> 1 rotational line."""
     opts = options or LineListOptions()
@@ -130,9 +121,9 @@ def microwave_plan(
         intensity=intensity,
         delta_e=delta_e,
         detuning=nu - delta_e,
-        rabi=rabi_energy(d_perm, intensity, angular_weight),
+        rabi=rabi_energy(d_perm, intensity),
         d_permanent=d_perm,
-        d_induced=induced_dipole(d_perm, delta_e, nu, intensity, angular_weight),
+        d_induced=induced_dipole(d_perm, delta_e, nu, intensity),
     )
 
 
@@ -246,7 +237,7 @@ def _bisect_all(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
 def find_magic(
     spec_a: PolarizabilitySpectrum,
     spec_b: PolarizabilitySpectrum,
-    tol: float = 1e-6,
+    tol: float = MAGIC_TOL,
 ) -> list[MagicPoint]:
     """All crossings of Re alpha_a and Re alpha_b on the scan grid.
 

@@ -22,8 +22,8 @@ nu^3 d^2 * branch sum per lower (state, J) block (natural_linewidths);
 natural_linewidth is its one-level case.
 
 Every lab polarization is one entry of the POLARIZATIONS table, name ->
-spherical components ((q, amplitude), ...); Polarization.parse, its named
-constructors and the command line's choices all read that table.
+spherical components ((q, amplitude), ...); Polarization.parse and the
+command line's choices both read that table.
 """
 
 from __future__ import annotations
@@ -162,27 +162,6 @@ class Polarization:
         if name not in POLARIZATIONS:
             raise ValueError(f"unknown polarization {name!r}")
         return cls(name, POLARIZATIONS[name])
-
-    @classmethod
-    def sigma_z(cls) -> "Polarization":
-        return cls.parse("sigma_z")
-
-    @classmethod
-    def sigma_x(cls) -> "Polarization":
-        return cls.parse("sigma_x")
-
-    @classmethod
-    def sigma_y(cls) -> "Polarization":
-        return cls.parse("sigma_y")
-
-    @classmethod
-    def spherical(cls, q: int) -> "Polarization":
-        if q not in (-1, 0, 1):
-            raise ValueError("q must be -1, 0, or +1")
-        return cls.parse("q0" if q == 0 else f"q{q:+d}")
-
-    def weight_on(self, q: int) -> float:
-        return sum(abs(a) ** 2 for qq, a in self.components if qq == q)
 
 
 def angular_weight(

@@ -12,9 +12,10 @@ length, cm-1/hartree for potentials, debye/au for dipoles. Everything is
 converted to the canonical units (Bohr, cm^-1, Debye) on load. molecule.json
 is checked on load too: the top level, each state and the rotor block must be
 objects and states a list; every number must be a finite JSON number (not
-a boolean or a string); omega and a rotor's j_max must be integers,
-asymptote_energy a number or null (no asymptote), a rotor's r_e > 0, and
-parity_tag null, "+" or "-".
+a boolean or a string); omega must be an integer, asymptote_energy a number
+or null (no asymptote), a rotor's r_e > 0, and parity_tag null, "+" or "-".
+A rotor block holds only r_e: rovib solves a rotor at any J, and the coupling
+layer's 3-j symbols stop at j = 50. Keys the loader does not read are ignored.
 
 Curves interpolate with a natural cubic spline between the tabulated nodes,
 built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in
@@ -270,7 +271,6 @@ class RotorInfo:
     """Marks a rigid-rotor dataset: radial position of the point rotor."""
 
     r_e: float
-    j_max: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.r_e < math.inf:
@@ -375,7 +375,6 @@ class RigidRotorModel:
 
     b: float       # cm^-1
     d: float       # Debye
-    j_max: int = 10
 
     def r_e(self, reduced_mass: float) -> float:
         return math.sqrt(HBAR2_OVER_TWO / (reduced_mass * self.b))
@@ -408,7 +407,7 @@ def synthesize(model, grid=None, *, reduced_mass: float, name: str = "synthetic"
         state = ElectronicState("X0", 0, math.inf)
         pot = PotentialCurve(state, r, np.zeros_like(r))
         dip = DipoleCurve("X0", "X0", r, np.full_like(r, model.d))
-        rotor = RotorInfo(r_e=r_e, j_max=model.j_max)
+        rotor = RotorInfo(r_e=r_e)
         return MoleculeDataset(name, reduced_mass, [state], {"X0": pot}, [dip], "X0", rotor=rotor)
     raise TypeError(f"unknown model kind {model!r}")
 
@@ -548,16 +547,13 @@ def _parse_meta(meta) -> dict:
     if rotor is not None:
         if not isinstance(rotor, dict) or "r_e" not in rotor:
             raise DataError("rotor block needs 'r_e'")
-        rotor = RotorInfo(
-            r_e=_meta_number(rotor["r_e"], "rotor r_e"),
-            j_max=_meta_number(rotor.get("j_max", 10), "rotor j_max", integer=True),
-        )
+        rotor = RotorInfo(r_e=_meta_number(rotor["r_e"], "rotor r_e"))
     return dict(
         name=str(meta["name"]),
         reduced_mass=_meta_number(meta["reduced_mass"], "reduced_mass"),
         states=states,
         ground_label=str(meta["ground_label"]),
-        default_gamma=_meta_number(meta.get("default_gamma", 6.0), "default_gamma"),
+        default_gamma=_meta_number(meta.get("default_gamma", MoleculeDataset.default_gamma), "default_gamma"),
         rotor=rotor,
     )
 
@@ -615,7 +611,7 @@ def write_dataset(ds: MoleculeDataset, path) -> None:
         ],
     }
     if ds.rotor is not None:
-        meta["rotor"] = {"r_e": ds.rotor.r_e, "j_max": ds.rotor.j_max}
+        meta["rotor"] = {"r_e": ds.rotor.r_e}
     (root / "molecule.json").write_text(json.dumps(meta, indent=2) + "\n")
     for lab, pot in ds.potentials.items():
         _write_curve(root / f"pot__{lab}.dat", pot.r, pot.v, "cm-1", f"{ds.name} potential, state {lab}")

@@ -51,7 +51,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, QuantumNumberError
-from .rovib import Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block
+from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block
 
 __all__ = [
     "LevelId",
@@ -85,7 +85,7 @@ class LineListOptions:
     """
 
     grid: RadialGrid | None = None
-    max_levels: int = 64
+    max_levels: int = MAX_LEVELS
     gamma: str | float = "computed"
     d_floor: float = 1e-8        # Debye; weaker lines are dropped
     j_max_branch: int | None = None   # default: J+1

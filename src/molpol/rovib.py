@@ -152,6 +152,7 @@ MAX_GRID_POINTS = 5000   # a dense n x n Hamiltonian of at most 200 MB
 BASIS_PER_LEVEL = 2      # J0 eigenvectors a contraction keeps per requested level
 RESIDUAL_TOL = 1e-8      # cm^-1, largest ||H x - E x|| a contracted level may have
 CHECK_TOL = 1e-3         # cm^-1, largest shift convergence_check accepts
+MAX_LEVELS = 64          # bound levels a block keeps when the caller names no cap
 
 
 @dataclass(frozen=True)
@@ -408,7 +409,7 @@ def solve_radial(
     state: str,
     J: int,
     grid: RadialGrid,
-    max_levels: int = 64,
+    max_levels: int = MAX_LEVELS,
 ) -> list[RovibLevel]:
     """Bound levels of one electronic state at fixed J, lowest first, at most max_levels.
 
@@ -510,7 +511,7 @@ def convergence_check(
     state: str,
     J: int,
     grid: RadialGrid,
-    max_levels: int = 64,
+    max_levels: int = MAX_LEVELS,
 ) -> ConvergenceReport:
     """Re-solve on a denser grid, on a longer one, directly and untrimmed; compare
     per-level energies with the stored block; converged when every shift is below CHECK_TOL.
@@ -545,7 +546,7 @@ def convergence_check(
     s_ext = max_shift(base, ext)
     s_trim = max_shift(direct, full)
     s_contract = max_shift(base, direct)
-    ok = bool(base) and max(s_fine, s_ext, s_trim, s_contract) < CHECK_TOL
+    ok = max(s_fine, s_ext, s_trim, s_contract) < CHECK_TOL
     return ConvergenceReport(
         converged=ok,
         tol=CHECK_TOL,

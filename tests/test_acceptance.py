@@ -44,7 +44,7 @@ from molpol.cli import main as cli_main
 
 from conftest import KRB, RBCS, make_optical, make_rotor, rotor_b
 
-SZ = Polarization.sigma_z()
+SZ = Polarization.parse("sigma_z")
 G0 = LineListOptions(gamma=0.0)
 
 
@@ -144,7 +144,7 @@ def test_c04_polarization_equivalences_hold_pointwise():
     def vals(J, M, pol):
         return scan_spectrum(ds, LevelId("X0", 0, J, M), pol, nus, G0).values
 
-    sx, sy, sz = Polarization.sigma_x(), Polarization.sigma_y(), Polarization.sigma_z()
+    sx, sy, sz = (Polarization.parse(name) for name in ("sigma_x", "sigma_y", "sigma_z"))
     ref = vals(0, 0, sz)
     np.testing.assert_allclose(vals(0, 0, sx), ref, rtol=1e-12)
     np.testing.assert_allclose(vals(0, 0, sy), ref, rtol=1e-12)

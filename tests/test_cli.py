@@ -220,6 +220,16 @@ def test_an_empty_block_is_reported_once(tmp_path):
     assert levels.stdout.startswith("0 bound levels for X0 J=100000")
 
 
+def test_levels_check_of_an_empty_block_passes(tmp_path, capsys):
+    # no level on any of the check's grids: nothing to compare, so nothing moved
+    argv = ["levels", OPTICAL_STANDIN, "--J", "100000", "--grid", "5:20:201", "--check", "--out", tmp_path]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("0 bound levels for X0 J=100000")
+    assert read_lines(tmp_path / "levels.csv") == ["state,v,J,E_cm1"]
+
+
 def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
     # the check's 1602- and 1201-point solves make X0 bases and curve samples
     # that nothing reuses; they go to a copy of the dataset, not the held one
@@ -577,6 +587,34 @@ def test_an_out_path_that_cannot_be_written_is_a_data_error(out, blocked, tmp_pa
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", OPTICAL_STANDIN, "--check"],
+        ["fcf", OPTICAL_STANDIN, "--final-state", "A0"],
+        ["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1"],
+        ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9600:1"],
+        ["windows", OPTICAL_STANDIN, "--nu", "9000:9010:1"],
+        ["plan", KRB_ROTOR_STANDIN, "--nm", "1064", "--intensity", "1e4"],
+        ["dress", KRB_ROTOR_STANDIN, "--nu", "0.0337", "--intensity", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unusable_out_fails_before_any_computation(argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for name in ("solved_block", "scan_spectrum", "build_line_list", "microwave_plan"):
+        monkeypatch.setattr(f"molpol.cli.{name}", refuse)
+    (tmp_path / "file").write_text("")
+    assert run_cli([*argv, "--out", tmp_path / "file"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: data: --out ") and err.count("\n") == 1
+    # with a usable --out the request reaches one of the refused entry points
+    with pytest.raises(AssertionError, match="computed before"):
+        run_cli([*argv, "--out", tmp_path / "dir"])
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         (["alpha", "--nu", "1e160:1.0001e160:1e156"], 0),
@@ -616,7 +654,6 @@ def test_infinite_criteria_are_accepted(rotor_dir, argv, reply, tmp_path, capsys
         ("optical_dir", ("states", 1, "omega"), 0.5),
         ("optical_dir", ("states", 1, "asymptote_energy"), "abc"),
         ("optical_dir", ("states", 1, "asymptote_energy"), math.nan),
-        ("rotor_dir", ("rotor", "j_max"), "x"),
         ("rotor_dir", ("rotor", "r_e"), -RBCS["r_e"]),
         # JSON of the wrong shape: each of these raised a TypeError
         ("rotor_dir", (), ["name", "reduced_mass", "ground_label", "states"]),

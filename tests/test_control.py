@@ -27,13 +27,14 @@ from molpol import (
     scan_spectrum,
 )
 from molpol import control
+from molpol.coupling import POLARIZATIONS, angular_weight
 from molpol.errors import DataError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 
-SZ = Polarization.sigma_z()
+SZ = Polarization.parse("sigma_z")
 G0 = LineListOptions(gamma=0.0)
 
 
@@ -57,9 +58,14 @@ def test_rabi_energy_scalings():
     assert rabi_energy(1.0, 200.0) == pytest.approx(2.0 * base, rel=1e-12)
     assert rabi_energy(2.0, 50.0) == pytest.approx(2.0 * base, rel=1e-12)
     assert rabi_energy(1.0, 0.0) == 0.0
-    assert rabi_energy(1.0, 50.0, angular_weight=1.0 / 12.0) == pytest.approx(
-        0.5 * base, rel=1e-12
-    )
+
+
+def test_the_dressing_weight_is_the_j0_to_1_weight_of_every_polarization():
+    # microwave_plan always drives J = 0 -> 1, whose 3-j weight does not depend
+    # on the lab polarization, so the weight is a constant
+    for name, components in POLARIZATIONS.items():
+        weight = sum(abs(a) ** 2 * angular_weight(0, 0, 1, q, q) for q, a in components)
+        assert weight == pytest.approx(control.DEFAULT_ANGULAR_WEIGHT, rel=0, abs=1e-15), name
 
 
 def test_induced_dipole_limits():

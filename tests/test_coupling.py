@@ -150,25 +150,26 @@ def test_polarization_parse_table():
     with pytest.raises(ValueError):
         Polarization.parse("circular")
     with pytest.raises(ValueError):
-        Polarization.spherical(2)
+        Polarization.parse("q+2")
 
 
 def test_polarization_weights_normalized():
     for name in ("sigma_x", "sigma_y", "sigma_z", "q+1", "q0", "q-1"):
         pol = Polarization.parse(name)
-        assert sum(pol.weight_on(q) for q in (-1, 0, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert sum(abs(a) ** 2 for _, a in pol.components) == pytest.approx(1.0, abs=1e-15)
+
+
+def _weight_on(name: str, q: int) -> float:
+    return sum(abs(a) ** 2 for qq, a in Polarization.parse(name).components if qq == q)
 
 
 def test_linear_polarizations_split_evenly():
-    sx = Polarization.sigma_x()
-    sy = Polarization.sigma_y()
-    sz = Polarization.sigma_z()
     for q in (-1, 1):
-        assert sx.weight_on(q) == pytest.approx(0.5, abs=1e-15)
-        assert sy.weight_on(q) == pytest.approx(0.5, abs=1e-15)
-    assert sx.weight_on(0) == 0.0
-    assert sy.weight_on(0) == 0.0
-    assert sz.weight_on(0) == 1.0
+        assert _weight_on("sigma_x", q) == pytest.approx(0.5, abs=1e-15)
+        assert _weight_on("sigma_y", q) == pytest.approx(0.5, abs=1e-15)
+    assert _weight_on("sigma_x", 0) == 0.0
+    assert _weight_on("sigma_y", 0) == 0.0
+    assert _weight_on("sigma_z", 0) == 1.0
 
 
 # ------------------------------------------------------- vibronic transitions

@@ -57,7 +57,19 @@ def test_rotor_round_trip_keeps_rotor_block(tmp_path):
     back = load_dataset(tmp_path / "rt")
     assert back.rotor is not None
     assert back.rotor.r_e == pytest.approx(ds.rotor.r_e, rel=1e-12)
-    assert back.rotor.j_max == ds.rotor.j_max
+
+
+def test_a_rotor_block_with_an_unread_j_max_still_loads(tmp_path):
+    # molecule.json files written before the rotor block lost j_max keep loading
+    write_dataset(make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rt"), tmp_path / "rt")
+    plain = load_dataset(tmp_path / "rt")
+    meta_path = tmp_path / "rt" / "molecule.json"
+    meta = json.loads(meta_path.read_text())
+    meta["rotor"]["j_max"] = 10
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    old = load_dataset(tmp_path / "rt")
+    assert old is not plain
+    assert old.rotor == plain.rotor
 
 
 def test_decreasing_r_names_offending_line(tmp_path):

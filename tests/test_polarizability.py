@@ -32,9 +32,9 @@ from molpol.errors import DataError, QuantumNumberError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
-SZ = Polarization.sigma_z()
-SX = Polarization.sigma_x()
-SY = Polarization.sigma_y()
+SZ = Polarization.parse("sigma_z")
+SX = Polarization.parse("sigma_x")
+SY = Polarization.parse("sigma_y")
 G0 = LineListOptions(gamma=0.0)
 
 

@@ -310,6 +310,21 @@ def test_convergence_check_reports_the_contraction_shift(monkeypatch):
     assert not rep.converged
 
 
+def test_convergence_check_of_an_empty_block():
+    # no level on any grid: nothing to compare, so nothing moved
+    ds = load_dataset(OPTICAL_STANDIN)
+    rep = convergence_check(ds, "X0", 100000, RadialGrid(5.0, 20.0, 201))
+    assert rep.converged and rep.n_levels == 0
+    assert rep.shift_refine == rep.shift_extend == rep.shift_trim == rep.shift_contract == 0.0
+    # re-solves that find levels where the stored block has none still fail it
+    rotor = make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rot")
+    grid = default_grid(rotor)
+    rovib._store(rotor).blocks[("X0", 0, grid, rovib.MAX_LEVELS)] = rovib.Block(())
+    rep = convergence_check(rotor, "X0", 0, grid)
+    assert math.isinf(rep.shift_refine) and math.isinf(rep.shift_extend) and math.isinf(rep.shift_trim)
+    assert not rep.converged
+
+
 def test_convergence_check_grids_respect_the_point_cap(morse_ds):
     # the 2n refinement grid is refused before any solve
     grid = RadialGrid(5.0, 16.0, rovib.MAX_GRID_POINTS // 2 + 1)

@@ -23,6 +23,15 @@ def _assert_matches_committed(fresh: Path, committed: Path) -> None:
     np.testing.assert_allclose(np.loadtxt(fresh), np.loadtxt(committed), rtol=1e-10, atol=0)
 
 
+def test_make_standins_regenerates_the_shipped_datasets(tmp_path):
+    _run("make_standins", tmp_path)
+    shipped = ROOT / "datasets"
+    names = sorted(p.relative_to(shipped) for p in shipped.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
 def test_optical_window_report(tmp_path, capsys):
     _run("optical_window_report", tmp_path)
     text = (tmp_path / "report.txt").read_text()
