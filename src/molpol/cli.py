@@ -75,8 +75,10 @@ def _jclean(obj):
 
 
 def _write(path: Path, text: str) -> None:
-    """Write one output file; a path the OS refuses is a data error naming it."""
+    """Write one output file, making its directory first; a path the OS
+    refuses is a data error naming it."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}")
@@ -209,11 +211,20 @@ def _options(args, ds) -> LineListOptions:
 
 
 def _outdir(args) -> Path:
+    """--out, checked but not made: the deepest part of it that exists must be
+    a writable directory. _write makes the rest at the first file, so a
+    request that fails before it writes leaves no directory behind."""
     out = Path(args.out)
+    base = out
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        while not base.exists():
+            base = base.parent
     except OSError as exc:
         raise DataError(f"--out {out} is not a usable directory: {exc.strerror or exc}")
+    if not base.is_dir():
+        raise DataError(f"--out {out} is not a usable directory: {base} is not a directory")
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise DataError(f"--out {out} is not a usable directory: {base} is not writable")
     return out
 
 

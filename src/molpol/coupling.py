@@ -15,11 +15,12 @@ distinct final M', so cross terms vanish identically.
 
 Radial dipole matrix elements between two lists of levels on one grid come
 from one product, W_a diag(d(R) h) W_b^T (dipole_matrix), with the dipole
-curve sampled once per loaded dataset and grid (rovib.sampled_curve);
-vibronic_dipole is its 1 x 1 case, which samples the curve itself. Einstein-A
-linewidths of a whole upper (state, J) block come from one masked
-nu^3 d^2 * branch sum per lower (state, J) block (natural_linewidths);
-natural_linewidth is its one-level case.
+curve sampled once per loaded dataset and grid (rovib.sampled_curve). The
+product runs on one BLAS thread (rovib.one_blas_thread), so its bits do not
+depend on the thread count. vibronic_dipole is its 1 x 1 case, which samples
+the curve itself. Einstein-A linewidths of a whole upper (state, J) block come
+from one masked nu^3 d^2 * branch sum per lower (state, J) block
+(natural_linewidths); natural_linewidth is its one-level case.
 
 Every lab polarization is one entry of the POLARIZATIONS table, name ->
 spherical components ((q, amplitude), ...); Polarization.parse and the
@@ -39,7 +40,7 @@ import numpy as np
 from .constants import EINSTEIN_A_FACTOR
 from .dataset import DipoleCurve, MoleculeDataset
 from .errors import QuantumNumberError
-from .rovib import RadialGrid, RovibLevel, sampled_curve, wavefunction_matrix
+from .rovib import RadialGrid, RovibLevel, one_blas_thread, sampled_curve, wavefunction_matrix
 
 __all__ = [
     "POLARIZATIONS",
@@ -242,7 +243,8 @@ def dipole_matrix(
     if not (levels_a and levels_b):
         return np.zeros((len(levels_a), len(levels_b)))
     grid = _shared_grid([*levels_a, *levels_b])
-    return wavefunction_matrix(levels_a) @ (wavefunction_matrix(levels_b) * (d_r * grid.h)).T
+    with one_blas_thread:   # the product's bits change with the BLAS thread count
+        return wavefunction_matrix(levels_a) @ (wavefunction_matrix(levels_b) * (d_r * grid.h)).T
 
 
 def vibronic_dipole(level_i: RovibLevel, level_f: RovibLevel, dip: DipoleCurve) -> float:

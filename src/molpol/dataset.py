@@ -31,7 +31,6 @@ Dipole curves clamp to their endpoint values outside the table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -469,8 +468,8 @@ def _meta_number(value, what: str, integer: bool = False):
     return int(x) if integer else x
 
 
-# the most recent load, by content key: one entry at most
-_LOADED: dict[str, MoleculeDataset] = {}
+# the most recent load, keyed by its files' names and bytes: one entry at most
+_LOADED: dict[tuple, MoleculeDataset] = {}
 
 
 def _dataset_files(root: Path) -> dict[str, bytes]:
@@ -483,15 +482,6 @@ def _dataset_files(root: Path) -> dict[str, bytes]:
             except OSError as exc:
                 raise DataError(f"{p}: {exc}") from exc
     return files
-
-
-def _content_key(files: dict[str, bytes]) -> str:
-    digest = hashlib.sha256()
-    for name in sorted(files):
-        data = files[name]
-        digest.update(b"%s\0%d\0" % (name.encode(), len(data)))
-        digest.update(data)
-    return digest.hexdigest()
 
 
 def load_dataset(path) -> MoleculeDataset:
@@ -508,7 +498,7 @@ def load_dataset(path) -> MoleculeDataset:
     if not meta_path.is_file():
         raise DataError(f"{meta_path}: not found")
     files = _dataset_files(root)
-    key = _content_key(files)
+    key = tuple(sorted(files.items()))
     held = _LOADED.get(key)
     if held is not None:
         return held

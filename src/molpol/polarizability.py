@@ -31,7 +31,11 @@ takes the dipoles of one final block from one coupling.dipole_matrix row.
 The line list and the Einstein-A linewidths walk the same branches
 (_branches), whose partner states come from one route rule,
 coupling.dipole_route: a dipole curve must join the two states, and
-omega 0+ <-> 0- has no route.
+omega 0+ <-> 0- has no route. build_line_list first names the states it will
+solve (_line_states: the initial state, then each partner with a branch that
+has angular weight within j_max_branch) and solves their J = omega bases side
+by side while it builds the lines (rovib.solving_ahead); the blocks are the
+ones, bit for bit, that solving one state after another gives.
 
 The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
 line axis in list order, so a scan and a single-point alpha_at add the same
@@ -51,7 +55,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, QuantumNumberError
-from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block
+from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block, solving_ahead
 
 __all__ = [
     "LevelId",
@@ -176,17 +180,60 @@ def _gamma_for(ds: MoleculeDataset, blk: Block, v: int, mode: str | float, max_l
     return float(blk.gammas[v])
 
 
+def _branch_weights(initial: LevelId, polarization: Polarization, omega: int, st, Jp: int) -> list:
+    """(q, M', weight) of each component that drives one branch; the same for every v'."""
+    weights = []
+    for q, amp in polarization.components:
+        Mp = initial.M + q
+        w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, omega, st.omega)
+        if w > 0.0:
+            weights.append((q, Mp, w))
+    return weights
+
+
+def _line_states(ds: MoleculeDataset, initial: LevelId, polarization: Polarization, opts: LineListOptions) -> list[str]:
+    """The states whose blocks a line list solves, initial state first, then
+    each partner with a branch that has angular weight within j_max_branch.
+
+    A branch beyond the 3-j range counts: the line list stops with that error
+    when it gets there.
+    """
+    om_i = ds.state(initial.state).omega
+    states = [initial.state]
+    for st, _, Jp in _branches(ds, initial.state, initial.J):
+        if st.label in states or (opts.j_max_branch is not None and Jp > opts.j_max_branch):
+            continue
+        try:
+            driven = bool(_branch_weights(initial, polarization, om_i, st, Jp))
+        except QuantumNumberError:
+            driven = True
+        if driven:
+            states.append(st.label)
+    return states
+
+
 def build_line_list(
     ds: MoleculeDataset,
     initial: LevelId,
     polarization: Polarization,
     options: LineListOptions | None = None,
 ) -> list[LineStrength]:
-    """Every dipole-allowed line out of the initial level, deterministic order."""
+    """Every dipole-allowed line out of the initial level, deterministic order.
+
+    The J = omega bases of the states it solves are solved side by side
+    (rovib.solving_ahead) while the lines are built.
+    """
     opts = options or LineListOptions()
     if opts.v_max is not None and opts.v_max < 0:
         raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
     grid = opts.grid or default_grid(ds)
+    with solving_ahead(ds, _line_states(ds, initial, polarization, opts), grid, opts.max_levels):
+        return _line_list(ds, initial, polarization, opts, grid)
+
+
+def _line_list(
+    ds: MoleculeDataset, initial: LevelId, polarization: Polarization, opts: LineListOptions, grid: RadialGrid
+) -> list[LineStrength]:
     lev_i = solve_initial(ds, initial, opts)
     om_i = ds.state(initial.state).omega
     v_end = None if opts.v_max is None else opts.v_max + 1
@@ -194,13 +241,7 @@ def build_line_list(
     lines: list[LineStrength] = []
     capped: set[str] = set()   # the caps that removed a line with angular weight
     for st, dip, Jp in _branches(ds, initial.state, initial.J):
-        # (q, M', weight) per driven component; the same for every v'
-        weights = []
-        for q, amp in polarization.components:
-            Mp = initial.M + q
-            w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, om_i, st.omega)
-            if w > 0.0:
-                weights.append((q, Mp, w))
+        weights = _branch_weights(initial, polarization, om_i, st, Jp)
         if not weights:
             continue
         if opts.j_max_branch is not None and Jp > opts.j_max_branch:

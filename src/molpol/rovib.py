@@ -65,17 +65,43 @@ the threshold, where the basis holds the other J only to about 3e-8 cm^-1.
 J0 is always omega. There is one solve path. _solve is the direct solve of
 one block: it returns the _Basis it solved (span, diagonal, eigenpairs, kept
 count) and writes nothing. _contract returns a contracted block as a _Basis on
-the same span, and _levels alone turns a basis into RovibLevels. solve_radial
-checks J, max_levels and the rotor tag once, alone decides whether a state
-contracts, and is the only writer of the store's bases: it solves a
+the same span, and _levels alone turns a basis into RovibLevels. _contracts
+alone decides whether a state contracts. solve_radial checks J and
+max_levels once and is the only writer of the store's bases: it solves a
 contracting state directly at J0 first, trimmed, even when no J0 level is
 asked for, so a block's bits never depend on which J a process solved first,
-and keeps that basis's K columns; J0's levels are read from it. A state that
+and keeps that basis's K columns (which _eigensolve copies out of the m x m
+eigenvector matrix); J0's levels are read from it. A state that
 does not contract is solved on the full grid, where _trim_span leaves its J0
 block anyway. Each block's levels are built once. On the optical stand-in's
 default grid contracted energies agree with the direct trimmed solve to about
 2e-11 cm^-1 and wavefunctions to about 5e-13; on 2 vCPUs with two BLAS
 threads a contracted block costs 6-7 ms against 34-42 ms for its dense solve.
+
+Every eigensolve and every product of a contraction runs on one BLAS thread
+(one_blas_thread, which coupling's dipole products use too). numpy's OpenBLAS
+rounds these products differently under one and two threads, so results used
+to change with OPENBLAS_NUM_THREADS; under the pin they do not, on one machine
+and BLAS build. A second thread buys little at these sizes: a lone 457-point
+eigh takes 25-36 ms under one thread or two. The pin finds the set/get
+thread-count calls of the OpenBLAS numpy loaded with ctypes on first use; the
+outermost entry, from any thread, sets one thread and the last exit restores
+the count. Without those calls nothing is pinned.
+
+That frees the second CPU for a second solve. solving_ahead, which
+polarizability.build_line_list wraps around a line list, queues the J = omega
+basis of each state the line list will solve that contracts and is not
+stored, and starts min(#queued, #usable CPUs) worker threads when that is at
+least two (and the pin works). Workers call only _solve, on curves the caller
+sampled before they started, so the samples keep one writer. solve_radial
+claims a queued basis and waits for that one alone, so the caller starts on
+the first state's blocks while the last solve runs; it stores the basis or
+raises the worker's exception, and stays the only writer of bases. On exit,
+normal or not, the queue is emptied and every worker joined before the caller
+goes on: a LAPACK call still running at interpreter shutdown can crash the
+process. Unclaimed bases are dropped. On 2 vCPUs the three optical J0 solves
+take 62-90 ms two at a time (median 75 ms), against 73-111 ms (median 85 ms)
+one after another on two BLAS threads.
 
 Each potential and dipole curve is sampled on a grid once per loaded dataset
 (sampled_curve): the store holds the read-only samples beside the blocks and
@@ -117,8 +143,13 @@ which leaves no bound levels; that case returns an empty list.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -136,11 +167,13 @@ __all__ = [
     "solve_radial",
     "Block",
     "solved_block",
+    "solving_ahead",
     "sampled_curve",
     "energy_floor",
     "wavefunction_matrix",
     "convergence_check",
     "rotational_constant",
+    "one_blas_thread",
 ]
 
 BOUND_GUARD = 1e-6   # cm^-1 below the asymptote
@@ -206,6 +239,70 @@ class _Basis:
     vectors: np.ndarray    # (m, K) orthonormal columns
     kept: int
     edges: list[int]
+
+
+# (set, get) thread-count calls of the OpenBLAS builds numpy ships, in that order
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(set, get) of numpy's OpenBLAS thread count, or None when not found.
+
+    Looked up through numpy's LAPACK extension module, whose handle searches
+    the libraries it was linked against: the OpenBLAS numpy loaded, not
+    another one in the process.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for set_name, get_name in _BLAS_THREAD_CALLS:
+        set_threads, get_threads = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+class _OneBlasThread:
+    """Runs numpy's OpenBLAS on one thread while any caller is inside.
+
+    Reentrant and shared by every thread: the outermost entry saves the
+    thread count and sets 1, the last exit restores it. Without the
+    OpenBLAS calls it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                calls = _blas_thread_calls()
+                if calls is not None:
+                    set_threads, get_threads = calls
+                    self._restore = functools.partial(set_threads, get_threads())
+                    set_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+one_blas_thread = _OneBlasThread()
 
 
 def _kinetic_row(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
@@ -321,14 +418,16 @@ def _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
     v = v_eff[span]
     ham = _toeplitz(row[: len(v)])
     ham[np.diag_indices_from(ham)] += v
-    energies, vectors = np.linalg.eigh(ham)
+    with one_blas_thread:
+        energies, vectors = np.linalg.eigh(ham)
     k = min(max_levels, int(np.count_nonzero(energies < cutoff)))   # energies ascend
     edges = [i for i, cut in ((0, span.start > 0), (-1, span.stop < grid.n)) if cut]
     if math.isfinite(e_top):
         if not k or energies[k - 1] > e_top or np.abs(vectors[edges, :k]).max(initial=0.0) > EDGE_AMP:
             return None
     n_basis = min(BASIS_PER_LEVEL * max_levels, len(v))
-    return _Basis(span, v, energies[:n_basis], vectors[:, :n_basis], k, edges)
+    # keep only the K columns, not the m x m eigenvector matrix they view
+    return _Basis(span, v, energies[:n_basis], vectors[:, :n_basis].copy(), k, edges)
 
 
 def _contract(row, v_eff, cutoff, basis, max_levels):
@@ -341,13 +440,14 @@ def _contract(row, v_eff, cutoff, basis, max_levels):
     of the cutoff, where the kept count could differ from a direct solve's.
     """
     b, v = basis.vectors, v_eff[basis.span]
-    a = b.T @ ((v - basis.v_eff)[:, None] * b)
-    a[np.diag_indices_from(a)] += basis.energies
-    e, c = np.linalg.eigh(a)
-    k = min(max_levels, int(np.count_nonzero(e < cutoff)))
-    x = b @ c[:, : k + 1]
-    # residuals against the explicit span Hamiltonian T + diag(v_J)
-    res = np.linalg.norm(_toeplitz(row[: len(v)]) @ x + (v[:, None] - e[: x.shape[1]]) * x, axis=0)
+    with one_blas_thread:
+        a = b.T @ ((v - basis.v_eff)[:, None] * b)
+        a[np.diag_indices_from(a)] += basis.energies
+        e, c = np.linalg.eigh(a)
+        k = min(max_levels, int(np.count_nonzero(e < cutoff)))
+        x = b @ c[:, : k + 1]
+        # residuals against the explicit span Hamiltonian T + diag(v_J)
+        res = np.linalg.norm(_toeplitz(row[: len(v)]) @ x + (v[:, None] - e[: x.shape[1]]) * x, axis=0)
     if (res[:k] > RESIDUAL_TOL).any() or (np.abs(e[: len(res)] - cutoff) <= res).any():
         return None
     if np.abs(x[basis.edges, :k]).max(initial=0.0) > EDGE_AMP:
@@ -371,6 +471,15 @@ def _levels(state: str, J: int, grid: RadialGrid, basis: _Basis) -> list[RovibLe
 
 def _is_rotor(ds: MoleculeDataset, state: str) -> bool:
     return ds.rotor is not None and not ds.potentials[state].has_interior_minimum
+
+
+def _contracts(ds: MoleculeDataset, state: str, grid: RadialGrid, max_levels: int) -> bool:
+    """Whether solve_radial contracts the state's blocks in its J = omega basis:
+    not a rotor, and its J = omega block cannot keep every bound level."""
+    st = ds.state(state)
+    return not _is_rotor(ds, state) and not _keeps_every_level(
+        _effective_potential(ds, state, st.omega, grid), grid.h, ds.reduced_mass, max_levels, st.asymptote_energy
+    )
 
 
 def _block_inputs(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid):
@@ -417,24 +526,22 @@ def solve_radial(
     solved directly on the full grid, where _trim_span leaves such a block.
     Any other state is solved directly at J = omega first, trimmed, into the
     store's basis: J = omega levels are read from it, and any other J is
-    contracted in it, or solved directly when that fails its certificate.
+    contracted in it, or solved directly when that fails its certificate. A
+    basis that solving_ahead queued is waited for, not solved again.
     """
     omega = ds.state(state).omega
     if J < omega:
         raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")
     if max_levels < 1:
         raise QuantumNumberError(f"max_levels must be at least 1, got {max_levels}")
-    asym = ds.state(state).asymptote_energy
-    if _is_rotor(ds, state) or _keeps_every_level(
-        _effective_potential(ds, state, omega, grid), grid.h, ds.reduced_mass, max_levels, asym
-    ):
+    if not _contracts(ds, state, grid, max_levels):
         return _levels(state, J, grid, _solve(ds, state, J, grid, max_levels, trim=False))
-    bases = _store(ds).bases
+    store = _store(ds)
+    bases = store.bases
     key = (state, grid, max_levels)
     if key not in bases:
-        basis = _solve(ds, state, omega, grid, max_levels, trim=True)
-        # keep only the K columns, not the m x m eigenvector matrix they view
-        bases[key] = replace(basis, vectors=basis.vectors.copy())
+        ahead = store.ahead.pop(key, None)
+        bases[key] = ahead.result() if ahead is not None else _solve(ds, state, omega, grid, max_levels, trim=True)
     basis = bases[key]
     if J != omega:
         row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
@@ -454,11 +561,13 @@ class Block:
 class _Store:
     """One dataset's solved blocks, its states' J = omega bases and its curves
     sampled on grids; never invalidated. solve_radial is the only writer of
-    bases, and convergence_check re-solves on a copy of the dataset."""
+    bases, and convergence_check re-solves on a copy of the dataset. `ahead`
+    holds the bases solving_ahead has queued and solve_radial not yet claimed."""
 
     blocks: dict = field(default_factory=dict)    # (state, J, grid, max_levels) -> Block
     bases: dict = field(default_factory=dict)     # (state, grid, max_levels) -> _Basis
     samples: dict = field(default_factory=dict)   # (curve, grid) -> read-only (n,) array
+    ahead: dict = field(default_factory=dict)     # (state, grid, max_levels) -> _Ahead
 
 
 def _store(ds: MoleculeDataset) -> _Store:
@@ -486,6 +595,92 @@ def solved_block(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_
     if key not in blocks:
         blocks[key] = Block(tuple(solve_radial(ds, state, J, grid, max_levels)))
     return blocks[key]
+
+
+class _Ahead:
+    """One J = omega basis solve queued by solving_ahead; `done` is set once a
+    worker has its basis or its exception."""
+
+    def __init__(self, ds: MoleculeDataset, state: str, grid: RadialGrid, max_levels: int):
+        self.args = (ds, state, ds.state(state).omega, grid, max_levels)
+        self.done = threading.Event()
+        self.basis = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.basis = _solve(*self.args, trim=True)
+        except Exception as exc:
+            self.error = exc
+        finally:
+            self.done.set()
+
+    def result(self) -> _Basis:
+        """The basis once it is solved; the worker's exception is raised here."""
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.basis
+
+
+def _work(queue: list) -> None:
+    """A solve-ahead worker: run queued solves until the queue is empty."""
+    while True:
+        try:
+            job = queue.pop(0)
+        except IndexError:
+            return
+        job.run()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, max_levels: int):
+    """Solve the J = omega bases of `states` side by side while the body runs.
+
+    Each state solve_radial would contract whose basis is neither stored nor
+    queued is queued, in the given order; min(#queued, #usable CPUs) worker
+    threads take the solves in turn and call only _solve. Every curve they
+    read is sampled here (_contracts), before any of them starts. solve_radial
+    claims a queued basis and waits for it: it stores it, or raises the
+    worker's exception. On exit the queue is emptied, every worker joined and
+    unclaimed bases dropped. Nothing starts for fewer than two solves or two
+    CPUs, or when numpy's OpenBLAS cannot be pinned to one thread.
+    """
+    store = _store(ds)
+    jobs = {}
+    if max_levels >= 1 and _blas_thread_calls() is not None:
+        for state in states:
+            key = (state, grid, max_levels)
+            if key not in store.bases and key not in store.ahead and _contracts(ds, state, grid, max_levels):
+                jobs[key] = _Ahead(ds, state, grid, max_levels)
+    n_workers = min(len(jobs), _usable_cpus())
+    if n_workers < 2:
+        yield
+        return
+    queue = list(jobs.values())
+    workers = []
+    try:
+        for _ in range(n_workers):
+            worker = threading.Thread(target=_work, args=(queue,), name="molpol-solve-ahead")
+            try:
+                worker.start()
+            except RuntimeError:   # no thread to be had: the started ones take every solve
+                break
+            workers.append(worker)
+        if workers:
+            store.ahead.update(jobs)
+        yield
+    finally:
+        queue.clear()
+        for worker in workers:
+            worker.join()
+        for key in jobs:
+            store.ahead.pop(key, None)
 
 
 def wavefunction_matrix(levels: Sequence[RovibLevel]) -> np.ndarray:

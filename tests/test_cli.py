@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -614,6 +615,16 @@ def test_an_unusable_out_fails_before_any_computation(argv, tmp_path, capsys, mo
         run_cli([*argv, "--out", tmp_path / "dir"])
 
 
+def test_a_request_that_fails_leaves_no_new_out_directory(tmp_path, capsys):
+    # --out is checked before any solve but made only at the first file
+    argv = ["alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1"]
+    assert run_cli([*argv, "--out", tmp_path / "new" / "a" / "b"]) == 3
+    assert capsys.readouterr().err.startswith("molpol: data: initial level")
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(["levels", KRB_ROTOR_STANDIN, "--out", tmp_path / "new" / "a" / "b"]) == 0
+    assert (tmp_path / "new" / "a" / "b" / "levels.csv").is_file()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -937,3 +948,136 @@ def test_each_curve_is_sampled_once_per_grid(tmp_path, monkeypatch):
     samples = rovib._store(load_dataset(OPTICAL_STANDIN)).samples
     assert len(samples) == len(calls) >= 5
     assert not any(values.flags.writeable for values in samples.values())
+
+
+# ------------------------------------------------- solve-ahead and BLAS pin
+
+
+def _blas_calls():
+    calls = rovib._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread-count calls were not found")
+    return calls
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """One entry per solve-ahead worker started, in start order."""
+    started = []
+    work = rovib._work
+
+    def counting(queue):
+        started.append(len(queue))
+        return work(queue)
+
+    monkeypatch.setattr(rovib, "_work", counting)
+    return started
+
+
+ALPHA = ["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1"]
+
+
+def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, workers):
+    _, get_threads = _blas_calls()
+    if rovib._usable_cpus() < 2:
+        pytest.skip("one usable CPU: nothing is solved ahead")
+    threads, blas_threads = threading.active_count(), get_threads()
+    assert run_cli([*ALPHA, "--out", tmp_path / "first"]) == 0
+    # X0, A0 and B1 queued: two workers on two CPUs, and both joined
+    assert len(workers) == min(3, rovib._usable_cpus())
+    assert threading.active_count() == threads
+    assert get_threads() == blas_threads
+    assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
+    # every basis is stored now: a second request queues nothing
+    assert run_cli([*ALPHA, "--out", tmp_path / "second"]) == 0
+    assert len(workers) == min(3, rovib._usable_cpus())
+
+
+def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys, workers):
+    # X0 J = 1000 holds no level: the caller fails while A0 and B1 are solving
+    _, get_threads = _blas_calls()
+    threads, blas_threads = threading.active_count(), get_threads()
+    assert run_cli(["alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: data: initial level v=0 not bound") and err.count("\n") == 1
+    assert workers or rovib._usable_cpus() < 2
+    assert threading.active_count() == threads
+    assert get_threads() == blas_threads
+    assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
+
+
+def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, workers):
+    _blas_calls()
+    solve = rovib._solve
+
+    def failing(ds, state, J, grid, max_levels, trim):
+        if state == "A0":
+            raise DataError("A0 cannot be solved")
+        return solve(ds, state, J, grid, max_levels, trim)
+
+    monkeypatch.setattr(rovib, "_solve", failing)
+    threads = threading.active_count()
+    assert run_cli([*ALPHA, "--out", tmp_path]) == 3
+    assert capsys.readouterr().err == "molpol: data: A0 cannot be solved\n"
+    assert workers or rovib._usable_cpus() < 2
+    assert threading.active_count() == threads
+
+
+def test_without_the_blas_calls_nothing_is_pinned_or_solved_ahead(tmp_path, monkeypatch, workers):
+    # compared at one BLAS thread, where the pin changes nothing either
+    set_threads, get_threads = _blas_calls()
+    argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9000:1", "--plot"]
+    assert run_cli([*argv, "--out", tmp_path / "pinned"]) == 0
+    started = len(workers)
+    dataset_module._LOADED.clear()
+    monkeypatch.setattr(rovib, "_blas_thread_calls", lambda: None)
+    blas_threads = get_threads()
+    set_threads(1)
+    try:
+        assert run_cli([*argv, "--out", tmp_path / "lazy"]) == 0
+        assert get_threads() == 1
+    finally:
+        set_threads(blas_threads)
+    assert len(workers) == started
+    names = sorted(p.name for p in (tmp_path / "pinned").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "pinned" / name).read_bytes(), name
+
+
+def _molpol_process(*argv, **env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    _blas_calls()
+    requests = [
+        ["alpha", OPTICAL_STANDIN, "--nu", "8600:10399.5:0.5", "--plot"],
+        ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9600:1", "--plot"],
+        ["fcf", OPTICAL_STANDIN, "--final-state", "A0"],
+    ]
+    for threads in ("1", "2"):
+        script = "import sys; from molpol.cli import main\n" + "".join(
+            f"assert main({[*map(str, argv), '--out', str(tmp_path / threads / argv[0])]!r}) == 0\n"
+            for argv in requests
+        )
+        run = _molpol_process("-c", script, OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+    files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
+    assert len(files) == 9
+    for rel in files:
+        assert (tmp_path / "2" / rel).read_bytes() == (tmp_path / "1" / rel).read_bytes(), rel
+
+
+def test_a_failing_request_with_solves_in_flight_exits_cleanly_every_time(tmp_path):
+    # interpreter shutdown under a running eigensolve would crash the process
+    for _ in range(10):
+        run = _molpol_process(
+            "-m", "molpol.cli", "alpha", str(OPTICAL_STANDIN), "--J", "1000", "--nu", "9000:9005:1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("molpol: data:") and run.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -555,3 +557,101 @@ def test_grid_validation():
     assert RadialGrid(5.0, 20.0, rovib.MAX_GRID_POINTS).n == rovib.MAX_GRID_POINTS
     with pytest.raises(GridError, match="MAX_GRID_POINTS"):
         RadialGrid(5.0, 20.0, rovib.MAX_GRID_POINTS + 1)
+
+
+# ------------------------------------------------- BLAS pin and solve-ahead
+
+
+def _blas_calls():
+    calls = rovib._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread-count calls were not found")
+    return calls
+
+
+def test_the_blas_pin_nests_across_threads_and_restores_the_count():
+    # the outermost entry sets one thread, whichever thread makes it, and
+    # the last exit restores the count from before
+    _, get_threads = _blas_calls()
+    before = get_threads()
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with rovib.one_blas_thread:
+            entered.set()
+            leave.wait()
+
+    other = threading.Thread(target=hold)
+    other.start()
+    assert entered.wait(timeout=10)
+    assert get_threads() == 1
+    with rovib.one_blas_thread:
+        with rovib.one_blas_thread:
+            assert get_threads() == 1
+        leave.set()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert get_threads() == 1
+    assert get_threads() == before
+
+
+def test_the_blas_pin_holds_under_many_threads(monkeypatch):
+    # more threads than cores, switching often: a lost update of the depth
+    # would restore the count while a thread is inside, or never restore it
+    _, get_threads = _blas_calls()
+    before = get_threads()
+    seen = []
+
+    def churn():
+        for _ in range(20000):
+            with rovib.one_blas_thread:
+                with rovib.one_blas_thread:
+                    seen.append(get_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 160000 and set(seen) == {1}
+    assert get_threads() == before
+
+
+def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(monkeypatch):
+    # three workers, one per queued state, whatever the core count
+    _blas_calls()
+    monkeypatch.setattr(rovib, "_usable_cpus", lambda: 4)
+    grid = default_grid(load_dataset(OPTICAL_STANDIN))
+    states = ["X0", "A0", "B1"]
+    lazy = dataclasses.replace(load_dataset(OPTICAL_STANDIN))
+    ahead = dataclasses.replace(lazy)
+    with rovib.solving_ahead(ahead, states, grid, 64):
+        assert sorted(rovib._store(ahead).ahead) == sorted((state, grid, 64) for state in states)
+        for state in states[::-1]:
+            solve_radial(ahead, state, 1, grid, 64)
+    assert rovib._store(ahead).ahead == {}
+    for state in states:
+        solve_radial(lazy, state, 1, grid, 64)
+        a, b = rovib._store(ahead).bases[(state, grid, 64)], rovib._store(lazy).bases[(state, grid, 64)]
+        assert a.span == b.span and a.kept == b.kept
+        assert np.array_equal(a.energies, b.energies) and np.array_equal(a.vectors, b.vectors), state
+
+
+def test_unclaimed_solves_are_dropped_on_exit(monkeypatch):
+    _blas_calls()
+    monkeypatch.setattr(rovib, "_usable_cpus", lambda: 2)
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with rovib.solving_ahead(ds, ["X0", "A0", "B1"], grid, 64):
+            raise RuntimeError("caller failed")
+    assert threading.active_count() == threads
+    store = rovib._store(ds)
+    assert store.ahead == {} and store.bases == {}
