@@ -10,7 +10,8 @@ with the standard sinc-DVR kinetic matrix on a uniform grid of spacing h:
     T_ii' = hbar^2/(2 mu h^2) * 2 (-1)^(i-i') / (i-i')^2    (i != i')
 
 T is a Toeplitz matrix, built from its first row as T_ii' = row[|i - i'|].
-The eigensolve is numpy's full symmetric eigh; of its ascending pairs the
+The eigensolve is LAPACK's full symmetric dsyevd, the routine numpy's eigh
+calls, run in place on H (below); of its ascending pairs the
 lowest max_levels that lie at least 1e-6 cm^-1 below the state's asymptote
 are kept as bound levels.
 
@@ -88,7 +89,28 @@ thread-count calls of the OpenBLAS numpy loaded with ctypes on first use; the
 outermost entry, from any thread, sets one thread and the last exit restores
 the count. Without those calls nothing is pinned.
 
-That frees the second CPU for a second solve. solving_ahead, which
+A dense solve calls that dsyevd itself (_eigh_in_place), with JOBZ = 'V' and
+UPLO = 'L' as eigh passes them, on the span Hamiltonian's own C-ordered
+buffer. _eigensolve builds that matrix exactly symmetric (row[|i - j|] plus a
+diagonal), so the lower triangle LAPACK reads of the buffer taken column-major
+holds exactly the values of the column-major copy eigh makes; with the same
+workspace, from the same lwork = -1 query, the energies and vectors are eigh's
+bits. The eigenvectors overwrite the matrix as its rows (vectors = H.T), so
+neither eigh's input copy nor its m x m output is made: 1.7 MB each at
+m = 457, beside dsyevd's own 1 + 6m + 2m^2 doubles of workspace (3.3 MB). The
+symbol is looked up on the first solve, through the handle the pin uses,
+under a name whose suffix fixes LAPACK's integer width:
+
+    scipy_dsyevd_64_   64-bit   (numpy's scipy-openblas64 wheels)
+    dsyevd_64_         64-bit
+    scipy_dsyevd_      32-bit
+
+Under any other build a dense solve is np.linalg.eigh: the same routine, the
+same bits, and its two copies. info != 0 raises np.linalg.LinAlgError, as
+eigh does. A contraction's K x K matrix comes from a GEMM and is not bitwise
+symmetric, so it goes through eigh.
+
+The pin frees the second CPU for a second solve. solving_ahead, which
 polarizability.build_line_list wraps around a line list, queues the J = omega
 basis of each state the line list will solve that contracts and is not
 stored, and starts min(#queued, #usable CPUs) worker threads when that is at
@@ -248,27 +270,94 @@ _BLAS_THREAD_CALLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# names of LAPACK's dsyevd in the builds numpy ships, each with the integer
+# width its suffix fixes; any other name's width is unknown, so it is not used
+_DSYEVD_CALLS = (
+    ("scipy_dsyevd_64_", ctypes.c_int64),
+    ("dsyevd_64_", ctypes.c_int64),
+    ("scipy_dsyevd_", ctypes.c_int32),
+)
+
+
+@functools.cache
+def _numpy_lapack():
+    """numpy's LAPACK extension module as a ctypes handle, or None.
+
+    The handle searches the libraries the module was linked against: the
+    OpenBLAS numpy loaded, not another one in the process.
+    """
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+def _numpy_symbol(name: str):
+    """The function `name` as numpy's LAPACK module sees it, or None."""
+    lib = _numpy_lapack()
+    return None if lib is None else getattr(lib, name, None)
 
 
 @functools.cache
 def _blas_thread_calls():
-    """(set, get) of numpy's OpenBLAS thread count, or None when not found.
-
-    Looked up through numpy's LAPACK extension module, whose handle searches
-    the libraries it was linked against: the OpenBLAS numpy loaded, not
-    another one in the process.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
+    """(set, get) of numpy's OpenBLAS thread count, or None when not found."""
     for set_name, get_name in _BLAS_THREAD_CALLS:
-        set_threads, get_threads = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        set_threads, get_threads = _numpy_symbol(set_name), _numpy_symbol(get_name)
         if set_threads is not None and get_threads is not None:
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
             return set_threads, get_threads
     return None
+
+
+@functools.cache
+def _dsyevd():
+    """(dsyevd, its integer type) from numpy's LAPACK, or None when not found."""
+    for name, integer in _DSYEVD_CALLS:
+        dsyevd = _numpy_symbol(name)
+        if dsyevd is not None:
+            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO and
+            # the lengths of the two character arguments
+            ptr, n = ctypes.c_void_p, ctypes.POINTER(integer)
+            dsyevd.argtypes = [ctypes.c_char_p] * 2 + [n, ptr, n, ptr, ptr, n, ptr, n, n] + [ctypes.c_size_t] * 2
+            dsyevd.restype = None
+            return dsyevd, integer
+    return None
+
+
+def _eigh_in_place(ham: np.ndarray):
+    """(energies, vectors) of the exactly symmetric, C-contiguous ham, ascending,
+    with the bits np.linalg.eigh gives; ham is overwritten and vectors = ham.T.
+
+    dsyevd (JOBZ = 'V', UPLO = 'L') runs on ham's own buffer: read column-major
+    it is ham.T, whose lower triangle holds exactly the values of the
+    column-major copy eigh makes, and its eigenvectors come back as ham's
+    rows. Without the symbol this is np.linalg.eigh.
+    """
+    m = len(ham)
+    if ham.dtype != np.float64 or ham.shape != (m, m) or not (ham.flags.c_contiguous and ham.flags.writeable):
+        raise ValueError("an in-place eigensolve needs a square, writable, C-contiguous float64 matrix")
+    lapack = _dsyevd()
+    if lapack is None:
+        return np.linalg.eigh(ham)
+    dsyevd, integer = lapack
+    n, info = integer(m), integer(0)
+    energies = np.empty(m)
+
+    def call(work, lwork, iwork, liwork):
+        dsyevd(
+            b"V", b"L", n, ham.ctypes.data, n, energies.ctypes.data,
+            work.ctypes.data, integer(lwork), iwork.ctypes.data, integer(liwork), info, 1, 1,
+        )
+        return info.value
+
+    work, iwork = np.empty(1), np.empty(1, dtype=integer)
+    if call(work, -1, iwork, -1) == 0:   # the workspace query, as eigh makes it
+        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=integer)
+        call(work, len(work), iwork, len(iwork))
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return energies, ham.T
 
 
 class _OneBlasThread:
@@ -419,7 +508,7 @@ def _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
     ham = _toeplitz(row[: len(v)])
     ham[np.diag_indices_from(ham)] += v
     with one_blas_thread:
-        energies, vectors = np.linalg.eigh(ham)
+        energies, vectors = _eigh_in_place(ham)
     k = min(max_levels, int(np.count_nonzero(energies < cutoff)))   # energies ascend
     edges = [i for i, cut in ((0, span.start > 0), (-1, span.stop < grid.n)) if cut]
     if math.isfinite(e_top):

@@ -29,6 +29,22 @@ from molpol import (
 )
 
 
+def blas_thread_calls():
+    """rovib's (set, get) of numpy's OpenBLAS thread count; skips the test without them."""
+    calls = rovib._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread-count calls were not found")
+    return calls
+
+
+def dsyevd_call():
+    """rovib's in-place dsyevd and its integer type; skips the test without them."""
+    call = rovib._dsyevd()
+    if call is None:
+        pytest.skip("numpy's LAPACK dsyevd was not found under a name of known integer width")
+    return call
+
+
 @pytest.fixture(autouse=True)
 def empty_load_cache():
     """Start every test without a held dataset, so no solve or sample count

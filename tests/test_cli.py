@@ -19,7 +19,7 @@ from molpol.dataset import DipoleCurve, PotentialCurve
 from molpol.errors import DataError
 from molpol.rovib import MAX_GRID_POINTS
 
-from conftest import RBCS, make_optical, make_rotor, rotor_b, shifted_contract, shifted_solve
+from conftest import RBCS, blas_thread_calls, make_optical, make_rotor, rotor_b, shifted_contract, shifted_solve
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 KRB_ROTOR_STANDIN = OPTICAL_STANDIN.parent / "krb_rotor_standin"
@@ -768,13 +768,26 @@ def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monk
     # the pass by counts: each state's J0 span solved densely (X0 457, A0 448,
     # B1 472 points), six K = 2 * 64 contractions, and a bisection that
     # evaluates each spectrum's kernel once per step for all its brackets
-    # (625 evaluations when each bracket was bisected on its own)
+    # (625 evaluations when each bracket was bisected on its own). A dense
+    # solve runs in place (rovib._eigh_in_place) and a contraction through
+    # np.linalg.eigh, which the in-place helper calls itself when numpy's
+    # dsyevd is not found: each eigensolve is counted once, where it starts
     sizes, evaluations = [], []
-    eigh, kernel = np.linalg.eigh, polarizability.alpha_kernel
+    eigh, in_place, kernel = np.linalg.eigh, rovib._eigh_in_place, polarizability.alpha_kernel
+    dense = threading.local()
 
     def counting_eigh(matrix):
-        sizes.append(len(matrix))
+        if not getattr(dense, "inside", False):
+            sizes.append(len(matrix))
         return eigh(matrix)
+
+    def counting_in_place(ham):
+        sizes.append(len(ham))
+        dense.inside = True
+        try:
+            return in_place(ham)
+        finally:
+            dense.inside = False
 
     def counting_kernel(lines):
         evaluate = kernel(lines)
@@ -786,6 +799,7 @@ def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monk
         return counted
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(rovib, "_eigh_in_place", counting_in_place)
     monkeypatch.setattr(polarizability, "alpha_kernel", counting_kernel)
     monkeypatch.setattr(control, "alpha_kernel", counting_kernel)
     argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"]
@@ -953,13 +967,6 @@ def test_each_curve_is_sampled_once_per_grid(tmp_path, monkeypatch):
 # ------------------------------------------------- solve-ahead and BLAS pin
 
 
-def _blas_calls():
-    calls = rovib._blas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy's OpenBLAS thread-count calls were not found")
-    return calls
-
-
 @pytest.fixture
 def workers(monkeypatch):
     """One entry per solve-ahead worker started, in start order."""
@@ -978,7 +985,7 @@ ALPHA = ["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1"]
 
 
 def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, workers):
-    _, get_threads = _blas_calls()
+    _, get_threads = blas_thread_calls()
     if rovib._usable_cpus() < 2:
         pytest.skip("one usable CPU: nothing is solved ahead")
     threads, blas_threads = threading.active_count(), get_threads()
@@ -995,7 +1002,7 @@ def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, workers):
 
 def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys, workers):
     # X0 J = 1000 holds no level: the caller fails while A0 and B1 are solving
-    _, get_threads = _blas_calls()
+    _, get_threads = blas_thread_calls()
     threads, blas_threads = threading.active_count(), get_threads()
     assert run_cli(["alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
     err = capsys.readouterr().err
@@ -1007,7 +1014,7 @@ def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys,
 
 
 def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, workers):
-    _blas_calls()
+    blas_thread_calls()
     solve = rovib._solve
 
     def failing(ds, state, J, grid, max_levels, trim):
@@ -1025,7 +1032,7 @@ def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, w
 
 def test_without_the_blas_calls_nothing_is_pinned_or_solved_ahead(tmp_path, monkeypatch, workers):
     # compared at one BLAS thread, where the pin changes nothing either
-    set_threads, get_threads = _blas_calls()
+    set_threads, get_threads = blas_thread_calls()
     argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9000:1", "--plot"]
     assert run_cli([*argv, "--out", tmp_path / "pinned"]) == 0
     started = len(workers)
@@ -1052,7 +1059,7 @@ def _molpol_process(*argv, **env):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    _blas_calls()
+    blas_thread_calls()
     requests = [
         ["alpha", OPTICAL_STANDIN, "--nu", "8600:10399.5:0.5", "--plot"],
         ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9600:1", "--plot"],

@@ -21,11 +21,23 @@ from molpol import (
     solve_radial,
     synthesize,
 )
+from molpol import dataset as dataset_module
 from molpol import rovib
+from molpol.cli import main
 from molpol.errors import GridError
 from molpol.rovib import energy_floor, kinetic_matrix, wavefunction_matrix
 
-from conftest import MORSE, MORSE_GRID, MORSE_MU, RBCS, make_rotor, shifted_contract, shifted_solve
+from conftest import (
+    MORSE,
+    MORSE_GRID,
+    MORSE_MU,
+    RBCS,
+    blas_thread_calls,
+    dsyevd_call,
+    make_rotor,
+    shifted_contract,
+    shifted_solve,
+)
 
 
 def morse_energy(v: int) -> float:
@@ -562,17 +574,10 @@ def test_grid_validation():
 # ------------------------------------------------- BLAS pin and solve-ahead
 
 
-def _blas_calls():
-    calls = rovib._blas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy's OpenBLAS thread-count calls were not found")
-    return calls
-
-
 def test_the_blas_pin_nests_across_threads_and_restores_the_count():
     # the outermost entry sets one thread, whichever thread makes it, and
     # the last exit restores the count from before
-    _, get_threads = _blas_calls()
+    _, get_threads = blas_thread_calls()
     before = get_threads()
     entered, leave = threading.Event(), threading.Event()
 
@@ -598,7 +603,7 @@ def test_the_blas_pin_nests_across_threads_and_restores_the_count():
 def test_the_blas_pin_holds_under_many_threads(monkeypatch):
     # more threads than cores, switching often: a lost update of the depth
     # would restore the count while a thread is inside, or never restore it
-    _, get_threads = _blas_calls()
+    _, get_threads = blas_thread_calls()
     before = get_threads()
     seen = []
 
@@ -625,7 +630,7 @@ def test_the_blas_pin_holds_under_many_threads(monkeypatch):
 
 def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(monkeypatch):
     # three workers, one per queued state, whatever the core count
-    _blas_calls()
+    blas_thread_calls()
     monkeypatch.setattr(rovib, "_usable_cpus", lambda: 4)
     grid = default_grid(load_dataset(OPTICAL_STANDIN))
     states = ["X0", "A0", "B1"]
@@ -644,7 +649,7 @@ def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(monkeypat
 
 
 def test_unclaimed_solves_are_dropped_on_exit(monkeypatch):
-    _blas_calls()
+    blas_thread_calls()
     monkeypatch.setattr(rovib, "_usable_cpus", lambda: 2)
     ds = load_dataset(OPTICAL_STANDIN)
     grid = default_grid(ds)
@@ -655,3 +660,97 @@ def test_unclaimed_solves_are_dropped_on_exit(monkeypatch):
     assert threading.active_count() == threads
     store = rovib._store(ds)
     assert store.ahead == {} and store.bases == {}
+
+
+# ------------------------------------------------------- in-place dsyevd
+
+
+def _span_hamiltonian(ds, state, grid, span):
+    """The J = omega Hamiltonian on a span, built as rovib._eigensolve builds it."""
+    row, v_eff, _ = rovib._block_inputs(ds, state, ds.state(state).omega, grid)
+    ham = rovib._toeplitz(row[: span.stop - span.start])
+    ham[np.diag_indices_from(ham)] += v_eff[span]
+    return ham
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_in_place_solve_has_the_bits_of_eigh(threads):
+    # the same LAPACK routine on the same values, under either BLAS thread
+    # count: the three optical J0 spans and the full grid
+    dsyevd_call()
+    set_threads, get_threads = blas_thread_calls()
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    spans = [(st.label, _solved_span(ds, st.label, st.omega, grid, 64)) for st in ds.states]
+    spans.append(("X0", slice(0, grid.n)))
+    assert sorted(span.stop - span.start for _, span in spans) == [448, 457, 472, 801]
+    before = get_threads()
+    set_threads(threads)
+    try:
+        for state, span in spans:
+            ham = _span_hamiltonian(ds, state, grid, span)
+            energies, vectors = np.linalg.eigh(ham)
+            got_energies, got_vectors = rovib._eigh_in_place(ham)
+            assert np.array_equal(got_energies, energies) and np.array_equal(got_vectors, vectors), (state, span)
+            assert np.shares_memory(got_vectors, ham)
+    finally:
+        set_threads(before)
+
+
+def test_the_in_place_solve_takes_only_a_matrix_it_may_overwrite():
+    ham = np.eye(4)
+    for bad in (ham[:, ::2].T, ham[:3], ham.T[::2, ::2], ham.astype(np.float32), np.eye(4).T):
+        with pytest.raises(ValueError, match="square, writable, C-contiguous float64"):
+            rovib._eigh_in_place(bad)
+    ham.flags.writeable = False
+    with pytest.raises(ValueError, match="square, writable, C-contiguous float64"):
+        rovib._eigh_in_place(ham)
+
+
+@pytest.mark.parametrize("grid, sizes", [([], [448, 457, 472]), (["--grid", "5:20:301"], [168, 172, 177, 301, 301])])
+def test_every_dense_hamiltonian_is_exactly_symmetric(grid, sizes, tmp_path, monkeypatch):
+    # the in-place solve reads ham's upper triangle where eigh reads its
+    # lower one; on the 301-point grid two trimmed solves repeat on the full grid
+    seen = []
+    in_place = rovib._eigh_in_place
+
+    def checking(ham):
+        seen.append((len(ham), ham.flags.c_contiguous and np.array_equal(ham, ham.T)))
+        return in_place(ham)
+
+    monkeypatch.setattr(rovib, "_eigh_in_place", checking)
+    argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9600:1", *grid]
+    assert main([*map(str, argv), "--out", str(tmp_path)]) == 0
+    assert sorted(m for m, _ in seen) == sizes
+    assert all(symmetric for _, symmetric in seen)
+
+
+def test_dense_solves_do_not_go_through_eigh(tmp_path, monkeypatch):
+    dsyevd_call()
+    eigh = np.linalg.eigh
+
+    def contractions_only(matrix):
+        assert len(matrix) <= 2 * rovib.MAX_LEVELS, f"a {len(matrix)}-point eigh"
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", contractions_only)
+    assert main(["alpha", str(OPTICAL_STANDIN), "--nu", "9000:9010:1", "--out", str(tmp_path)]) == 0
+
+
+def test_without_dsyevd_the_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    # the fallback is np.linalg.eigh: the same routine, so the same bytes
+    dsyevd_call()
+    requests = [
+        ["alpha", OPTICAL_STANDIN, "--nu", "8600:10399.5:0.5", "--plot"],
+        ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9600:1", "--plot"],
+    ]
+    for run in ("in_place", "eigh"):
+        if run == "eigh":
+            monkeypatch.setattr(rovib, "_dsyevd", lambda: None)
+        for argv in requests:
+            dataset_module._LOADED.clear()
+            assert main([*map(str, argv), "--out", str(tmp_path / run / argv[0])]) == 0
+    files = sorted(p.relative_to(tmp_path / "in_place") for p in (tmp_path / "in_place").rglob("*") if p.is_file())
+    assert len(files) == 8
+    for rel in files:
+        assert (tmp_path / "eigh" / rel).read_bytes() == (tmp_path / "in_place" / rel).read_bytes(), rel
