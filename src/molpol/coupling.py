@@ -39,7 +39,7 @@ import numpy as np
 
 from .constants import EINSTEIN_A_FACTOR
 from .dataset import DipoleCurve, MoleculeDataset
-from .errors import QuantumNumberError
+from .errors import NumericalError, QuantumNumberError
 from .rovib import RadialGrid, RovibLevel, one_blas_thread, sampled_curve, wavefunction_matrix
 
 __all__ = [
@@ -276,7 +276,7 @@ def natural_linewidths(
     with d_vib from one dipole_matrix. A level's result is sum(A)/(2 pi) in
     MHz, or the dataset's default_gamma when no radiative route leads below
     it. The h*gamma/2 half-width of the polarizability denominators uses
-    exactly this gamma.
+    exactly this gamma. A sum outside the float range is a NumericalError.
     """
     if not upper:
         return np.zeros(0)
@@ -297,11 +297,15 @@ def natural_linewidths(
         br = branch_strength(J, omega, J_lo, ds.state(lo_state).omega)
         if br == 0.0:
             continue
-        nu = e_up[:, None] - np.array([lo.energy for lo in group])
-        below = nu > 0.0
-        d = dipole_matrix(upper, group, sampled_curve(ds, dip, upper[0].grid))
-        total += np.where(below, EINSTEIN_A_FACTOR * nu**3 * d * d * br, 0.0).sum(axis=1)
+        # a rate past the float range is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            nu = e_up[:, None] - np.array([lo.energy for lo in group])
+            below = nu > 0.0
+            d = dipole_matrix(upper, group, sampled_curve(ds, dip, upper[0].grid))
+            total += np.where(below, EINSTEIN_A_FACTOR * nu**3 * d * d * br, 0.0).sum(axis=1)
         routed |= below.any(axis=1)
+    if not np.isfinite(total).all():
+        raise NumericalError(f"natural linewidths of {state} J={J} leave the float range")
     return np.where(routed, total / (2.0 * math.pi * 1.0e6), ds.default_gamma)
 
 

@@ -94,6 +94,11 @@ def _check_samples(r: np.ndarray, y: np.ndarray, what: str) -> None:
         raise DataError(f"{what}: R not strictly increasing at sample {bad}")
 
 
+def _check_fit(values, what: str, fit: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{what}: {fit} leaves the float range")
+
+
 def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b for the tridiagonal A in solve_banded's (1, 1) layout
     (ab[0, 1:] above the diagonal, ab[1] on it, ab[2, :-1] below it).
@@ -181,9 +186,14 @@ class PotentialCurve:
         self.state = state
         self.r = np.asarray(r, dtype=float)
         self.v = np.asarray(v, dtype=float)
-        _check_samples(self.r, self.v, f"potential curve for {state.label!r}")
-        self._spline = _NaturalSpline(self.r, self.v)
-        self._fit_tails()
+        what = f"potential curve for {state.label!r}"
+        _check_samples(self.r, self.v, what)
+        # past the float range a fit comes out inf or NaN, refused here
+        with np.errstate(all="ignore"):
+            self._spline = _NaturalSpline(self.r, self.v)
+            self._fit_tails()
+        _check_fit(self._spline.c, what, "its spline")
+        _check_fit([self._sr_a, self._sr_b, *(self._lr or ())], what, "its tail fit")
 
     def _fit_tails(self) -> None:
         r, v = self.r, self.v
@@ -201,12 +211,15 @@ class PotentialCurve:
         pa, pb = v[-2] - asym, v[-1] - asym
         if pb == 0.0:
             self._lr = (0.0, 1.0)
-        elif pa * pb > 0.0 and abs(pb) < abs(pa):
+            return
+        if pa * pb > 0.0 and abs(pb) < abs(pa):
             k = math.log(pa / pb) / (rb - ra)
-            self._lr = (pb * math.exp(k * rb), k)
         else:
             k = 1.0 / (rb - ra)
+        try:
             self._lr = (pb * math.exp(k * rb), k)
+        except OverflowError:   # past the float range: an infinite c fails the load
+            self._lr = (pb * math.inf, k)
 
     @property
     def has_interior_minimum(self) -> bool:
@@ -249,8 +262,11 @@ class DipoleCurve:
         self.ket = ket
         self.r = np.asarray(r, dtype=float)
         self.d = np.asarray(d, dtype=float)
-        _check_samples(self.r, self.d, f"dipole curve {bra!r} -> {ket!r}")
-        self._spline = _NaturalSpline(self.r, self.d)
+        what = f"dipole curve {bra!r} -> {ket!r}"
+        _check_samples(self.r, self.d, what)
+        with np.errstate(all="ignore"):
+            self._spline = _NaturalSpline(self.r, self.d)
+        _check_fit(self._spline.c, what, "its spline")
 
     @property
     def is_permanent(self) -> bool:

@@ -31,11 +31,14 @@ takes the dipoles of one final block from one coupling.dipole_matrix row.
 The line list and the Einstein-A linewidths walk the same branches
 (_branches), whose partner states come from one route rule,
 coupling.dipole_route: a dipole curve must join the two states, and
-omega 0+ <-> 0- has no route. build_line_list first names the states it will
-solve (_line_states: the initial state, then each partner with a branch that
-has angular weight within j_max_branch) and solves their J = omega bases side
-by side while it builds the lines (rovib.solving_ahead); the blocks are the
-ones, bit for bit, that solving one state after another gives.
+omega 0+ <-> 0- has no route. build_line_list walks the branches out of the
+initial level once, before it solves anything, and keeps each branch with
+angular weight together with its driven components (q, M', weight); a
+branch past the 3-j range fails there, before any solve. The states it
+solves are the initial state, then each partner with a kept branch within
+j_max_branch; their J = omega bases are solved side by side while the lines
+are built from the kept branches (rovib.solving_ahead), and the blocks are
+the ones, bit for bit, that solving one state after another gives.
 
 The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
 line axis in list order, so a scan and a single-point alpha_at add the same
@@ -54,7 +57,7 @@ import numpy as np
 from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
-from .errors import DataError, QuantumNumberError
+from .errors import DataError, NumericalError, QuantumNumberError
 from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block, solving_ahead
 
 __all__ = [
@@ -180,38 +183,6 @@ def _gamma_for(ds: MoleculeDataset, blk: Block, v: int, mode: str | float, max_l
     return float(blk.gammas[v])
 
 
-def _branch_weights(initial: LevelId, polarization: Polarization, omega: int, st, Jp: int) -> list:
-    """(q, M', weight) of each component that drives one branch; the same for every v'."""
-    weights = []
-    for q, amp in polarization.components:
-        Mp = initial.M + q
-        w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, omega, st.omega)
-        if w > 0.0:
-            weights.append((q, Mp, w))
-    return weights
-
-
-def _line_states(ds: MoleculeDataset, initial: LevelId, polarization: Polarization, opts: LineListOptions) -> list[str]:
-    """The states whose blocks a line list solves, initial state first, then
-    each partner with a branch that has angular weight within j_max_branch.
-
-    A branch beyond the 3-j range counts: the line list stops with that error
-    when it gets there.
-    """
-    om_i = ds.state(initial.state).omega
-    states = [initial.state]
-    for st, _, Jp in _branches(ds, initial.state, initial.J):
-        if st.label in states or (opts.j_max_branch is not None and Jp > opts.j_max_branch):
-            continue
-        try:
-            driven = bool(_branch_weights(initial, polarization, om_i, st, Jp))
-        except QuantumNumberError:
-            driven = True
-        if driven:
-            states.append(st.label)
-    return states
-
-
 def build_line_list(
     ds: MoleculeDataset,
     initial: LevelId,
@@ -220,51 +191,59 @@ def build_line_list(
 ) -> list[LineStrength]:
     """Every dipole-allowed line out of the initial level, deterministic order.
 
-    The J = omega bases of the states it solves are solved side by side
-    (rovib.solving_ahead) while the lines are built.
+    One walk over the branches, before any solve, keeps each driven branch
+    with its components (q, M', weight), and a branch past the 3-j range
+    raises there. The states of the kept branches within j_max_branch, after
+    the initial one, are solved side by side (rovib.solving_ahead) while the
+    lines are built from the same list. A line strength w * d^2 outside the
+    float range is a NumericalError.
     """
     opts = options or LineListOptions()
     if opts.v_max is not None and opts.v_max < 0:
         raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
     grid = opts.grid or default_grid(ds)
-    with solving_ahead(ds, _line_states(ds, initial, polarization, opts), grid, opts.max_levels):
-        return _line_list(ds, initial, polarization, opts, grid)
-
-
-def _line_list(
-    ds: MoleculeDataset, initial: LevelId, polarization: Polarization, opts: LineListOptions, grid: RadialGrid
-) -> list[LineStrength]:
-    lev_i = solve_initial(ds, initial, opts)
     om_i = ds.state(initial.state).omega
+    driven = []   # (state, dipole curve, J', [(q, M', weight)]): the same weights for every v'
+    for st, dip, Jp in _branches(ds, initial.state, initial.J):
+        weights = []
+        for q, amp in polarization.components:
+            Mp = initial.M + q
+            w = abs(amp) ** 2 * angular_weight(initial.J, initial.M, Jp, Mp, q, om_i, st.omega)
+            if w > 0.0:
+                weights.append((q, Mp, w))
+        if weights:
+            driven.append((st, dip, Jp, weights))
+    kept = [br for br in driven if opts.j_max_branch is None or br[2] <= opts.j_max_branch]
+    # the caps that removed a line with angular weight
+    capped = {"j_max_branch"} if len(kept) < len(driven) else set()
+    states = list(dict.fromkeys([initial.state, *(st.label for st, *_ in kept)]))
     v_end = None if opts.v_max is None else opts.v_max + 1
 
     lines: list[LineStrength] = []
-    capped: set[str] = set()   # the caps that removed a line with angular weight
-    for st, dip, Jp in _branches(ds, initial.state, initial.J):
-        weights = _branch_weights(initial, polarization, om_i, st, Jp)
-        if not weights:
-            continue
-        if opts.j_max_branch is not None and Jp > opts.j_max_branch:
-            capped.add("j_max_branch")
-            continue
-        blk = solved_block(ds, st.label, Jp, grid, opts.max_levels)
-        finals = blk.levels[:v_end]
-        if len(finals) < len(blk.levels):
-            capped.add("v_max")
-        for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, sampled_curve(ds, dip, grid))[0].tolist()):
-            if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
-                continue   # the sum excludes the initial level
-            if abs(d) < opts.d_floor:
-                continue
-            gamma = _gamma_for(ds, blk, lev_f.v, opts.gamma, opts.max_levels)
-            delta_e = lev_f.energy - lev_i.energy
-            lines.extend(
-                LineStrength(
-                    state=st.label, v=lev_f.v, J=Jp, M=Mp, q=q,
-                    d_vib=d, weight=w, delta_e=delta_e, gamma=gamma,
+    with solving_ahead(ds, states, grid, opts.max_levels):
+        lev_i = solve_initial(ds, initial, opts)
+        for st, dip, Jp, weights in kept:
+            blk = solved_block(ds, st.label, Jp, grid, opts.max_levels)
+            finals = blk.levels[:v_end]
+            if len(finals) < len(blk.levels):
+                capped.add("v_max")
+            for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, sampled_curve(ds, dip, grid))[0].tolist()):
+                if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
+                    continue   # the sum excludes the initial level
+                if abs(d) < opts.d_floor:
+                    continue
+                # the alpha kernel's w * d^2, largest at the largest weight
+                if not math.isfinite(max(w for *_, w in weights) * (d * d)):
+                    raise NumericalError(f"line strength of {st.label} v={lev_f.v} J={Jp} leaves the float range (d = {d:g} D)")
+                gamma = _gamma_for(ds, blk, lev_f.v, opts.gamma, opts.max_levels)
+                delta_e = lev_f.energy - lev_i.energy
+                lines.extend(
+                    LineStrength(
+                        state=st.label, v=lev_f.v, J=Jp, M=Mp, q=q,
+                        d_vib=d, weight=w, delta_e=delta_e, gamma=gamma,
+                    )
+                    for q, Mp, w in weights
                 )
-                for q, Mp, w in weights
-            )
     if not lines and capped:
         caps = " and ".join(f"{cap} = {getattr(opts, cap)}" for cap in sorted(capped))
         raise QuantumNumberError(

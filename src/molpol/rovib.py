@@ -535,8 +535,10 @@ def _contract(row, v_eff, cutoff, basis, max_levels):
         e, c = np.linalg.eigh(a)
         k = min(max_levels, int(np.count_nonzero(e < cutoff)))
         x = b @ c[:, : k + 1]
-        # residuals against the explicit span Hamiltonian T + diag(v_J)
-        res = np.linalg.norm(_toeplitz(row[: len(v)]) @ x + (v[:, None] - e[: x.shape[1]]) * x, axis=0)
+        # residuals against the explicit span Hamiltonian T + diag(v_J); one
+        # past the float range is inf, which fails the certificate below
+        with np.errstate(over="ignore"):
+            res = np.linalg.norm(_toeplitz(row[: len(v)]) @ x + (v[:, None] - e[: x.shape[1]]) * x, axis=0)
     if (res[:k] > RESIDUAL_TOL).any() or (np.abs(e[: len(res)] - cutoff) <= res).any():
         return None
     if np.abs(x[basis.edges, :k]).max(initial=0.0) > EDGE_AMP:

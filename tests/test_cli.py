@@ -213,7 +213,7 @@ def test_an_empty_block_is_reported_once(tmp_path):
         args = [sys.executable, "-m", "molpol.cli", *map(str, argv), "--out", str(tmp_path)]
         return subprocess.run(args, capture_output=True, text=True, env=env)
 
-    alpha = molpol("alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1")
+    alpha = molpol("alpha", OPTICAL_STANDIN, "--grid", "50:60:101", "--nu", "9000:9005:1")
     assert alpha.returncode == 3
     assert alpha.stderr.startswith("molpol: data:") and alpha.stderr.count("\n") == 1
     levels = molpol("levels", OPTICAL_STANDIN, "--J", "100000")
@@ -617,7 +617,7 @@ def test_an_unusable_out_fails_before_any_computation(argv, tmp_path, capsys, mo
 
 def test_a_request_that_fails_leaves_no_new_out_directory(tmp_path, capsys):
     # --out is checked before any solve but made only at the first file
-    argv = ["alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1"]
+    argv = ["alpha", OPTICAL_STANDIN, "--v", "500", "--nu", "9000:9005:1"]
     assert run_cli([*argv, "--out", tmp_path / "new" / "a" / "b"]) == 3
     assert capsys.readouterr().err.startswith("molpol: data: initial level")
     assert list(tmp_path.iterdir()) == []
@@ -1001,16 +1001,55 @@ def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, workers):
 
 
 def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys, workers):
-    # X0 J = 1000 holds no level: the caller fails while A0 and B1 are solving
+    # X0 J = 0 keeps 64 levels, so v = 500 is not bound: the caller fails
+    # while A0 and B1 are solving
     _, get_threads = blas_thread_calls()
     threads, blas_threads = threading.active_count(), get_threads()
-    assert run_cli(["alpha", OPTICAL_STANDIN, "--J", "1000", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
+    assert run_cli(["alpha", OPTICAL_STANDIN, "--v", "500", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("molpol: data: initial level v=0 not bound") and err.count("\n") == 1
+    assert err.startswith("molpol: data: initial level v=500 not bound") and err.count("\n") == 1
     assert workers or rovib._usable_cpus() < 2
     assert threading.active_count() == threads
     assert get_threads() == blas_threads
     assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
+
+
+@pytest.mark.parametrize(
+    "argv, queued",
+    [
+        (ALPHA, [["X0", "A0", "B1"]]),
+        # from J = 1, M = 1 A0's branches within the cap (J' = 0, 1) carry no weight
+        ([*ALPHA, "--J", "1", "--M", "1", "--j-max-branch", "1"], [["X0", "B1"]]),
+        ([*ALPHA, "--state", "A0"], [["A0", "X0"]]),
+        (["magic", KRB_ROTOR_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "0.005:0.3:0.001"], [["X0"], ["X0"]]),
+    ],
+    ids=["alpha", "j-max-branch", "state-A0", "rotor-magic"],
+)
+def test_a_line_list_solves_ahead_the_states_of_its_driven_branches(argv, queued, tmp_path, monkeypatch):
+    seen = []
+
+    def spy(ds, states, grid, max_levels):
+        seen.append(list(states))
+        return rovib.solving_ahead(ds, states, grid, max_levels)
+
+    monkeypatch.setattr(polarizability, "solving_ahead", spy)
+    assert run_cli([*argv, "--out", tmp_path]) == 0
+    assert seen == queued
+
+
+def test_a_branch_past_the_3j_range_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    # J = 50 reaches J' = 51: the walk over the branches refuses it up front
+    solves = []
+    solve = rovib._solve
+
+    def counting(ds, state, J, grid, max_levels, trim):
+        solves.append((state, J))
+        return solve(ds, state, J, grid, max_levels, trim)
+
+    monkeypatch.setattr(rovib, "_solve", counting)
+    assert run_cli(["alpha", OPTICAL_STANDIN, "--J", "50", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
+    assert capsys.readouterr().err == "molpol: data: j = 51 above the supported 3-j range (50)\n"
+    assert solves == []
 
 
 def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, workers):
@@ -1082,7 +1121,7 @@ def test_a_failing_request_with_solves_in_flight_exits_cleanly_every_time(tmp_pa
     # interpreter shutdown under a running eigensolve would crash the process
     for _ in range(10):
         run = _molpol_process(
-            "-m", "molpol.cli", "alpha", str(OPTICAL_STANDIN), "--J", "1000", "--nu", "9000:9005:1",
+            "-m", "molpol.cli", "alpha", str(OPTICAL_STANDIN), "--v", "500", "--nu", "9000:9005:1",
             "--out", str(tmp_path / "out"),
         )
         assert run.returncode == 3, run.stderr

@@ -16,10 +16,13 @@ exists), and the cap tests in test_cli cover the sizes in between.
 
 import contextlib
 import io
+import json
 import logging
+import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from molpol import cli
@@ -250,5 +253,88 @@ def test_every_request_keeps_the_exit_code_and_stderr_contract(argv, out):
     if code == 0:
         assert err == ""
     elif code in (3, 4):
+        assert err.startswith("molpol: data: " if code == 3 else "molpol: numerical: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# ------------------------------------------------------------- dataset half
+#
+# A copy of the optical stand-in with one curve file or molecule.json field
+# pushed towards the float range's ends, under the same contract: the load or
+# the request refuses it, or it succeeds without a word (tier-1 turns any
+# RuntimeWarning into an error that would leave main).
+
+
+def _scaled(name, column, factor):
+    """Multiply one column (0: R, 1: value) of a curve file."""
+
+    def mutate(path):
+        rows = []
+        for line in (path / name).read_text().splitlines():
+            parts = line.split()
+            if len(parts) == 2 and not line.startswith(("#", "units:")):
+                parts[column] = repr(float(parts[column]) * factor)
+                line = " ".join(parts)
+            rows.append(line)
+        (path / name).write_text("\n".join(rows) + "\n")
+
+    return mutate
+
+
+def _asymptote(label, value):
+    def mutate(path):
+        meta = json.loads((path / "molecule.json").read_text())
+        next(s for s in meta["states"] if s["label"] == label)["asymptote_energy"] = value
+        (path / "molecule.json").write_text(json.dumps(meta))
+
+    return mutate
+
+
+def _last_sample_close_and_above_asymptote(path):
+    """X0's last sample 0.01 Bohr past the one before, at +1 cm^-1: the tail
+    fit's exponent exceeds math.exp's range."""
+    lines = (path / "pot__X0.dat").read_text().splitlines()
+    r_before = float(lines[-2].split()[0])
+    lines[-1] = f"{r_before + 0.01!r} 1.0"
+    (path / "pot__X0.dat").write_text("\n".join(lines) + "\n")
+
+
+MUTATIONS = {
+    # the kernel's w * d**2 raised OverflowError
+    "dipole-x1e160": (_scaled("dip__X0__A0.dat", 1, 1e160), ["alpha", "magic", "plan"]),
+    # nu**3 overflowed in the linewidths, then z / den in the kernel
+    "X0-values-x1e150": (_scaled("pot__X0.dat", 1, 1e150), ["alpha", "magic", "plan"]),
+    # the tail fit warned while loading
+    "A0-asymptote-1e308": (_asymptote("A0", 1e308), ["alpha", "levels"]),
+    "X0-asymptote--1e300": (_asymptote("X0", -1e300), ["levels"]),
+    "X0-tail-step": (_last_sample_close_and_above_asymptote, ["levels"]),
+    # the spline and the tail fit warned while loading
+    "X0-R-x1e-200": (_scaled("pot__X0.dat", 0, 1e-200), ["levels"]),
+    "A0-R-x1e200": (_scaled("pot__A0.dat", 0, 1e200), ["levels"]),
+    # and the contraction residual's norm
+    "X0-values-x1e200": (_scaled("pot__X0.dat", 1, 1e200), ["levels", "dress"]),
+}
+DATASET_REQUESTS = {
+    "alpha": ["--nu", "9000:9010:1"],
+    "magic": ["--Ja", "0", "--Jb", "1", "--nu", "8800:8810:1"],
+    "plan": ["--nm", "1064", "--intensity", "1e4"],
+    "levels": ["--J", "0"],
+    "dress": ["--nu", "0.03", "--intensity", "100"],
+}
+
+
+@pytest.mark.parametrize(
+    "mutation, command",
+    [(name, command) for name, (_, commands) in MUTATIONS.items() for command in commands],
+)
+def test_a_dataset_past_the_float_range_keeps_the_contract(mutation, command, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(OPTICAL, ds)
+    MUTATIONS[mutation][0](ds)
+    code, err = _run([command, str(ds), *DATASET_REQUESTS[command], f"--out={tmp_path / 'out'}"])
+    assert code in (0, 3, 4), (code, err)
+    if code == 0:
+        assert err == ""
+    else:
         assert err.startswith("molpol: data: " if code == 3 else "molpol: numerical: "), err
         assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -28,15 +28,27 @@ def test_codata_literals_equal_scipy_constants(name, value):
     assert getattr(C, name) == value
 
 
-def test_package_imports_neither_scipy_interpolate_nor_constants():
+# modules the package does without, each a cost at set-up: scipy (the
+# package calls numpy's LAPACK alone), logging (rovib does not log), hashlib
+# (OpenSSL's libcrypto), concurrent.futures (pulls in logging; the solves
+# ahead run on plain threads) and multiprocessing
+UNLOADED = ("scipy", "logging", "hashlib", "_hashlib", "concurrent.futures", "multiprocessing")
+
+
+def test_package_imports_neither_scipy_interpolate_nor_constants(tmp_path):
+    # nor, through the import and one optical magic request, any module in UNLOADED
+    dataset = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+    argv = ["magic", str(dataset), "--Ja", "0", "--Jb", "1", "--nu", "8800:9000:1", "--out", str(tmp_path)]
     code = (
         "import sys, molpol.cli\n"
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.constants') if m in sys.modules))\n"
+        f"assert molpol.cli.main({argv!r}) == 0\n"
+        f"print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {UNLOADED!r})))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "magic.json").is_file()
 
 
 def test_package_loads_no_scipy_module(tmp_path):
