@@ -1,15 +1,14 @@
 """Angular coupling, vibrational overlaps, and natural linewidths.
 
-Wigner 3-j symbols are evaluated from the Racah factorial sum in exact
-integer/rational arithmetic (Python ints), with a single float rounding at
-the end, for j up to 50 (half-integers included).
+Every 3-j symbol a dipole line needs is rank-1, (J' 1 J; -M', q, M), whose
+square is an exact ratio of Python ints in closed form (_square) at any J.
 
 Angular line strengths for Hund's case (c) states use the standard squared
 matrix element of the q-th spherical dipole component,
 
     w = (2J+1)(2J'+1) [3j(J',1,J; -M',q,M)]^2 [3j(J',1,J; -Om',dOm,Om)]^2
 
-with dOm = Om' - Om and M' = M + q. Linear lab polarizations enter as
+with dOm = Om' - Om and M' = M + q, formed exactly and rounded once. Linear lab polarizations enter as
 incoherent sums over their spherical components: each component feeds a
 distinct final M', so cross terms vanish identically.
 
@@ -32,8 +31,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,85 +54,52 @@ __all__ = [
     "natural_linewidth",
 ]
 
-J_MAX_SUPPORTED = 50
+
+def _square(Jp: int, Mp: int, J: int, M: int) -> tuple[int, int]:
+    """(J' 1 J; -M', M'-M, M)^2 as an exact ratio (num, den); (0, 1) where a
+    selection rule fails.
+
+    The j2 = 1 Clebsch-Gordan square <J M; 1 q | J' M'>^2 over 2J'+1, q = M'-M,
+    from its closed form (Edmonds, Angular Momentum in Quantum Mechanics,
+    1957, Table 2). The q = +1 and q = -1 rows trade places under M' -> -M', so
+    M <-> -M gives the same integers.
+    """
+    q, m = Mp - M, Mp
+    if abs(q) > 1 or abs(Jp - J) > 1 or abs(M) > J or abs(Mp) > Jp or J + Jp == 0:
+        return 0, 1
+    if Jp == J + 1:
+        num = 2 * (J + 1 - m) * (J + 1 + m) if q == 0 else (J + q * m) * (J + q * m + 1)
+        den = (2 * J + 1) * (2 * J + 2)
+    elif Jp == J:
+        num = 2 * m * m if q == 0 else (J + q * m) * (J - q * m + 1)
+        den = 2 * J * (J + 1)
+    else:
+        num = 2 * (J - m) * (J + m) if q == 0 else (J - q * m) * (J - q * m + 1)
+        den = 2 * J * (2 * J + 1)
+    return num, den * (2 * Jp + 1)
 
 
-def _half(x: float) -> int:
-    """Angular momentum as a doubled integer; rejects non-half-integers."""
-    d = round(2.0 * x)
-    if abs(2.0 * x - d) > 1e-9:
-        raise ValueError(f"{x} is not a half-integer")
-    return int(d)
+def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
+    """Wigner 3-j symbol (j1 1 j3; m1 m2 m3) for integer j and m: the rank-1
+    symbols of every dipole line. Selection-rule violations return 0; j2 other
+    than 1, a non-integer argument or a negative j raises ValueError.
 
-
-def _fact(doubled: int) -> int:
-    # factorial of doubled/2; caller guarantees doubled is even and >= 0
-    return math.factorial(doubled // 2)
-
-
-def _sqrt_big(num: int, den: int) -> float:
-    """sqrt(num/den) for huge positive ints without float overflow."""
-    s = max(0, (den.bit_length() - num.bit_length() + 130) // 2 + 1) + 30
-    val = math.isqrt((num << (2 * s)) // den)
-    return math.ldexp(float(val), -s)
-
-
-@lru_cache(maxsize=None)
-def _w3j(dj1: int, dj2: int, dj3: int, dm1: int, dm2: int, dm3: int) -> float:
-    if dm1 + dm2 + dm3 != 0:
+    With J' = j1, M' = -m1, J = j3, M = m3 and q = m2, the value is
+    sqrt(_square) times Condon-Shortley's sign of <J M; 1 q | J' M'>
+    (negative at J' = J for q = +1 and for q = 0 with M' < 0, and at
+    J' = J - 1 for q = 0) times (-1)^(J' + M').
+    """
+    if j2 != 1 or any(x % 1 for x in (j1, j3, m1, m2, m3)):
+        raise ValueError(f"wigner3j covers integer j and m with j2 = 1, got {(j1, j2, j3, m1, m2, m3)}")
+    Jp, J, Mp, q, M = int(j1), int(j3), -int(m1), int(m2), int(m3)
+    if min(Jp, J) < 0:
+        raise QuantumNumberError(f"negative j = {min(Jp, J)}")
+    num, den = _square(Jp, Mp, J, M) if Mp == M + q else (0, 1)
+    if num == 0:
         return 0.0
-    if abs(dm1) > dj1 or abs(dm2) > dj2 or abs(dm3) > dj3:
-        return 0.0
-    if dj3 < abs(dj1 - dj2) or dj3 > dj1 + dj2:
-        return 0.0
-    if (dj1 + dj2 + dj3) % 2 != 0:
-        return 0.0
-    if (dj1 + dm1) % 2 or (dj2 + dm2) % 2 or (dj3 + dm3) % 2:
-        return 0.0
-
-    # triangle coefficient times the six (j +- m)! factors, as one exact ratio
-    num = (
-        _fact(dj1 + dj2 - dj3)
-        * _fact(dj1 - dj2 + dj3)
-        * _fact(-dj1 + dj2 + dj3)
-        * _fact(dj1 + dm1)
-        * _fact(dj1 - dm1)
-        * _fact(dj2 + dm2)
-        * _fact(dj2 - dm2)
-        * _fact(dj3 + dm3)
-        * _fact(dj3 - dm3)
-    )
-    den = _fact(dj1 + dj2 + dj3 + 2)
-
-    k_lo = max(0, (dj2 - dj3 - dm1) // 2, (dj1 - dj3 + dm2) // 2)
-    k_hi = min((dj1 + dj2 - dj3) // 2, (dj1 - dm1) // 2, (dj2 + dm2) // 2)
-    total = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        dk = 2 * k
-        term = Fraction(
-            1,
-            _fact(dk)
-            * _fact(dj1 + dj2 - dj3 - dk)
-            * _fact(dj1 - dm1 - dk)
-            * _fact(dj2 + dm2 - dk)
-            * _fact(dj3 - dj2 + dm1 + dk)
-            * _fact(dj3 - dj1 - dm2 + dk),
-        )
-        total += -term if k % 2 else term
-    if total == 0:
-        return 0.0
-    sign = -1.0 if ((dj1 - dj2 - dm3) // 2) % 2 else 1.0
-    mag = _sqrt_big(num, den) * abs(float(total))
-    return math.copysign(mag, sign * total)
-
-
-def wigner3j(j1: float, j2: float, j3: float, m1: float, m2: float, m3: float) -> float:
-    """Wigner 3-j symbol; selection-rule violations return 0, j > 50 raises."""
-    if max(j1, j2, j3) > J_MAX_SUPPORTED:
-        raise QuantumNumberError(f"j = {max(j1, j2, j3):g} above the supported 3-j range ({J_MAX_SUPPORTED})")
-    if min(j1, j2, j3) < 0:
-        raise QuantumNumberError(f"negative j = {min(j1, j2, j3):g}")
-    return _w3j(_half(j1), _half(j2), _half(j3), _half(m1), _half(m2), _half(m3))
+    cg_negative = (Jp == J and (q == 1 or (q == 0 and Mp < 0))) or (Jp == J - 1 and q == 0)
+    root = math.sqrt(num / den)
+    return -root if cg_negative ^ (Jp + Mp) % 2 else root
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -171,24 +135,20 @@ def angular_weight(
     """Squared angular dipole matrix element for one spherical component q.
 
     Zero whenever a selection rule fails (M' != M + q, |dJ| > 1, J = J' for
-    omega 0-0, J below omega, ...). All rules emerge from the 3-j symbols.
+    omega 0-0, J below omega, ...). All rules emerge from the 3-j squares,
+    whose exact product is rounded once.
     """
     if Mp != M + q:
         return 0.0
-    if abs(M) > J or abs(Mp) > Jp or J < omega or Jp < omega_p:
-        return 0.0
-    if M < 0 or (M == 0 and q < 0):
-        # mirror to a canonical sign so M <-> -M degeneracy is exact in floats
-        M, Mp, q = -M, -Mp, -q
-    a = wigner3j(Jp, 1, J, -Mp, q, M)
-    b = wigner3j(Jp, 1, J, -(omega_p), omega_p - omega, omega)
-    return (2 * J + 1) * (2 * Jp + 1) * a * a * b * b
+    na, da = _square(Jp, Mp, J, M)
+    nb, db = _square(Jp, omega_p, J, omega)
+    return (2 * J + 1) * (2 * Jp + 1) * na * nb / (da * db)
 
 
 def branch_strength(J_up: int, omega_up: int, J_lo: int, omega_lo: int) -> float:
     """M-summed emission branch factor; sums to 1 over the allowed J_lo."""
-    b = wigner3j(J_lo, 1, J_up, -(omega_lo), omega_lo - omega_up, omega_up)
-    return (2 * J_lo + 1) * b * b
+    nb, db = _square(J_lo, omega_lo, J_up, omega_up)
+    return (2 * J_lo + 1) * nb / db
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ is checked on load too: the top level, each state and the rotor block must be
 objects and states a list; every number must be a finite JSON number (not
 a boolean or a string); omega must be an integer, asymptote_energy a number
 or null (no asymptote), a rotor's r_e > 0, and parity_tag null, "+" or "-".
-A rotor block holds only r_e: rovib solves a rotor at any J, and the coupling
-layer's 3-j symbols stop at j = 50. Keys the loader does not read are ignored.
+A rotor block holds only r_e: rovib solves a rotor at every J it accepts.
+Keys the loader does not read are ignored.
 
 Curves interpolate with a natural cubic spline between the tabulated nodes,
 built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in

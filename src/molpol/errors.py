@@ -13,7 +13,7 @@ class DataError(Exception):
 
 
 class QuantumNumberError(DataError, ValueError):
-    """A requested J outside what the physics allows (below omega) or the 3-j tables reach, a level count below 1, a negative cap on final v, or a cap on final v or J that leaves no line with angular weight."""
+    """A requested J below omega or past rovib's float-exact J(J+1), a level count below 1, a negative cap on final v, or a cap on final v or J that leaves no line with angular weight."""
 
 
 class GridError(DataError, ValueError):

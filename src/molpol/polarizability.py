@@ -33,9 +33,8 @@ The line list and the Einstein-A linewidths walk the same branches
 coupling.dipole_route: a dipole curve must join the two states, and
 omega 0+ <-> 0- has no route. build_line_list walks the branches out of the
 initial level once, before it solves anything, and keeps each branch with
-angular weight together with its driven components (q, M', weight); a
-branch past the 3-j range fails there, before any solve. The states it
-solves are the initial state, then each partner with a kept branch within
+angular weight together with its driven components (q, M', weight). The
+states it solves are the initial state, then each partner with a kept branch within
 j_max_branch; their J = omega bases are solved side by side while the lines
 are built from the kept branches (rovib.solving_ahead), and the blocks are
 the ones, bit for bit, that solving one state after another gives.
@@ -192,11 +191,10 @@ def build_line_list(
     """Every dipole-allowed line out of the initial level, deterministic order.
 
     One walk over the branches, before any solve, keeps each driven branch
-    with its components (q, M', weight), and a branch past the 3-j range
-    raises there. The states of the kept branches within j_max_branch, after
-    the initial one, are solved side by side (rovib.solving_ahead) while the
-    lines are built from the same list. A line strength w * d^2 outside the
-    float range is a NumericalError.
+    with its components (q, M', weight). The states of the kept branches
+    within j_max_branch, after the initial one, are solved side by side
+    (rovib.solving_ahead) while the lines are built from the same list. A line
+    strength w * d^2 outside the float range is a NumericalError.
     """
     opts = options or LineListOptions()
     if opts.v_max is not None and opts.v_max < 0:

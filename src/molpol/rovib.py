@@ -442,14 +442,23 @@ def _effective_potential(ds: MoleculeDataset, state: str, J: int, grid: RadialGr
         return v + HBAR2_OVER_TWO * J * (J + 1) / (ds.reduced_mass * pts**2)
 
 
+def _check_J(J: int) -> None:
+    """QuantumNumberError unless J(J+1) <= 2^53 (J <= 94,906,265): every
+    centrifugal term starts from J(J+1) as an exact double."""
+    if J * (J + 1) > 2**53:
+        raise QuantumNumberError(f"J = {J} past 94906265: J(J+1) is not exact in a double")
+
+
 def energy_floor(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid) -> float:
     """A lower bound in cm^-1 on every level solve_radial can return for this block.
 
     The smallest effective-potential entry, less 1e-9 of a bound on |H|
     (max |V_J| plus the top of T's spectrum, hbar^2 pi^2 / (2 mu h^2)) to cover
     the eigensolver's rounding. A rotor level's energy is the effective
-    potential at one node, so the bound holds for rotor blocks too.
+    potential at one node, so the bound holds for rotor blocks too. J is
+    checked as solve_radial checks it.
     """
+    _check_J(J)
     v_eff = _effective_potential(ds, state, J, grid)
     t_top = HBAR2_OVER_TWO * math.pi**2 / (ds.reduced_mass * grid.h**2)
     return float(v_eff.min()) - 1e-9 * (float(np.abs(v_eff).max()) + t_top)
@@ -594,8 +603,11 @@ def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels
         pts = grid.points
         i = int(np.argmin(np.abs(pts - ds.rotor.r_e)))
         r_node = pts[i]
-        b_node = HBAR2_OVER_TWO / (ds.reduced_mass * r_node**2)
-        energy = np.array([float(ds.potentials[state](r_node)) + b_node * J * (J + 1)])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # refused below
+            b_node = HBAR2_OVER_TWO / (ds.reduced_mass * r_node**2)
+            energy = np.array([float(ds.potentials[state](r_node)) + b_node * J * (J + 1)])
+        if not np.isfinite(energy[0]):
+            raise DataError(f"state {state!r} at J = {J}: the rotor level's energy is not finite")
         return _Basis(slice(i, i + 1), energy, energy, np.ones((1, 1)), 1, [])
     row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     asym = ds.state(state).asymptote_energy
@@ -618,8 +630,10 @@ def solve_radial(
     Any other state is solved directly at J = omega first, trimmed, into the
     store's basis: J = omega levels are read from it, and any other J is
     contracted in it, or solved directly when that fails its certificate. A
-    basis that solving_ahead queued is waited for, not solved again.
+    basis that solving_ahead queued is waited for, not solved again. A J
+    whose J(J+1) passes 2^53 is a QuantumNumberError before any solve.
     """
+    _check_J(J)
     omega = ds.state(state).omega
     if J < omega:
         raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")

@@ -96,18 +96,18 @@ def test_c03_rotor_response_matches_brute_force_sum():
         (1, 0, "sigma_x", {-1: s + 0j, 1: -s + 0j}),
         (1, 1, "sigma_y", {-1: s * 1j, 1: s * 1j}),
         (2, 1, "q+1", {1: 1.0 + 0j}),
+        (60, 7, "sigma_x", {-1: s + 0j, 1: -s + 0j}),   # past the old J = 50 cap
     ]
 
     def e_rot(j: int) -> float:
         return b * (j * (j + 1))
 
     rng = np.random.default_rng(20260822)
-    res_set = [2.0 * b, 4.0 * b, 6.0 * b]
     worst = 0.0
     checked = 0
     for J, M, polname, comps in combos:
         oracle_lines = []
-        for Jp in range(0, 7):
+        for Jp in range(max(0, J - 3), J + 4):
             host = float(wigner_3j(Jp, 1, J, 0, 0, 0))
             if host == 0.0:
                 continue
@@ -120,6 +120,7 @@ def test_c03_rotor_response_matches_brute_force_sum():
                     continue
                 oracle_lines.append((w, e_rot(Jp) - e_rot(J)))
         impl = build_line_list(ds, LevelId("X0", 0, J, M), Polarization.parse(polname), G0)
+        res_set = [abs(de) for _, de in oracle_lines]
 
         n_freq = 0
         while n_freq < 1000:

@@ -502,7 +502,7 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
     "dataset, argv",
     [
         ("optical_dir", ["levels", "--J", "-1"]),
-        ("rotor_dir", ["alpha", "--J", "60", "--nu", "0.1:0.2:0.1"]),
+        ("rotor_dir", ["alpha", "--J", str(10**400), "--nu", "0.1:0.2:0.1"]),
         ("rotor_dir", ["alpha", "--v", "-1", "--nu", "0.1:0.2:0.1"]),
         ("rotor_dir", ["alpha", "--nu", "nan:1:0.1"]),
         ("rotor_dir", ["alpha", "--nu", "0.1:0.2:0.1", "--gamma", "-3"]),
@@ -557,6 +557,13 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("krb_rotor_standin_dir", ["plan", "--nm", "1e-100", "--intensity", "1"]),
         ("krb_rotor_standin_dir", ["plan", "--nu", "1e-300", "--intensity", "1"]),
         ("krb_rotor_standin_dir", ["plan", "--nm", "1064", "--intensity", "1", "--d-ind", "1e200"]),
+        # J(J+1) past 2^53: levels, fcf and alpha raised an OverflowError, a rotor level came out inf
+        ("rotor_dir", ["alpha", "--J", "94906266", "--nu", "0.1:0.2:0.1"]),
+        ("optical_standin_dir", ["levels", "--J", str(10**400)]),
+        ("optical_standin_dir", ["fcf", "--final-state", "A0", "--Jp", str(10**400)]),
+        ("optical_standin_dir", ["alpha", "--J", str(10**400), "--nu", "9000:9001:1"]),
+        ("krb_rotor_standin_dir", ["levels", "--J", str(10**200)]),
+        ("krb_rotor_standin_dir", ["alpha", "--J", str(10**150), "--nu", "0.1:0.2:0.1"]),
     ],
 )
 def test_bad_quantum_numbers_ranges_and_linewidths_are_data_errors(request, dataset, argv, tmp_path, capsys):
@@ -1037,19 +1044,11 @@ def test_a_line_list_solves_ahead_the_states_of_its_driven_branches(argv, queued
     assert seen == queued
 
 
-def test_a_branch_past_the_3j_range_fails_before_any_solve(tmp_path, capsys, monkeypatch):
-    # J = 50 reaches J' = 51: the walk over the branches refuses it up front
-    solves = []
-    solve = rovib._solve
-
-    def counting(ds, state, J, grid, max_levels, trim):
-        solves.append((state, J))
-        return solve(ds, state, J, grid, max_levels, trim)
-
-    monkeypatch.setattr(rovib, "_solve", counting)
-    assert run_cli(["alpha", OPTICAL_STANDIN, "--J", "50", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
-    assert capsys.readouterr().err == "molpol: data: j = 51 above the supported 3-j range (50)\n"
-    assert solves == []
+@pytest.mark.parametrize("J", ["49", "50"])
+def test_a_branch_or_linewidth_past_j_50_is_solved(J, tmp_path, capsys):
+    # J = 50 reaches J' = 51, and the J' = 50 linewidths of J = 49 walk to J = 51
+    assert run_cli(["alpha", OPTICAL_STANDIN, "--J", J, "--nu", "9000:9005:1", "--out", tmp_path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, workers):

@@ -51,7 +51,7 @@ def _mostly(good, bad):
 
 
 def _quantum(good):
-    return _mostly(good, st.sampled_from([-1, 11, 60, 1000, 100000]))
+    return _mostly(good, st.sampled_from([-1, 11, 60, 1000, 100000, 10**400]))
 
 
 def _number(good):
@@ -239,6 +239,9 @@ def _run(argv):
 # an empty block was reported twice: a bare logging line, then the data error
 @example(argv=["alpha", str(OPTICAL), "--J=1000", "--nu=9000:9005:1"], out="out")
 @example(argv=["levels", str(OPTICAL), "--J=100000", "--grid=5:20:201"], out="out")
+# a J whose J(J+1) leaves the float range raised an OverflowError, or wrote inf with a warning
+@example(argv=["levels", str(OPTICAL), f"--J={10**400}"], out="out")
+@example(argv=["levels", str(ROTORS[0]), f"--J={10**200}"], out="out")
 # an --out through a file raised FileExistsError / NotADirectoryError
 @example(argv=["levels", str(ROTORS[0])], out="file")
 @example(argv=["levels", str(ROTORS[0])], out="file/sub")

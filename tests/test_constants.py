@@ -31,8 +31,9 @@ def test_codata_literals_equal_scipy_constants(name, value):
 # modules the package does without, each a cost at set-up: scipy (the
 # package calls numpy's LAPACK alone), logging (rovib does not log), hashlib
 # (OpenSSL's libcrypto), concurrent.futures (pulls in logging; the solves
-# ahead run on plain threads) and multiprocessing
-UNLOADED = ("scipy", "logging", "hashlib", "_hashlib", "concurrent.futures", "multiprocessing")
+# ahead run on plain threads), multiprocessing, and fractions and decimal
+# (the 3-j squares are exact ratios of plain ints)
+UNLOADED = ("scipy", "logging", "hashlib", "_hashlib", "concurrent.futures", "multiprocessing", "fractions", "decimal")
 
 
 def test_package_imports_neither_scipy_interpolate_nor_constants(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from molpol import (
     vibronic_dipole,
     wigner3j,
 )
-from molpol.coupling import dipole_matrix, natural_linewidths
+from molpol.coupling import _square, dipole_matrix, natural_linewidths
 from molpol.polarizability import default_grid
 
 from conftest import RBCS, make_harmonic_pair, make_optical, make_rotor
@@ -43,12 +44,12 @@ def test_known_symbol_values():
 
 @st.composite
 def three_j_args(draw):
+    # the rank-1 symbols (j1 1 j3; m1 m2 m3), the only ones wigner3j covers
     j1 = draw(st.integers(min_value=0, max_value=8))
-    j2 = draw(st.integers(min_value=0, max_value=8))
-    j3 = draw(st.integers(min_value=abs(j1 - j2), max_value=j1 + j2))
+    j3 = draw(st.integers(min_value=max(0, j1 - 1), max_value=j1 + 1))
     m1 = draw(st.integers(min_value=-j1, max_value=j1))
-    m2 = draw(st.integers(min_value=-j2, max_value=j2))
-    return j1, j2, j3, m1, m2
+    m2 = draw(st.integers(min_value=-1, max_value=1))
+    return j1, 1, j3, m1, m2
 
 
 @settings(max_examples=80, deadline=None)
@@ -60,7 +61,7 @@ def test_symbols_match_sympy(args):
         assert wigner3j(j1, j2, j3, m1, m2, m3) == 0.0
         return
     ref = float(wigner_3j(j1, j2, j3, m1, m2, m3))
-    assert wigner3j(j1, j2, j3, m1, m2, m3) == pytest.approx(ref, abs=1e-12)
+    assert wigner3j(j1, j2, j3, m1, m2, m3) == pytest.approx(ref, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,22 +74,36 @@ def test_orthogonality_sum(args):
         for j3 in range(abs(j1 - j2), j1 + j2 + 1)
         if abs(m3) <= j3
     )
-    assert total == pytest.approx(1.0, abs=1e-12)
+    assert total == pytest.approx(1.0, abs=1e-15)
+
+
+def test_squares_equal_sympy_exactly():
+    # every (J' 1 J; -M', q, M) with J, J' <= 12, including the zeros of |dJ| = 2
+    for J in range(13):
+        for Jp in range(max(0, J - 2), min(J + 2, 12) + 1):
+            for M in range(-J, J + 1):
+                for Mp in range(max(-Jp, M - 1), min(Jp, M + 1) + 1):
+                    ref = wigner_3j(Jp, 1, J, -Mp, Mp - M, M) ** 2
+                    assert Fraction(*_square(Jp, Mp, J, M)) == Fraction(int(ref.p), int(ref.q)), (Jp, Mp, J, M)
 
 
 def test_selection_rule_zeroes():
     assert wigner3j(1, 1, 1, 1, 1, 1) == 0.0  # m-sum != 0
     assert wigner3j(1, 1, 3, 0, 0, 0) == 0.0  # triangle violated
-    assert wigner3j(2, 2, 2, 3, -3, 0) == 0.0  # |m| > j
+    assert wigner3j(2, 1, 2, 3, -1, -2) == 0.0  # |m| > j
+    assert wigner3j(0, 1, 0, 0, 0, 0) == 0.0  # triangle violated at J = J' = 0
 
 
-def test_large_j_rejected():
+def test_arguments_outside_the_rank_1_domain_rejected():
     with pytest.raises(ValueError):
-        wigner3j(51, 1, 50, 0, 0, 0)
+        wigner3j(2, 2, 2, 0, 0, 0)
+    with pytest.raises(ValueError):
+        wigner3j(0.5, 1, 0.5, 0.5, 0, -0.5)
     with pytest.raises(ValueError):
         wigner3j(-1, 1, 1, 0, 0, 0)
-    # boundary value still works
-    assert math.isfinite(wigner3j(50, 1, 49, 0, 0, 0))
+    # past the old j = 50 cap the closed form holds: (J+1 1 J; 0 0 0)^2 = (J+1)/((2J+1)(2J+3))
+    J = 10**6
+    assert wigner3j(J + 1, 1, J, 0, 0, 0) ** 2 == pytest.approx((J + 1) / ((2 * J + 1) * (2 * J + 3)), rel=1e-15)
 
 
 # ------------------------------------------------------------- angular weight
@@ -139,6 +154,42 @@ def test_branch_strength_sums_to_one(J_up, omega_up, omega_lo):
         for J_lo in range(max(omega_lo, J_up - 1), J_up + 2)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+OMEGA_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_angular_weight_is_bitwise_mirror_symmetric():
+    # (M, M', q) -> (-M, -M', -q) gives the same exact ratio, so the same float
+    for omega, omega_p in OMEGA_PAIRS:
+        for J in range(omega, 61):
+            for M in range(-J, J + 1):
+                for q in (-1, 0, 1):
+                    for Jp in range(max(omega_p, J - 1), J + 2):
+                        w = angular_weight(J, M, Jp, M + q, q, omega, omega_p)
+                        assert w == angular_weight(J, -M, Jp, -M - q, -q, omega, omega_p)
+
+
+@pytest.mark.parametrize("J", [1000, 100_000])
+def test_angular_factors_at_large_j(J):
+    for omega, omega_p in OMEGA_PAIRS:
+        for M in (-J, -J + 1, -7, 0, 7, J - 1, J):
+            total = 0.0
+            for q in (-1, 0, 1):
+                for Jp in range(J - 1, J + 2):
+                    w = angular_weight(J, M, Jp, M + q, q, omega, omega_p)
+                    # the exact product, rounded once
+                    exact = (2 * J + 1) * (2 * Jp + 1) * Fraction(*_square(Jp, M + q, J, M)) * Fraction(*_square(Jp, omega_p, J, omega))
+                    assert w == float(exact)
+                    total += w
+            assert total == pytest.approx(1.0, abs=1e-15)
+        branches = sum(branch_strength(J, omega, J_lo, omega_p) for J_lo in range(J - 1, J + 2))
+        assert branches == pytest.approx(1.0, abs=1e-15)
+    # the squares themselves, against sympy at J = 1000
+    if J == 1000:
+        for Jp, Mp, M in [(J + 1, 7, 6), (J, -7, -7), (J - 1, 0, 1), (J + 1, J + 1, J)]:
+            ref = wigner_3j(Jp, 1, J, -Mp, Mp - M, M) ** 2
+            assert Fraction(*_square(Jp, Mp, J, M)) == Fraction(int(ref.p), int(ref.q))
 
 
 # --------------------------------------------------------------- polarization

@@ -24,7 +24,7 @@ from molpol import (
 from molpol import dataset as dataset_module
 from molpol import rovib
 from molpol.cli import main
-from molpol.errors import GridError
+from molpol.errors import DataError, GridError, QuantumNumberError
 from molpol.rovib import energy_floor, kinetic_matrix, wavefunction_matrix
 
 from conftest import (
@@ -508,6 +508,29 @@ def test_max_levels_below_one_rejected(morse_ds, krb_rotor, max_levels):
         solve_radial(morse_ds, "X0", 0, MORSE_GRID, max_levels)
     with pytest.raises(ValueError, match="max_levels"):
         solve_radial(krb_rotor, "X0", 0, default_grid(krb_rotor), max_levels)
+
+
+def test_j_past_the_float_exact_range_is_refused_before_any_solve(morse_ds, krb_rotor, monkeypatch):
+    # J(J+1) <= 2^53, exact in a double, holds up to J = 94,906,265
+    assert 94_906_265 * 94_906_266 <= 2**53 < 94_906_266 * 94_906_267
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(rovib, "_solve", refuse)
+    for ds, grid in ((morse_ds, MORSE_GRID), (krb_rotor, default_grid(krb_rotor))):
+        for J in (94_906_266, 10**400):
+            with pytest.raises(QuantumNumberError, match="J\\(J\\+1\\) is not exact"):
+                solve_radial(ds, "X0", J, grid)
+            with pytest.raises(QuantumNumberError, match="J\\(J\\+1\\) is not exact"):
+                energy_floor(ds, "X0", J, grid)
+        assert math.isfinite(energy_floor(ds, "X0", 94_906_265, grid))
+
+
+def test_a_rotor_level_outside_the_float_range_is_a_data_error():
+    ds = make_rotor(1e-300, RBCS["r_e"], RBCS["d"], "light")
+    with pytest.raises(DataError, match="rotor level's energy is not finite"):
+        solve_radial(ds, "X0", 94_906_265, default_grid(ds))
 
 
 def test_convergence_check_pass_and_fail(morse_ds):
