@@ -34,7 +34,7 @@ from .control import (
     lattice_plan,
     microwave_plan,
 )
-from .coupling import POLARIZATIONS, Polarization, franck_condon, vibronic_dipole
+from .coupling import POLARIZATIONS, Polarization, dipole_matrix
 from .dataset import load_dataset
 from .errors import DataError, NumericalError
 from .polarizability import (
@@ -46,7 +46,7 @@ from .polarizability import (
     scan_spectrum,
     solve_initial,
 )
-from .rovib import MAX_LEVELS, RadialGrid, convergence_check, solved_block
+from .rovib import MAX_LEVELS, RadialGrid, convergence_check, sampled_curve, solved_block
 
 
 def _fmt(x) -> str:
@@ -289,11 +289,15 @@ def cmd_fcf(args) -> int:
     lev_i = solved_block(ds, lower, args.J, grid, args.max_v + 1).levels
     lev_f = solved_block(ds, upper, args.Jp, grid, args.max_v + 1).levels
     dip = ds.dipole_between(lower, upper)
-    rows = []
-    for li in lev_i:
-        for lf in lev_f:
-            d = vibronic_dipole(li, lf, dip) if dip is not None else math.nan
-            rows.append((li.v, li.J, lf.v, lf.J, franck_condon(li, lf), d))
+    # both tables as (v', v) block products: the overlaps are the d(R) = 1 case
+    overlap = dipole_matrix(lev_f, lev_i, np.ones(grid.n))
+    fcf = overlap * overlap
+    d_vib = dipole_matrix(lev_f, lev_i, sampled_curve(ds, dip, grid)) if dip is not None else np.full_like(fcf, math.nan)
+    rows = [
+        (li.v, li.J, lf.v, lf.J, fcf[f, i], d_vib[f, i])
+        for i, li in enumerate(lev_i)
+        for f, lf in enumerate(lev_f)
+    ]
     _write_csv(out / "fcf.csv", ["v", "J", "vp", "Jp", "FCF", "d_vib"], zip(*rows))
     sys.stdout.write(f"{len(rows)} rows -> {out / 'fcf.csv'}\n")
     return 0
@@ -424,7 +428,8 @@ def cmd_plan(args) -> int:
     if d_ind is None:
         lev0 = solve_initial(ds, initial, opts)
         dip = ds.permanent_dipole(initial.state)
-        d_ind = 0.5 * abs(vibronic_dipole(lev0, lev0, dip)) if dip is not None else 0.0
+        d_perm = dipole_matrix([lev0], [lev0], sampled_curve(ds, dip, lev0.grid))[0, 0] if dip is not None else 0.0
+        d_ind = 0.5 * abs(float(d_perm))
     inter = dd_interaction(d_ind, trap.r_l)
     _write_json(
         out / "plan.json",

@@ -36,7 +36,8 @@ from .polarizability import (
     alpha_kernel,
     solve_initial,
 )
-from .coupling import vibronic_dipole
+from .coupling import dipole_matrix
+from .rovib import sampled_curve
 
 __all__ = [
     "MicrowavePlan",
@@ -46,7 +47,6 @@ __all__ = [
     "FrequencyWindow",
     "rabi_energy",
     "induced_dipole",
-    "induced_dipole_perturbative",
     "microwave_plan",
     "dd_interaction",
     "lattice_plan",
@@ -74,16 +74,6 @@ def induced_dipole(d_perm: float, delta_e: float, nu: float, intensity: float) -
     om = rabi_energy(d_perm, intensity)
     det = nu - delta_e
     return 0.5 * abs(d_perm) * om / math.hypot(om, det)
-
-
-def induced_dipole_perturbative(d_perm: float, delta_e: float, nu: float, intensity: float) -> float:
-    """First-order mixing limit of induced_dipole, valid for |detuning| >> Rabi."""
-    if intensity == 0.0 or d_perm == 0.0:
-        return 0.0
-    det = nu - delta_e
-    if det == 0.0:
-        return math.inf
-    return 0.5 * abs(d_perm) * rabi_energy(d_perm, intensity) / abs(det)
 
 
 @dataclass(frozen=True)
@@ -114,7 +104,8 @@ def microwave_plan(
     dip = ds.permanent_dipole(g)
     if dip is None:
         raise DataError(f"dataset {ds.name!r} has no permanent dipole for {g!r}")
-    d_perm = abs(vibronic_dipole(lev0, lev1, dip))
+    # <J=1| d |J=0>: which level is the row fixes the product's rounding
+    d_perm = abs(float(dipole_matrix([lev1], [lev0], sampled_curve(ds, dip, lev0.grid))[0, 0]))
     delta_e = lev1.energy - lev0.energy
     return MicrowavePlan(
         nu=nu,

@@ -21,6 +21,11 @@ the curve itself. Einstein-A linewidths of a whole upper (state, J) block come
 from one masked nu^3 d^2 * branch sum per lower (state, J) block
 (natural_linewidths); natural_linewidth is its one-level case.
 
+No package code calls vibronic_dipole, natural_linewidth or wigner3j: they stay
+for the benchmark's tracer (perfbench/tracing.py) and the tests, and
+franck_condon for the acceptance battery. The fcf command and the plans read
+dipole_matrix instead.
+
 Every lab polarization is one entry of the POLARIZATIONS table, name ->
 spherical components ((q, amplitude), ...); Polarization.parse and the
 command line's choices both read that table.

@@ -57,7 +57,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, NumericalError, QuantumNumberError
-from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, energy_floor, sampled_curve, solved_block, solving_ahead
+from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, _check_J, energy_floor, sampled_curve, solved_block, solving_ahead
 
 __all__ = [
     "LevelId",
@@ -195,10 +195,15 @@ def build_line_list(
     within j_max_branch, after the initial one, are solved side by side
     (rovib.solving_ahead) while the lines are built from the same list. A line
     strength w * d^2 outside the float range is a NumericalError.
+
+    The initial J and every kept J' pass rovib's J rule before anything is
+    solved, so a J past it starts no solve. The lower blocks of a linewidth,
+    up to J' + 1, are checked where they are solved.
     """
     opts = options or LineListOptions()
     if opts.v_max is not None and opts.v_max < 0:
         raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
+    _check_J(initial.J)
     grid = opts.grid or default_grid(ds)
     om_i = ds.state(initial.state).omega
     driven = []   # (state, dipole curve, J', [(q, M', weight)]): the same weights for every v'
@@ -212,6 +217,8 @@ def build_line_list(
         if weights:
             driven.append((st, dip, Jp, weights))
     kept = [br for br in driven if opts.j_max_branch is None or br[2] <= opts.j_max_branch]
+    for _, _, Jp, _ in kept:
+        _check_J(Jp)
     # the caps that removed a line with angular weight
     capped = {"j_max_branch"} if len(kept) < len(driven) else set()
     states = list(dict.fromkeys([initial.state, *(st.label for st, *_ in kept)]))

@@ -194,7 +194,6 @@ __all__ = [
     "energy_floor",
     "wavefunction_matrix",
     "convergence_check",
-    "rotational_constant",
     "one_blas_thread",
 ]
 
@@ -856,10 +855,3 @@ def convergence_check(
         shift_trim=s_trim,
         shift_contract=s_contract,
     )
-
-
-def rotational_constant(level: RovibLevel, ds: MoleculeDataset) -> float:
-    """Effective B_v = <hbar^2/(2 mu R^2)> over the level's wavefunction, cm^-1."""
-    pts = level.grid.points
-    w = level.wavefunction**2 * level.grid.h
-    return float(np.sum(w * HBAR2_OVER_TWO / (ds.reduced_mass * pts**2)))

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
-from molpol import control, rovib
+from molpol import cli, control, rovib
 from molpol import dataset as dataset_module
+from molpol.coupling import franck_condon, vibronic_dipole
 from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
 from molpol.dataset import DipoleCurve, PotentialCurve
 from molpol.errors import DataError
@@ -279,6 +280,61 @@ def test_fcf_table(optical_dir, tmp_path, capsys):
     for row in lines[1:]:
         fcf = float(row.split(",")[4])
         assert 0.0 <= fcf <= 1.0 + 1e-9
+
+
+def _fcf_per_pair(ds_dir, final, J, Jp, max_v=10):
+    """fcf.csv's columns built pair by pair: one franck_condon and one
+    vibronic_dipole per (v, v'), each dipole sampled again."""
+    ds = load_dataset(ds_dir)
+    grid = polarizability.default_grid(ds)
+    lev_i = rovib.solved_block(ds, ds.ground_label, J, grid, max_v + 1).levels
+    lev_f = rovib.solved_block(ds, final, Jp, grid, max_v + 1).levels
+    dip = ds.dipole_between(ds.ground_label, final)
+    rows = [
+        (li.v, li.J, lf.v, lf.J, franck_condon(li, lf), vibronic_dipole(li, lf, dip) if dip is not None else math.nan)
+        for li in lev_i
+        for lf in lev_f
+    ]
+    return list(zip(*rows))
+
+
+@pytest.mark.parametrize(
+    "ds_dir, final, J, Jp, same_bytes",
+    [
+        (OPTICAL_STANDIN, "A0", 0, 1, True),
+        (OPTICAL_STANDIN, "B1", 1, 1, True),
+        # FCFs and dipoles near zero: rounding noise, so their %.12g strings move
+        (OPTICAL_STANDIN, "X0", 0, 1, False),
+        (KRB_ROTOR_STANDIN, "X0", 0, 1, False),
+    ],
+    ids=["X0-A0", "X0-B1", "X0-X0", "krb-rotor"],
+)
+def test_fcf_block_products_match_the_per_pair_reference(ds_dir, final, J, Jp, same_bytes, tmp_path, monkeypatch):
+    written = []
+    write = cli._write_csv
+
+    def capturing(path, header, columns):
+        written.append(list(columns))
+        write(path, header, written[-1])
+
+    monkeypatch.setattr(cli, "_write_csv", capturing)
+    argv = ["fcf", ds_dir, "--final-state", final, "--J", J, "--Jp", Jp, "--out", tmp_path / "got"]
+    assert run_cli(argv) == 0
+    got, want = written[0], _fcf_per_pair(ds_dir, final, J, Jp)
+    assert len(got) == 6 and len(got[0]) == len(want[0]) > 0
+    assert got[:4] == want[:4]
+    for column in (4, 5):
+        assert np.abs(np.subtract(got[column], want[column])).max() <= 1e-15
+    if same_bytes:
+        write(tmp_path / "want.csv", ["v", "J", "vp", "Jp", "FCF", "d_vib"], want)
+        assert (tmp_path / "got" / "fcf.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("empty", [["--grid", "50:60:101"], ["--Jp", "100000"]], ids=["both", "upper"])
+def test_fcf_of_an_empty_block_writes_the_header(empty, tmp_path, capsys):
+    assert run_cli(["fcf", OPTICAL_STANDIN, "--final-state", "A0", *empty, "--out", tmp_path]) == 0
+    assert read_lines(tmp_path / "fcf.csv") == ["v,J,vp,Jp,FCF,d_vib"]
+    assert capsys.readouterr().err == ""
 
 
 def test_fcf_negative_max_v_names_the_flag(optical_dir, tmp_path, capsys):
@@ -1049,6 +1105,15 @@ def test_a_branch_or_linewidth_past_j_50_is_solved(J, tmp_path, capsys):
     # J = 50 reaches J' = 51, and the J' = 50 linewidths of J = 49 walk to J = 51
     assert run_cli(["alpha", OPTICAL_STANDIN, "--J", J, "--nu", "9000:9005:1", "--out", tmp_path]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_j_past_rovibs_bound_starts_no_solve(tmp_path, capsys, solves):
+    # the J rule runs before solving_ahead queues the X0 and A0 bases
+    argv = ["alpha", OPTICAL_STANDIN, "--J", str(10**400), "--nu", "9000:9001:1", "--out", tmp_path]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: data: J = 1000") and err.count("\n") == 1
+    assert solves.direct == []
 
 
 def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, workers):

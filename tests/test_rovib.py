@@ -17,7 +17,6 @@ from molpol import (
     convergence_check,
     default_grid,
     load_dataset,
-    rotational_constant,
     solve_radial,
     synthesize,
 )
@@ -541,7 +540,7 @@ def test_convergence_check_pass_and_fail(morse_ds):
     assert not bad.converged
 
 
-def test_rotor_level_and_rotational_constant():
+def test_rotor_levels():
     ds = make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rot")
     grid = RadialGrid(RBCS["r_e"] - 1.0, RBCS["r_e"] + 1.0, 101)
     b_exact = HBAR2_OVER_TWO / (RBCS["mu"] * RBCS["r_e"] ** 2)
@@ -549,19 +548,9 @@ def test_rotor_level_and_rotational_constant():
     assert levels[0].energy == pytest.approx(0.0, abs=1e-12)
     assert levels[1].energy == pytest.approx(2.0 * b_exact, rel=1e-6)
     assert levels[2].energy == pytest.approx(6.0 * b_exact, rel=1e-6)
-    for J in (0, 1, 2):
-        assert rotational_constant(levels[J], ds) == pytest.approx(b_exact, rel=1e-6)
-        assert rotational_constant(levels[J], ds) > 0.0
     # delta-localized wavefunction is normalized under grid quadrature
     psi = levels[0].wavefunction
     assert np.sum(psi**2) * grid.h == pytest.approx(1.0, rel=1e-12)
-
-
-def test_rotational_constant_consistent_with_spacing(morse_ds):
-    v0_j0 = solve_radial(morse_ds, "X0", 0, MORSE_GRID, 1)[0]
-    v0_j1 = solve_radial(morse_ds, "X0", 1, MORSE_GRID, 1)[0]
-    b_v = rotational_constant(v0_j0, morse_ds)
-    assert (v0_j1.energy - v0_j0.energy) == pytest.approx(2.0 * b_v, rel=1e-2)
 
 
 @settings(max_examples=20, deadline=None)
