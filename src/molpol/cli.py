@@ -84,18 +84,20 @@ def _write(path: Path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _rendered(column) -> list[str]:
+    """A column's cells as strings, in the format its first cell picks: a
+    string as is, an integer exact, a float as _fmt renders it."""
+    col = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if not col or isinstance(col[0], str):
+        return col
+    fmt = "%d" if isinstance(col[0], (int, np.integer)) else "%.12g"
+    return [fmt % x for x in col]
+
+
 def _write_table(path: Path, head: str, sep: str, columns) -> None:
-    """One line per row, each rendered by one format string: a column of
-    strings as is, of integers exact, of floats as _fmt renders them."""
-    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    lines = [head]
-    if cols and cols[0]:
-        fmt = sep.join(
-            "%s" if isinstance(x, str) else "%d" if isinstance(x, (int, np.integer)) else "%.12g"
-            for x in (c[0] for c in cols)
-        )
-        lines += [fmt % row for row in zip(*cols)]
-    _write(path, "\n".join(lines) + "\n")
+    """One line per row, its cells joined by sep; a caller that writes the
+    same values twice passes the _rendered columns."""
+    _write(path, "\n".join([head, *map(sep.join, zip(*map(_rendered, columns)))]) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
@@ -310,11 +312,8 @@ def cmd_alpha(args) -> int:
     nus = _parse_range(args.nu, args.nm)
     out = _outdir(args)
     spec = scan_spectrum(ds, initial, pol, nus, opts)
-    _write_csv(
-        out / "alpha.csv",
-        ["nu_cm1", "re_alpha_Hz_per_Wcm2", "im_alpha_Hz_per_Wcm2"],
-        (nus, spec.values.real, spec.values.imag),
-    )
+    table = [_rendered(col) for col in (nus, spec.values.real, spec.values.imag)]
+    _write_csv(out / "alpha.csv", ["nu_cm1", "re_alpha_Hz_per_Wcm2", "im_alpha_Hz_per_Wcm2"], table)
     _write_csv(
         out / "resonances.csv",
         ["nu_res", "state", "v", "J", "peak"],
@@ -336,7 +335,7 @@ def cmd_alpha(args) -> int:
         _write_plot(
             out / "alpha_plot.dat",
             ["nu [cm^-1]", "Re alpha/h [Hz/(W/cm^2)]", "Im alpha/h [Hz/(W/cm^2)]"],
-            (nus, spec.values.real, spec.values.imag),
+            table,
         )
     sys.stdout.write(f"{len(nus)} points, {len(spec.resonances)} resonances -> {out / 'alpha.csv'}\n")
     return 0

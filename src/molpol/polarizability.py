@@ -140,14 +140,19 @@ def default_grid(ds: MoleculeDataset) -> RadialGrid:
 def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOptions | None = None) -> RovibLevel:
     """Resolve the initial LevelId to a solved bound level."""
     opts = options or LineListOptions()
+    _check_M(initial)
     levels = solved_block(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels).levels
     if not 0 <= initial.v < len(levels):
         raise DataError(
             f"initial level v={initial.v} not bound for state {initial.state!r} at J={initial.J}"
         )
-    if abs(initial.M) > initial.J:
-        raise DataError(f"initial |M|={abs(initial.M)} exceeds J={initial.J}")
     return levels[initial.v]
+
+
+def _check_M(level: LevelId) -> None:
+    """|M| <= J, checked before the level's block is solved."""
+    if abs(level.M) > level.J:
+        raise DataError(f"initial |M|={abs(level.M)} exceeds J={level.J}")
 
 
 def _branches(ds: MoleculeDataset, state: str, J: int):
@@ -196,14 +201,16 @@ def build_line_list(
     (rovib.solving_ahead) while the lines are built from the same list. A line
     strength w * d^2 outside the float range is a NumericalError.
 
-    The initial J and every kept J' pass rovib's J rule before anything is
-    solved, so a J past it starts no solve. The lower blocks of a linewidth,
-    up to J' + 1, are checked where they are solved.
+    The initial J and every kept J' pass rovib's J rule, and the initial M
+    passes |M| <= J, before anything is solved, so a J or M past them starts
+    no solve. The lower blocks of a linewidth, up to J' + 1, are checked
+    where they are solved.
     """
     opts = options or LineListOptions()
     if opts.v_max is not None and opts.v_max < 0:
         raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
     _check_J(initial.J)
+    _check_M(initial)
     grid = opts.grid or default_grid(ds)
     om_i = ds.state(initial.state).omega
     driven = []   # (state, dipole curve, J', [(q, M', weight)]): the same weights for every v'
@@ -269,7 +276,9 @@ def alpha_at(lines: list[LineStrength], nu: float) -> complex:
     return complex(alpha_kernel(lines)(np.asarray([float(nu)]))[0])
 
 
-_KERNEL_CHUNK = 1 << 16   # (lines x nu) complex entries per kernel chunk, about 1 MB
+# (lines x nu) complex entries per kernel chunk, about 256 KB, so that the
+# chunk's live arrays stay in a core's L2 cache; the size moves no bit of alpha
+_KERNEL_CHUNK = 1 << 14
 
 
 def alpha_kernel(lines: list[LineStrength]) -> Callable[[np.ndarray], np.ndarray]:
@@ -278,6 +287,12 @@ def alpha_kernel(lines: list[LineStrength]) -> Callable[[np.ndarray], np.ndarray
     The per-line arrays (z, z^2, w*d^2) are built once, here; a caller that
     evaluates the same lines many times (a bisection) keeps the returned
     function and gets the bits alpha_at would give at each frequency.
+
+    The frequencies are taken in chunks of about _KERNEL_CHUNK // len(lines),
+    so each (lines x chunk) complex array is about 256 KB and the few alive at
+    once stay in a core's L2 cache, however long the scan. A chunk holds whole
+    nu columns, each summed down the line axis in list order, so the chunk
+    size moves no bit of the result.
     """
     zs = [complex(ln.delta_e, -0.5 * ln.gamma * MHZ_CM1) for ln in lines]
     z = np.array(zs)[:, None]

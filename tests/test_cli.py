@@ -970,7 +970,7 @@ def test_radial_grid_point_count_is_capped():
         _parse_radial_grid(f"5:20:{MAX_GRID_POINTS + 1}")
 
 
-def test_tables_render_every_value_as_fmt_does(tmp_path):
+def test_tables_render_every_value_as_fmt_does(tmp_path, monkeypatch):
     floats = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0123456789,
               1e12, 1e16, math.nan, math.inf, -math.inf, 1.0 / 3.0]
     ints = list(range(-3, len(floats) - 3))
@@ -986,6 +986,21 @@ def test_tables_render_every_value_as_fmt_does(tmp_path):
     assert read_lines(tmp_path / "t.dat") == ["# x  y"] + [f"{_fmt(r[1])} {_fmt(r[2])}" for r in rows]
     _write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
     assert read_lines(tmp_path / "empty.csv") == ["a,b"]
+    # alpha.csv and alpha_plot.dat share one rendering of the scan
+    specs, scan = [], cli.scan_spectrum
+
+    def recording(*args):
+        specs.append(scan(*args))
+        return specs[-1]
+
+    monkeypatch.setattr(cli, "scan_spectrum", recording)
+    argv = ["alpha", OPTICAL_STANDIN, "--nu", "9000:9400:0.5", "--plot", "--out", tmp_path / "alpha"]
+    assert run_cli(argv) == 0
+    (spec,) = specs
+    csv_rows = [row.split(",") for row in read_lines(tmp_path / "alpha" / "alpha.csv")[1:]]
+    plot_rows = [row.split(" ") for row in read_lines(tmp_path / "alpha" / "alpha_plot.dat")[1:]]
+    assert csv_rows == plot_rows
+    assert csv_rows == [[_fmt(nu), _fmt(a.real), _fmt(a.imag)] for nu, a in zip(spec.nu, spec.values)]
 
 
 def test_dipole_curve_is_sampled_per_block_pair(tmp_path, monkeypatch):
@@ -1113,6 +1128,14 @@ def test_a_j_past_rovibs_bound_starts_no_solve(tmp_path, capsys, solves):
     assert run_cli(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("molpol: data: J = 1000") and err.count("\n") == 1
+    assert solves.direct == []
+
+
+def test_an_m_past_j_starts_no_solve(tmp_path, capsys, solves):
+    # |M| <= J runs before the initial block is solved
+    argv = ["alpha", OPTICAL_STANDIN, "--J", "0", "--M", "3", "--nu", "9000:9001:1", "--out", tmp_path]
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err == "molpol: data: initial |M|=3 exceeds J=0\n"
     assert solves.direct == []
 
 

@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -263,9 +264,11 @@ def test_every_request_keeps_the_exit_code_and_stderr_contract(argv, out):
 # ------------------------------------------------------------- dataset half
 #
 # A copy of the optical stand-in with one curve file or molecule.json field
-# pushed towards the float range's ends, under the same contract: the load or
-# the request refuses it, or it succeeds without a word (tier-1 turns any
-# RuntimeWarning into an error that would leave main).
+# pushed towards the float range's ends, or one curve file malformed (a NaN
+# sample, unsorted or repeated R, one row, a bad units header, a dipole to an
+# undeclared state, a potential with no minimum), under the same contract:
+# the load or the request refuses it, or it succeeds without a word (tier-1
+# turns any RuntimeWarning into an error that would leave main).
 
 
 def _scaled(name, column, factor):
@@ -302,6 +305,38 @@ def _last_sample_close_and_above_asymptote(path):
     (path / "pot__X0.dat").write_text("\n".join(lines) + "\n")
 
 
+def _rows(name, edit):
+    """Replace the sample rows of one curve file by edit(rows); the comment
+    and units lines stay as they are."""
+
+    def mutate(path):
+        lines = (path / name).read_text().splitlines()
+        head = [line for line in lines if line.startswith(("#", "units:"))]
+        rows = [line for line in lines if not line.startswith(("#", "units:"))]
+        (path / name).write_text("\n".join(head + edit(rows)) + "\n")
+
+    return mutate
+
+
+def _units(name, header):
+    """Replace the units line of one curve file by header, or drop it for None."""
+
+    def mutate(path):
+        lines = (path / name).read_text().splitlines()
+        lines = [header if line.startswith("units:") else line for line in lines]
+        (path / name).write_text("\n".join(line for line in lines if line is not None) + "\n")
+
+    return mutate
+
+
+def _undeclared_partner(path):
+    shutil.copy(path / "dip__X0__A0.dat", path / "dip__X0__C9.dat")
+
+
+def _radius(row):
+    return row.split()[0]
+
+
 MUTATIONS = {
     # the kernel's w * d**2 raised OverflowError
     "dipole-x1e160": (_scaled("dip__X0__A0.dat", 1, 1e160), ["alpha", "magic", "plan"]),
@@ -316,12 +351,32 @@ MUTATIONS = {
     "A0-R-x1e200": (_scaled("pot__A0.dat", 0, 1e200), ["levels"]),
     # and the contraction residual's norm
     "X0-values-x1e200": (_scaled("pot__X0.dat", 1, 1e200), ["levels", "dress"]),
+    # malformed curve files, each refused at load, and a potential with no
+    # bound level, which alpha and magic refuse and levels and fcf list empty
+    **{
+        name: (mutate, ["alpha", "magic", "levels", "fcf"])
+        for name, mutate in {
+            "A0-nan-sample": _rows("pot__A0.dat", lambda rows: [*rows[:100], f"{_radius(rows[100])} nan", *rows[101:]]),
+            "X0-swapped-R": _rows("pot__X0.dat", lambda rows: [*rows[:50], rows[51], rows[50], *rows[52:]]),
+            "B1-dipole-repeated-R": _rows(
+                "dip__X0__B1.dat", lambda rows: [*rows[:51], f"{_radius(rows[50])} {rows[51].split()[1]}", *rows[52:]]
+            ),
+            "A0-dipole-one-row": _rows("dip__X0__A0.dat", lambda rows: rows[:1]),
+            "A0-no-units": _units("pot__A0.dat", None),
+            "A0-unknown-value-unit": _units("pot__A0.dat", "units: bohr furlongs"),
+            "dipole-to-undeclared-state": _undeclared_partner,
+            "X0-no-minimum": _rows(
+                "pot__X0.dat", lambda rows: [f"{_radius(row)} {1e5 * math.exp(-float(_radius(row)))!r}" for row in rows]
+            ),
+        }.items()
+    },
 }
 DATASET_REQUESTS = {
     "alpha": ["--nu", "9000:9010:1"],
     "magic": ["--Ja", "0", "--Jb", "1", "--nu", "8800:8810:1"],
     "plan": ["--nm", "1064", "--intensity", "1e4"],
     "levels": ["--J", "0"],
+    "fcf": ["--final-state", "A0"],
     "dress": ["--nu", "0.03", "--intensity", "100"],
 }
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -381,10 +382,13 @@ def _alpha_line_by_line(lines, nus):
     return ALPHA_HZ_PER_WCM2 * out
 
 
-def test_scan_longer_than_a_kernel_chunk_matches_pointwise(optical):
+@pytest.mark.parametrize("kernel_chunk", [1, 7, 1 << 14, 1 << 16])
+def test_scan_longer_than_a_kernel_chunk_matches_pointwise(optical, kernel_chunk, monkeypatch):
+    # the chunk size moves no bit: one nu per chunk gives the same values
+    monkeypatch.setattr(polarizability, "_KERNEL_CHUNK", kernel_chunk)
     init = LevelId("X", 0, 0, 0)
     lines = build_line_list(optical, init, SZ)
-    chunk = polarizability._KERNEL_CHUNK // len(lines)
+    chunk = max(1, kernel_chunk // len(lines))
     nus = np.linspace(8500.0, 9600.0, 2 * chunk + 7)
     values = scan_spectrum(optical, init, SZ, nus).values
     pointwise = np.array([alpha_at(lines, nu) for nu in nus])
@@ -407,6 +411,22 @@ def test_line_gammas_come_from_block_linewidths(optical):
 
 
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
+
+
+def test_an_optical_scan_keeps_the_kernels_working_set_small():
+    # the kernel's chunk arrays are the largest allocations after the solves:
+    # 3.54 MB at 1 << 16 entries a chunk, 1.93 MB at 1 << 15, 1.13 MB at 1 << 14
+    lines = build_line_list(load_dataset(OPTICAL_STANDIN), LevelId("X0", 0, 0, 0), SZ)
+    kernel = polarizability.alpha_kernel(lines)
+    nus = 8600.0 + 0.5 * np.arange(3600)
+    tracemalloc.start()
+    try:
+        kernel(nus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 136
+    assert peak <= 1.25e6
 
 
 def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit(monkeypatch):
