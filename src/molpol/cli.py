@@ -123,8 +123,8 @@ def _parse_range(text: str, in_nm: bool) -> np.ndarray:
         raise DataError(f"range must be lo:hi:step, got {text!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DataError(f"range needs finite values, hi >= lo and step > 0, got {text!r}")
-    if in_nm and lo <= 0:
-        raise DataError(f"a wavelength range needs lo > 0 nm, got {text!r}")
+    if in_nm and (lo <= 0 or math.isinf(1.0e7 / lo)):
+        raise DataError(f"a wavelength range needs lo > 0 nm with 1e7/lo finite, got {text!r}")
     steps = (hi - lo) / step + 1e-9
     if steps >= MAX_SCAN_POINTS:   # also catches an overflow to inf
         raise DataError(f"range {text!r} has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points")

@@ -15,11 +15,12 @@ distinct final M', so cross terms vanish identically.
 Radial dipole matrix elements between two lists of levels on one grid come
 from one product, W_a diag(d(R) h) W_b^T (dipole_matrix), with the dipole
 curve sampled once per loaded dataset and grid (rovib.sampled_curve). The
-product runs on one BLAS thread (rovib.one_blas_thread), so its bits do not
-depend on the thread count. vibronic_dipole is its 1 x 1 case, which samples
-the curve itself. Einstein-A linewidths of a whole upper (state, J) block come
-from one masked nu^3 d^2 * branch sum per lower (state, J) block
-(natural_linewidths); natural_linewidth is its one-level case.
+product runs on one BLAS thread (_lapack.one_blas_thread; _lapack's docstring
+says how the pin behaves), so its bits do not depend on the thread count.
+vibronic_dipole is its 1 x 1 case, which samples the curve itself.
+Einstein-A linewidths of a whole upper (state, J) block come from one masked
+nu^3 d^2 * branch sum per lower (state, J) block (natural_linewidths);
+natural_linewidth is its one-level case.
 
 No package code calls vibronic_dipole, natural_linewidth or wigner3j: they stay
 for the benchmark's tracer (perfbench/tracing.py) and the tests, and
@@ -39,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import one_blas_thread
 from .constants import EINSTEIN_A_FACTOR
 from .dataset import DipoleCurve, MoleculeDataset
 from .errors import NumericalError, QuantumNumberError
-from .rovib import RadialGrid, RovibLevel, one_blas_thread, sampled_curve, wavefunction_matrix
+from .rovib import RadialGrid, RovibLevel, sampled_curve, wavefunction_matrix
 
 __all__ = [
     "POLARIZATIONS",

@@ -80,35 +80,10 @@ default grid contracted energies agree with the direct trimmed solve to about
 threads a contracted block costs 6-7 ms against 34-42 ms for its dense solve.
 
 Every eigensolve and every product of a contraction runs on one BLAS thread
-(one_blas_thread, which coupling's dipole products use too). numpy's OpenBLAS
-rounds these products differently under one and two threads, so results used
-to change with OPENBLAS_NUM_THREADS; under the pin they do not, on one machine
-and BLAS build. A second thread buys little at these sizes: a lone 457-point
-eigh takes 25-36 ms under one thread or two. The pin finds the set/get
-thread-count calls of the OpenBLAS numpy loaded with ctypes on first use; the
-outermost entry, from any thread, sets one thread and the last exit restores
-the count. Without those calls nothing is pinned.
-
-A dense solve calls that dsyevd itself (_eigh_in_place), with JOBZ = 'V' and
-UPLO = 'L' as eigh passes them, on the span Hamiltonian's own C-ordered
-buffer. _eigensolve builds that matrix exactly symmetric (row[|i - j|] plus a
-diagonal), so the lower triangle LAPACK reads of the buffer taken column-major
-holds exactly the values of the column-major copy eigh makes; with the same
-workspace, from the same lwork = -1 query, the energies and vectors are eigh's
-bits. The eigenvectors overwrite the matrix as its rows (vectors = H.T), so
-neither eigh's input copy nor its m x m output is made: 1.7 MB each at
-m = 457, beside dsyevd's own 1 + 6m + 2m^2 doubles of workspace (3.3 MB). The
-symbol is looked up on the first solve, through the handle the pin uses,
-under a name whose suffix fixes LAPACK's integer width:
-
-    scipy_dsyevd_64_   64-bit   (numpy's scipy-openblas64 wheels)
-    dsyevd_64_         64-bit
-    scipy_dsyevd_      32-bit
-
-Under any other build a dense solve is np.linalg.eigh: the same routine, the
-same bits, and its two copies. info != 0 raises np.linalg.LinAlgError, as
-eigh does. A contraction's K x K matrix comes from a GEMM and is not bitwise
-symmetric, so it goes through eigh.
+(_lapack.one_blas_thread), and a dense solve runs numpy's own LAPACK dsyevd in
+place on the span Hamiltonian (_lapack.eigh_in_place), with eigh's bits;
+_lapack's docstring says how the pin behaves, why the bits are eigh's, which
+symbols it finds and what runs without them.
 
 The pin frees the second CPU for a second solve. solving_ahead, which
 polarizability.build_line_list wraps around a line list, queues the J = omega
@@ -166,10 +141,7 @@ which leaves no bound levels; that case returns an empty list.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import math
-import os
 import sys
 import threading
 from collections.abc import Sequence
@@ -177,6 +149,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _lapack
 from .constants import HBAR2_OVER_TWO
 from .dataset import MoleculeDataset
 from .errors import DataError, GridError, QuantumNumberError
@@ -194,7 +167,6 @@ __all__ = [
     "energy_floor",
     "wavefunction_matrix",
     "convergence_check",
-    "one_blas_thread",
 ]
 
 BOUND_GUARD = 1e-6   # cm^-1 below the asymptote
@@ -260,137 +232,6 @@ class _Basis:
     vectors: np.ndarray    # (m, K) orthonormal columns
     kept: int
     edges: list[int]
-
-
-# (set, get) thread-count calls of the OpenBLAS builds numpy ships, in that order
-_BLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-# names of LAPACK's dsyevd in the builds numpy ships, each with the integer
-# width its suffix fixes; any other name's width is unknown, so it is not used
-_DSYEVD_CALLS = (
-    ("scipy_dsyevd_64_", ctypes.c_int64),
-    ("dsyevd_64_", ctypes.c_int64),
-    ("scipy_dsyevd_", ctypes.c_int32),
-)
-
-
-@functools.cache
-def _numpy_lapack():
-    """numpy's LAPACK extension module as a ctypes handle, or None.
-
-    The handle searches the libraries the module was linked against: the
-    OpenBLAS numpy loaded, not another one in the process.
-    """
-    try:
-        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-
-
-def _numpy_symbol(name: str):
-    """The function `name` as numpy's LAPACK module sees it, or None."""
-    lib = _numpy_lapack()
-    return None if lib is None else getattr(lib, name, None)
-
-
-@functools.cache
-def _blas_thread_calls():
-    """(set, get) of numpy's OpenBLAS thread count, or None when not found."""
-    for set_name, get_name in _BLAS_THREAD_CALLS:
-        set_threads, get_threads = _numpy_symbol(set_name), _numpy_symbol(get_name)
-        if set_threads is not None and get_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
-    return None
-
-
-@functools.cache
-def _dsyevd():
-    """(dsyevd, its integer type) from numpy's LAPACK, or None when not found."""
-    for name, integer in _DSYEVD_CALLS:
-        dsyevd = _numpy_symbol(name)
-        if dsyevd is not None:
-            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO and
-            # the lengths of the two character arguments
-            ptr, n = ctypes.c_void_p, ctypes.POINTER(integer)
-            dsyevd.argtypes = [ctypes.c_char_p] * 2 + [n, ptr, n, ptr, ptr, n, ptr, n, n] + [ctypes.c_size_t] * 2
-            dsyevd.restype = None
-            return dsyevd, integer
-    return None
-
-
-def _eigh_in_place(ham: np.ndarray):
-    """(energies, vectors) of the exactly symmetric, C-contiguous ham, ascending,
-    with the bits np.linalg.eigh gives; ham is overwritten and vectors = ham.T.
-
-    dsyevd (JOBZ = 'V', UPLO = 'L') runs on ham's own buffer: read column-major
-    it is ham.T, whose lower triangle holds exactly the values of the
-    column-major copy eigh makes, and its eigenvectors come back as ham's
-    rows. Without the symbol this is np.linalg.eigh.
-    """
-    m = len(ham)
-    if ham.dtype != np.float64 or ham.shape != (m, m) or not (ham.flags.c_contiguous and ham.flags.writeable):
-        raise ValueError("an in-place eigensolve needs a square, writable, C-contiguous float64 matrix")
-    lapack = _dsyevd()
-    if lapack is None:
-        return np.linalg.eigh(ham)
-    dsyevd, integer = lapack
-    n, info = integer(m), integer(0)
-    energies = np.empty(m)
-
-    def call(work, lwork, iwork, liwork):
-        dsyevd(
-            b"V", b"L", n, ham.ctypes.data, n, energies.ctypes.data,
-            work.ctypes.data, integer(lwork), iwork.ctypes.data, integer(liwork), info, 1, 1,
-        )
-        return info.value
-
-    work, iwork = np.empty(1), np.empty(1, dtype=integer)
-    if call(work, -1, iwork, -1) == 0:   # the workspace query, as eigh makes it
-        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=integer)
-        call(work, len(work), iwork, len(iwork))
-    if info.value != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return energies, ham.T
-
-
-class _OneBlasThread:
-    """Runs numpy's OpenBLAS on one thread while any caller is inside.
-
-    Reentrant and shared by every thread: the outermost entry saves the
-    thread count and sets 1, the last exit restores it. Without the
-    OpenBLAS calls it does nothing.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = None
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                calls = _blas_thread_calls()
-                if calls is not None:
-                    set_threads, get_threads = calls
-                    self._restore = functools.partial(set_threads, get_threads())
-                    set_threads(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                self._restore()
-                self._restore = None
-
-
-one_blas_thread = _OneBlasThread()
 
 
 def _kinetic_row(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
@@ -515,8 +356,8 @@ def _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
     v = v_eff[span]
     ham = _toeplitz(row[: len(v)])
     ham[np.diag_indices_from(ham)] += v
-    with one_blas_thread:
-        energies, vectors = _eigh_in_place(ham)
+    with _lapack.one_blas_thread:
+        energies, vectors = _lapack.eigh_in_place(ham)
     k = min(max_levels, int(np.count_nonzero(energies < cutoff)))   # energies ascend
     edges = [i for i, cut in ((0, span.start > 0), (-1, span.stop < grid.n)) if cut]
     if math.isfinite(e_top):
@@ -537,7 +378,7 @@ def _contract(row, v_eff, cutoff, basis, max_levels):
     of the cutoff, where the kept count could differ from a direct solve's.
     """
     b, v = basis.vectors, v_eff[basis.span]
-    with one_blas_thread:
+    with _lapack.one_blas_thread:
         a = b.T @ ((v - basis.v_eff)[:, None] * b)
         a[np.diag_indices_from(a)] += basis.energies
         e, c = np.linalg.eigh(a)
@@ -736,12 +577,6 @@ def _work(queue: list) -> None:
         job.run()
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, max_levels: int):
     """Solve the J = omega bases of `states` side by side while the body runs.
@@ -757,12 +592,12 @@ def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, 
     """
     store = _store(ds)
     jobs = {}
-    if max_levels >= 1 and _blas_thread_calls() is not None:
+    if max_levels >= 1 and _lapack.BLAS_THREADS is not None:
         for state in states:
             key = (state, grid, max_levels)
             if key not in store.bases and key not in store.ahead and _contracts(ds, state, grid, max_levels):
                 jobs[key] = _Ahead(ds, state, grid, max_levels)
-    n_workers = min(len(jobs), _usable_cpus())
+    n_workers = min(len(jobs), _lapack.usable_cpus())
     if n_workers < 2:
         yield
         return
@@ -799,7 +634,7 @@ class ConvergenceReport:
     converged: bool
     tol: float
     n_levels: int
-    shift_refine: float    # max |dE| when n -> 2n
+    shift_refine: float    # max |dE| when n -> 2n - 1 (h -> h / 2)
     shift_extend: float    # max |dE| when r_max -> 1.5 r_max (same spacing)
     shift_trim: float      # max |dE| of the direct trimmed solve against one on the full grid, untrimmed
     shift_contract: float  # max |dE| of the solve against the direct trimmed one; 0 at J = omega
@@ -821,8 +656,9 @@ def convergence_check(
     The re-solves run on a copy of ds that shares its curves and starts with an
     empty store, so the bases and samples of the probe grids stay out of ds's.
     """
-    # both probe grids are built, and checked against MAX_GRID_POINTS, before any solve
-    fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n)
+    # both probe grids are built, and checked against MAX_GRID_POINTS, before any
+    # solve; the fine grid halves h and keeps every node, a rotor level's among them
+    fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n - 1)
     r_ext = grid.r_min + 1.5 * (grid.r_max - grid.r_min)
     ext_grid = RadialGrid(grid.r_min, r_ext, int(round((r_ext - grid.r_min) / grid.h)) + 1)
     base = solved_block(ds, state, J, grid, max_levels).levels

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from molpol import _lapack
 from molpol import dataset as molpol_dataset
 from molpol import rovib
 from molpol import (
@@ -30,16 +31,16 @@ from molpol import (
 
 
 def blas_thread_calls():
-    """rovib's (set, get) of numpy's OpenBLAS thread count; skips the test without them."""
-    calls = rovib._blas_thread_calls()
+    """_lapack's (set, get) of numpy's OpenBLAS thread count; skips the test without them."""
+    calls = _lapack.BLAS_THREADS
     if calls is None:
         pytest.skip("numpy's OpenBLAS thread-count calls were not found")
     return calls
 
 
 def dsyevd_call():
-    """rovib's in-place dsyevd and its integer type; skips the test without them."""
-    call = rovib._dsyevd()
+    """_lapack's in-place dsyevd and its integer type; skips the test without them."""
+    call = _lapack.DSYEVD
     if call is None:
         pytest.skip("numpy's LAPACK dsyevd was not found under a name of known integer width")
     return call

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from molpol import load_dataset, polarizability, write_dataset
-from molpol import cli, control, rovib
+from molpol import _lapack, cli, control, rovib
 from molpol import dataset as dataset_module
 from molpol.coupling import franck_condon, vibronic_dipole
 from molpol.cli import MAX_SCAN_POINTS, _fmt, _parse_radial_grid, _parse_range, _write_csv, _write_plot, main
@@ -170,8 +170,8 @@ def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
     assert run_cli(["levels", OPTICAL_STANDIN, "--out", tmp_path / "plain"]) == 0
     assert run_cli(["levels", OPTICAL_STANDIN, "--check", "--out", tmp_path / "check"]) == 0
     # the plain run's solve, whose basis the held dataset keeps, so the
-    # check's base solves nothing; then its 2n, extended and untrimmed re-solves
-    assert calls == [(801, True), (1602, True), (1201, True), (801, False)]
+    # check's base solves nothing; then its 2n - 1, extended and untrimmed re-solves
+    assert calls == [(801, True), (1601, True), (1201, True), (801, False)]
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert check.read_bytes() == plain.read_bytes()
 
@@ -192,13 +192,13 @@ def test_levels_and_fcf_read_the_block_store(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rovib, "_levels", counting)
     assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path / "check"]) == 0
-    # the base is the stored block: levels only for the 2n, extended, direct
+    # the base is the stored block: levels only for the 2n - 1, extended, direct
     # trimmed and untrimmed re-solves
-    assert built == [1602, 1201, 801, 801]
+    assert built == [1601, 1201, 801, 801]
     dataset_module._LOADED.clear()
     built.clear()
     assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path / "fresh"]) == 0
-    assert built == [801, 1602, 1201, 801, 801]
+    assert built == [801, 1601, 1201, 801, 801]
     for name in ("check", "fresh"):
         assert (tmp_path / name / "levels.csv").read_bytes() == (tmp_path / "levels" / "levels.csv").read_bytes()
 
@@ -233,7 +233,7 @@ def test_levels_check_of_an_empty_block_passes(tmp_path, capsys):
 
 
 def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
-    # the check's 1602- and 1201-point solves make X0 bases and curve samples
+    # the check's 1601- and 1201-point solves make X0 bases and curve samples
     # that nothing reuses; they go to a copy of the dataset, not the held one
     held = load_dataset(OPTICAL_STANDIN)
     rovib.solved_block(held, "X0", 1, polarizability.default_grid(held), 64)
@@ -248,10 +248,12 @@ def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
     assert all(store.blocks[key] is block for key, block in blocks.items())
 
 
-@pytest.mark.parametrize("J", ["0", "2"])
+@pytest.mark.parametrize("J", ["0", "2", "5", "10"])
 @pytest.mark.parametrize("name", ["krb_rotor_standin", "rbcs_rotor_standin"])
 def test_rotor_levels_check_passes_and_writes_the_plain_table(name, J, tmp_path, capsys):
-    # a rotor block is one node; its check re-solves it on the probe grids and untrimmed
+    # a rotor block is one node; its check re-solves it on the probe grids and
+    # untrimmed. The refined grid keeps that node: on one without it J >= 5
+    # moves by more than 1e-3 cm^-1
     ds_dir = OPTICAL_STANDIN.parent / name
     assert run_cli(["levels", ds_dir, "--J", J, "--out", tmp_path / "plain"]) == 0
     assert run_cli(["levels", ds_dir, "--J", J, "--check", "--out", tmp_path / "check"]) == 0
@@ -566,6 +568,7 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("optical_dir", ["levels", "--max-levels", "0"]),
         ("optical_dir", ["levels", "--max-levels", "-3"]),
         ("optical_dir", ["alpha", "--nm", "--nu", "0:1000:500"]),
+        ("optical_standin_dir", ["alpha", "--nm", "--nu", "1e-320:1:0.5"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--v-max", "-1"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--v-max", "-2"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--j-max-branch", "-1"]),
@@ -832,11 +835,11 @@ def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monk
     # B1 472 points), six K = 2 * 64 contractions, and a bisection that
     # evaluates each spectrum's kernel once per step for all its brackets
     # (625 evaluations when each bracket was bisected on its own). A dense
-    # solve runs in place (rovib._eigh_in_place) and a contraction through
+    # solve runs in place (_lapack.eigh_in_place) and a contraction through
     # np.linalg.eigh, which the in-place helper calls itself when numpy's
     # dsyevd is not found: each eigensolve is counted once, where it starts
     sizes, evaluations = [], []
-    eigh, in_place, kernel = np.linalg.eigh, rovib._eigh_in_place, polarizability.alpha_kernel
+    eigh, in_place, kernel = np.linalg.eigh, _lapack.eigh_in_place, polarizability.alpha_kernel
     dense = threading.local()
 
     def counting_eigh(matrix):
@@ -862,7 +865,7 @@ def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monk
         return counted
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(rovib, "_eigh_in_place", counting_in_place)
+    monkeypatch.setattr(_lapack, "eigh_in_place", counting_in_place)
     monkeypatch.setattr(polarizability, "alpha_kernel", counting_kernel)
     monkeypatch.setattr(control, "alpha_kernel", counting_kernel)
     argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"]
@@ -1064,18 +1067,18 @@ ALPHA = ["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1"]
 
 def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, workers):
     _, get_threads = blas_thread_calls()
-    if rovib._usable_cpus() < 2:
+    if _lapack.usable_cpus() < 2:
         pytest.skip("one usable CPU: nothing is solved ahead")
     threads, blas_threads = threading.active_count(), get_threads()
     assert run_cli([*ALPHA, "--out", tmp_path / "first"]) == 0
     # X0, A0 and B1 queued: two workers on two CPUs, and both joined
-    assert len(workers) == min(3, rovib._usable_cpus())
+    assert len(workers) == min(3, _lapack.usable_cpus())
     assert threading.active_count() == threads
     assert get_threads() == blas_threads
     assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
     # every basis is stored now: a second request queues nothing
     assert run_cli([*ALPHA, "--out", tmp_path / "second"]) == 0
-    assert len(workers) == min(3, rovib._usable_cpus())
+    assert len(workers) == min(3, _lapack.usable_cpus())
 
 
 def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys, workers):
@@ -1086,7 +1089,7 @@ def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys,
     assert run_cli(["alpha", OPTICAL_STANDIN, "--v", "500", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("molpol: data: initial level v=500 not bound") and err.count("\n") == 1
-    assert workers or rovib._usable_cpus() < 2
+    assert workers or _lapack.usable_cpus() < 2
     assert threading.active_count() == threads
     assert get_threads() == blas_threads
     assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
@@ -1152,7 +1155,7 @@ def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, w
     threads = threading.active_count()
     assert run_cli([*ALPHA, "--out", tmp_path]) == 3
     assert capsys.readouterr().err == "molpol: data: A0 cannot be solved\n"
-    assert workers or rovib._usable_cpus() < 2
+    assert workers or _lapack.usable_cpus() < 2
     assert threading.active_count() == threads
 
 
@@ -1163,7 +1166,7 @@ def test_without_the_blas_calls_nothing_is_pinned_or_solved_ahead(tmp_path, monk
     assert run_cli([*argv, "--out", tmp_path / "pinned"]) == 0
     started = len(workers)
     dataset_module._LOADED.clear()
-    monkeypatch.setattr(rovib, "_blas_thread_calls", lambda: None)
+    monkeypatch.setattr(_lapack, "BLAS_THREADS", None)
     blas_threads = get_threads()
     set_threads(1)
     try:

@@ -72,7 +72,8 @@ def _scan(draw, ds):
     step = draw(st.floats(step_min, step_max))
     hi = lo + (draw(st.integers(1, 40)) - 1) * step
     mutation = draw(_mostly(st.just("none"), st.sampled_from(
-        ["nan", "inf", "reversed", "zero_step", "negative_step", "sub_resolution", "too_many", "malformed"]
+        ["nan", "inf", "reversed", "zero_step", "negative_step", "sub_resolution", "too_many", "malformed",
+         "tiny_wavelength"]
     )))
     if mutation in ("nan", "inf"):
         parts = [repr(lo), repr(hi), repr(step)]
@@ -86,9 +87,10 @@ def _scan(draw, ds):
         "sub_resolution": (lo, lo + 4e-17 * lo, 1e-17 * lo),
         "too_many": (lo, lo + 1e9 * step, step),
         "malformed": (lo, hi, None),
+        "tiny_wavelength": (1e-320, hi, step),   # 1e7/lo overflows, under --nm
     }[mutation]
     text = f"{lo!r}:{hi!r}" if step is None else f"{lo!r}:{hi!r}:{step!r}"
-    return text, nm
+    return text, nm or mutation == "tiny_wavelength"
 
 
 @st.composite
@@ -249,6 +251,8 @@ def _run(argv):
 # plan took --nu/--nm as a required either-or: both, or neither, exited 2
 @example(argv=["plan", str(ROTORS[0]), "--nm=1064", "--nu=5", "--intensity=1e4"], out="out")
 @example(argv=["plan", str(ROTORS[0]), "--intensity=1e4"], out="out")
+# a --nm range whose 1e7/lo overflows scanned an infinite wavenumber
+@example(argv=["alpha", str(OPTICAL), "--nu=1e-320:1:0.5", "--nm"], out="out")
 def test_every_request_keeps_the_exit_code_and_stderr_contract(argv, out):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "file").write_text("")

@@ -20,6 +20,7 @@ from molpol import (
     solve_radial,
     synthesize,
 )
+from molpol import _lapack
 from molpol import dataset as dataset_module
 from molpol import rovib
 from molpol.cli import main
@@ -339,10 +340,20 @@ def test_convergence_check_of_an_empty_block():
 
 
 def test_convergence_check_grids_respect_the_point_cap(morse_ds):
-    # the 2n refinement grid is refused before any solve
+    # the 2n - 1 refinement grid is refused before any solve: 2 * 2501 - 1 points
     grid = RadialGrid(5.0, 16.0, rovib.MAX_GRID_POINTS // 2 + 1)
     with pytest.raises(GridError, match="MAX_GRID_POINTS"):
         convergence_check(morse_ds, "X0", 0, grid)
+
+
+@pytest.mark.parametrize("J", [5, 10, 40])
+@pytest.mark.parametrize("rotor", ["krb_rotor", "rbcs_rotor"])
+def test_the_refined_grid_keeps_a_rotors_node(request, rotor, J):
+    # a rotor level is a delta at the node nearest r_e, its default grid's
+    # middle node; the refined grid keeps every node, so the level stays put
+    ds = request.getfixturevalue(rotor)
+    rep = convergence_check(ds, "X0", J, default_grid(ds))
+    assert rep.converged and rep.n_levels == 1 and rep.shift_refine == 0.0
 
 
 def test_levels_lie_above_the_energy_floor(morse_ds, krb_rotor):
@@ -594,7 +605,7 @@ def test_the_blas_pin_nests_across_threads_and_restores_the_count():
     entered, leave = threading.Event(), threading.Event()
 
     def hold():
-        with rovib.one_blas_thread:
+        with _lapack.one_blas_thread:
             entered.set()
             leave.wait()
 
@@ -602,8 +613,8 @@ def test_the_blas_pin_nests_across_threads_and_restores_the_count():
     other.start()
     assert entered.wait(timeout=10)
     assert get_threads() == 1
-    with rovib.one_blas_thread:
-        with rovib.one_blas_thread:
+    with _lapack.one_blas_thread:
+        with _lapack.one_blas_thread:
             assert get_threads() == 1
         leave.set()
         other.join(timeout=10)
@@ -621,8 +632,8 @@ def test_the_blas_pin_holds_under_many_threads(monkeypatch):
 
     def churn():
         for _ in range(20000):
-            with rovib.one_blas_thread:
-                with rovib.one_blas_thread:
+            with _lapack.one_blas_thread:
+                with _lapack.one_blas_thread:
                     seen.append(get_threads())
 
     interval = sys.getswitchinterval()
@@ -643,7 +654,7 @@ def test_the_blas_pin_holds_under_many_threads(monkeypatch):
 def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(monkeypatch):
     # three workers, one per queued state, whatever the core count
     blas_thread_calls()
-    monkeypatch.setattr(rovib, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 4)
     grid = default_grid(load_dataset(OPTICAL_STANDIN))
     states = ["X0", "A0", "B1"]
     lazy = dataclasses.replace(load_dataset(OPTICAL_STANDIN))
@@ -662,7 +673,7 @@ def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(monkeypat
 
 def test_unclaimed_solves_are_dropped_on_exit(monkeypatch):
     blas_thread_calls()
-    monkeypatch.setattr(rovib, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 2)
     ds = load_dataset(OPTICAL_STANDIN)
     grid = default_grid(ds)
     threads = threading.active_count()
@@ -702,7 +713,7 @@ def test_the_in_place_solve_has_the_bits_of_eigh(threads):
         for state, span in spans:
             ham = _span_hamiltonian(ds, state, grid, span)
             energies, vectors = np.linalg.eigh(ham)
-            got_energies, got_vectors = rovib._eigh_in_place(ham)
+            got_energies, got_vectors = _lapack.eigh_in_place(ham)
             assert np.array_equal(got_energies, energies) and np.array_equal(got_vectors, vectors), (state, span)
             assert np.shares_memory(got_vectors, ham)
     finally:
@@ -713,10 +724,10 @@ def test_the_in_place_solve_takes_only_a_matrix_it_may_overwrite():
     ham = np.eye(4)
     for bad in (ham[:, ::2].T, ham[:3], ham.T[::2, ::2], ham.astype(np.float32), np.eye(4).T):
         with pytest.raises(ValueError, match="square, writable, C-contiguous float64"):
-            rovib._eigh_in_place(bad)
+            _lapack.eigh_in_place(bad)
     ham.flags.writeable = False
     with pytest.raises(ValueError, match="square, writable, C-contiguous float64"):
-        rovib._eigh_in_place(ham)
+        _lapack.eigh_in_place(ham)
 
 
 @pytest.mark.parametrize("grid, sizes", [([], [448, 457, 472]), (["--grid", "5:20:301"], [168, 172, 177, 301, 301])])
@@ -724,13 +735,13 @@ def test_every_dense_hamiltonian_is_exactly_symmetric(grid, sizes, tmp_path, mon
     # the in-place solve reads ham's upper triangle where eigh reads its
     # lower one; on the 301-point grid two trimmed solves repeat on the full grid
     seen = []
-    in_place = rovib._eigh_in_place
+    in_place = _lapack.eigh_in_place
 
     def checking(ham):
         seen.append((len(ham), ham.flags.c_contiguous and np.array_equal(ham, ham.T)))
         return in_place(ham)
 
-    monkeypatch.setattr(rovib, "_eigh_in_place", checking)
+    monkeypatch.setattr(_lapack, "eigh_in_place", checking)
     argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9600:1", *grid]
     assert main([*map(str, argv), "--out", str(tmp_path)]) == 0
     assert sorted(m for m, _ in seen) == sizes
@@ -758,7 +769,7 @@ def test_without_dsyevd_the_outputs_keep_their_bytes(tmp_path, monkeypatch):
     ]
     for run in ("in_place", "eigh"):
         if run == "eigh":
-            monkeypatch.setattr(rovib, "_dsyevd", lambda: None)
+            monkeypatch.setattr(_lapack, "DSYEVD", None)
         for argv in requests:
             dataset_module._LOADED.clear()
             assert main([*map(str, argv), "--out", str(tmp_path / run / argv[0])]) == 0
