@@ -22,6 +22,7 @@ from molpol import (  # noqa: E402
     ElectronicState,
     MoleculeDataset,
     MorseModel,
+    PotentialCurve,
     RigidRotorModel,
     synthesize,
     write_dataset,
@@ -65,7 +66,7 @@ def optical(name: str) -> None:
         name=name,
         reduced_mass=RBCS_MU,
         states=[x0, a0, b1],
-        potentials={k: _pot(st, r, v) for k, (st, v) in pots.items()},
+        potentials={k: PotentialCurve(st, r, v) for k, (st, v) in pots.items()},
         dipoles=[
             DipoleCurve("X0", "X0", r, d_perm),
             DipoleCurve("X0", "A0", r, d_xa),
@@ -73,15 +74,8 @@ def optical(name: str) -> None:
         ],
         ground_label="X0",
     )
-    ds.validate()
     write_dataset(ds, OUT / name)
     print(f"{name}: 3 states, {len(r)} radial points")
-
-
-def _pot(state, r, v):
-    from molpol import PotentialCurve
-
-    return PotentialCurve(state, r, v)
 
 
 def main() -> None:

@@ -10,7 +10,9 @@ pass --nm to give the same range in nanometers. A range may hold at most
 MAX_SCAN_POINTS points; a longer one is a data error, raised before any grid
 is allocated, and so is one whose step is too small to keep its points
 distinct. A radial --grid rmin:rmax:n needs finite bounds and at most
-rovib.MAX_GRID_POINTS points, checked before any matrix is built.
+rovib.MAX_GRID_POINTS points, checked before any matrix is built. The
+line-list options --gamma, --d-floor and --v-max are checked where a request
+builds its LineListOptions, before any solve, by the dataclass itself.
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ from .rovib import MAX_LEVELS, RadialGrid, convergence_check, sampled_curve, sol
 
 
 def _fmt(x) -> str:
-    """Fixed 12-significant-digit rendering; nan, inf and -inf come out as those words."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
+    """One value as _rendered renders a cell; nan, inf and -inf come out as those words."""
+    return _rendered([x])[0]
 
 
 def _jclean(obj):
@@ -86,7 +86,7 @@ def _write(path: Path, text: str) -> None:
 
 def _rendered(column) -> list[str]:
     """A column's cells as strings, in the format its first cell picks: a
-    string as is, an integer exact, a float as _fmt renders it."""
+    string as is, an integer exact, a float to 12 significant digits."""
     col = column.tolist() if isinstance(column, np.ndarray) else list(column)
     if not col or isinstance(col[0], str):
         return col
@@ -146,15 +146,11 @@ def _parse_radial_grid(text: str) -> RadialGrid:
 
 
 def _parse_gamma(text: str):
-    if text in ("computed", "default"):
-        return text
+    """--gamma as a number where the text reads as one, else the text; LineListOptions checks either."""
     try:
-        gamma = float(text)
+        return float(text)
     except ValueError:
-        gamma = math.nan
-    if not 0.0 <= gamma < math.inf:
-        raise DataError(f"--gamma must be 'computed', 'default', or a finite value >= 0 in MHz, got {text!r}")
-    return gamma
+        return text
 
 
 def _nonnegative(args, *names: str) -> None:
@@ -201,7 +197,6 @@ def _level(args, ds) -> tuple[LevelId, Polarization]:
 
 
 def _options(args, ds) -> LineListOptions:
-    _nonnegative(args, "d_floor")
     return LineListOptions(
         grid=_grid(args, ds),
         max_levels=args.max_levels,
@@ -367,16 +362,8 @@ def cmd_magic(args) -> int:
         },
     )
     if args.plot:
-        _write_plot(
-            out / "magic_a.dat",
-            ["nu [cm^-1]", "Re alpha/h (a) [Hz/(W/cm^2)]"],
-            (nus, spec_a.values.real),
-        )
-        _write_plot(
-            out / "magic_b.dat",
-            ["nu [cm^-1]", "Re alpha/h (b) [Hz/(W/cm^2)]"],
-            (nus, spec_b.values.real),
-        )
+        for tag, spec in (("a", spec_a), ("b", spec_b)):
+            _write_plot(out / f"magic_{tag}.dat", ["nu [cm^-1]", f"Re alpha/h ({tag}) [Hz/(W/cm^2)]"], (nus, spec.values.real))
         _write_plot(
             out / "magic_roots.dat",
             ["nu [cm^-1]", "Re alpha/h [Hz/(W/cm^2)]"],
@@ -464,14 +451,11 @@ def cmd_windows(args) -> int:
     out = _outdir(args)
     spec = scan_spectrum(ds, initial, pol, nus, opts)
     wins = find_windows(spec, args.min_width, args.flatness_cap, args.ratio_floor)
-    _write_csv(
-        out / "windows.csv",
-        ["nu_lo_cm1", "nu_hi_cm1", "lambda_lo_nm", "lambda_hi_nm", "min_ratio", "max_flatness"],
-        zip(*[
-            (w.nu_lo, w.nu_hi, 1.0e7 / w.nu_hi, 1.0e7 / w.nu_lo, w.min_ratio, w.max_flatness)
-            for w in wins
-        ]),
-    )
+    # one row per window: windows.csv lists its values, windows.json names them
+    # (the CSV header names the last column max_flatness, without the unit)
+    keys = ["nu_lo_cm1", "nu_hi_cm1", "lambda_lo_nm", "lambda_hi_nm", "min_ratio", "max_flatness_per_cm1"]
+    rows = [(w.nu_lo, w.nu_hi, 1.0e7 / w.nu_hi, 1.0e7 / w.nu_lo, w.min_ratio, w.max_flatness) for w in wins]
+    _write_csv(out / "windows.csv", [*keys[:-1], "max_flatness"], zip(*rows))
     _write_json(
         out / "windows.json",
         {
@@ -482,16 +466,8 @@ def cmd_windows(args) -> int:
                 "ratio_floor": args.ratio_floor,
             },
             "windows": [
-                {
-                    "nu_lo_cm1": w.nu_lo,
-                    "nu_hi_cm1": w.nu_hi,
-                    "lambda_lo_nm": 1.0e7 / w.nu_hi,
-                    "lambda_hi_nm": 1.0e7 / w.nu_lo,
-                    "min_ratio": w.min_ratio,
-                    "max_flatness_per_cm1": w.max_flatness,
-                    "resonances_excluded_cm1": list(w.resonances_excluded),
-                }
-                for w in wins
+                dict(zip(keys, row), resonances_excluded_cm1=list(w.resonances_excluded))
+                for w, row in zip(wins, rows)
             ],
             "resonances_in_range": len(spec.resonances),
             "strength_capture": spec.capture,

@@ -9,7 +9,10 @@ summed over every dipole-allowed line, excluding the initial level itself.
 K folds the 1/(eps0 c) prefactor and unit changes so the result is alpha/h
 in Hz/(W/cm^2): a lattice depth is V0/h = -Re(alpha) * I with I in W/cm^2.
 The counter-rotating term is kept (no rotating-wave approximation), and
-Im(alpha) >= 0 on nu >= 0 whenever all gamma_f >= 0.
+Im(alpha) >= 0 on nu >= 0 whenever all gamma_f >= 0, and each is: a
+computed linewidth is a sum of Einstein A rates, and a dataset refuses a
+negative default_gamma, and LineListOptions a negative gamma override, when
+it is built, before any solve.
 
 A scan keeps alpha as one complex array, PolarizabilitySpectrum.values,
 aligned with its nu grid. An exact hit on an undamped pole (gamma = 0,
@@ -47,6 +50,7 @@ terms in the same order and agree bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -88,6 +92,12 @@ class LineListOptions:
     gamma: "computed" (Einstein-A sums where a radiative route exists, else
     the dataset default), "default" (always the dataset default), or a float
     override in MHz (0.0 turns damping off).
+
+    Building the options refuses a bad value, before anything is solved: a
+    gamma that is neither mode nor a finite number >= 0 (a bool included),
+    a d_floor that is NaN or below 0 (inf keeps no line) and a v_max below 0
+    (QuantumNumberError). max_levels and J are checked by rovib, where they
+    enter a solve.
     """
 
     grid: RadialGrid | None = None
@@ -96,6 +106,18 @@ class LineListOptions:
     d_floor: float = 1e-8        # Debye; weaker lines are dropped
     j_max_branch: int | None = None   # default: J+1
     v_max: int | None = None     # per final state; default: all bound
+
+    def __post_init__(self):
+        gamma = self.gamma
+        if gamma not in ("computed", "default") and (
+            # an int past the float range is not finite either: float() of it overflows
+            isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= sys.float_info.max
+        ):
+            raise DataError(f"gamma must be 'computed', 'default', or finite and >= 0 in MHz, got {gamma!r}")
+        if not self.d_floor >= 0.0:
+            raise DataError(f"d_floor must be >= 0 in Debye, got {self.d_floor!r}")
+        if self.v_max is not None and self.v_max < 0:
+            raise QuantumNumberError(f"v_max must be at least 0, got {self.v_max}")
 
 
 @dataclass(frozen=True)
@@ -168,12 +190,10 @@ def _branches(ds: MoleculeDataset, state: str, J: int):
 
 def _gamma_for(ds: MoleculeDataset, blk: Block, v: int, mode: str | float, max_levels: int) -> float:
     """Linewidth in MHz of level v of a block under the LineListOptions.gamma mode."""
-    if isinstance(mode, (int, float)):
-        return float(mode)
     if mode == "default":
         return ds.default_gamma
     if mode != "computed":
-        raise ValueError(f"unknown gamma mode {mode!r}")
+        return float(mode)
     if blk.gammas is None:
         lev0, e_top = blk.levels[0], blk.levels[-1].energy
         lowers: list[RovibLevel] = []
@@ -207,8 +227,6 @@ def build_line_list(
     where they are solved.
     """
     opts = options or LineListOptions()
-    if opts.v_max is not None and opts.v_max < 0:
-        raise QuantumNumberError(f"v_max must be at least 0, got {opts.v_max}")
     _check_J(initial.J)
     _check_M(initial)
     grid = opts.grid or default_grid(ds)

@@ -134,8 +134,11 @@ A rotor-tagged dataset whose potential has no interior minimum bypasses the
 eigensolve: its block is a one-node basis, the single v = 0 level a delta at
 the grid node nearest the rotor radius, with E = V + B J(J+1),
 B = hbar^2/(2 mu R_node^2). It is never contracted and never stored as a
-basis. A minimum-free potential without the rotor tag is solved honestly,
-which leaves no bound levels; that case returns an empty list.
+basis. convergence_check's denser grid keeps every node, but it moves the
+level to a new midpoint that lies nearer r_e (on a 6:9:101 grid for KRb it
+fails at J = 5); a default rotor grid puts r_e on a node. A minimum-free
+potential without the rotor tag is solved honestly, which leaves no bound
+levels; that case returns an empty list.
 """
 
 from __future__ import annotations
@@ -635,7 +638,7 @@ class ConvergenceReport:
     tol: float
     n_levels: int
     shift_refine: float    # max |dE| when n -> 2n - 1 (h -> h / 2)
-    shift_extend: float    # max |dE| when r_max -> 1.5 r_max (same spacing)
+    shift_extend: float    # max |dE| when the grid runs on to ceil(1.5 (n - 1)) + 1 nodes at the same h
     shift_trim: float      # max |dE| of the direct trimmed solve against one on the full grid, untrimmed
     shift_contract: float  # max |dE| of the solve against the direct trimmed one; 0 at J = omega
 
@@ -657,10 +660,11 @@ def convergence_check(
     empty store, so the bases and samples of the probe grids stay out of ds's.
     """
     # both probe grids are built, and checked against MAX_GRID_POINTS, before any
-    # solve; the fine grid halves h and keeps every node, a rotor level's among them
+    # solve; the fine grid halves h and keeps every node, a rotor level's among
+    # them, and the long grid keeps h and every node, running on from r_min
     fine_grid = RadialGrid(grid.r_min, grid.r_max, 2 * grid.n - 1)
-    r_ext = grid.r_min + 1.5 * (grid.r_max - grid.r_min)
-    ext_grid = RadialGrid(grid.r_min, r_ext, int(round((r_ext - grid.r_min) / grid.h)) + 1)
+    n_ext = math.ceil(1.5 * (grid.n - 1)) + 1
+    ext_grid = RadialGrid(grid.r_min, grid.r_min + (n_ext - 1) * grid.h, n_ext)
     base = solved_block(ds, state, J, grid, max_levels).levels
     probe = replace(ds)
     fine = solve_radial(probe, state, J, fine_grid, max_levels)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -248,16 +249,33 @@ def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
     assert all(store.blocks[key] is block for key, block in blocks.items())
 
 
-@pytest.mark.parametrize("J", ["0", "2", "5", "10"])
-@pytest.mark.parametrize("name", ["krb_rotor_standin", "rbcs_rotor_standin"])
-def test_rotor_levels_check_passes_and_writes_the_plain_table(name, J, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, grid, J, code",
+    [
+        *((name, grid, J, 0)
+          for name in ("krb_rotor_standin", "rbcs_rotor_standin")
+          for grid, Js in ((None, ("0", "2", "5", "10")), ("6:9:100", ("5", "10", "40")))
+          for J in Js),
+        ("krb_rotor_standin", "6:9:101", "5", 4),
+    ],
+)
+def test_rotor_levels_check_passes_and_writes_the_plain_table(name, grid, J, code, tmp_path, capsys):
     # a rotor block is one node; its check re-solves it on the probe grids and
     # untrimmed. The refined grid keeps that node: on one without it J >= 5
-    # moves by more than 1e-3 cm^-1
+    # moves by more than 1e-3 cm^-1. The extended grid keeps h and every node:
+    # on 6:9:100 one that did not moved KRb's level by 1.7e-3 cm^-1 at J = 5.
+    # On 6:9:101 a refined-grid midpoint lies nearer KRb's r_e than any node,
+    # so the level moves there and the check fails on the refine shift alone
     ds_dir = OPTICAL_STANDIN.parent / name
-    assert run_cli(["levels", ds_dir, "--J", J, "--out", tmp_path / "plain"]) == 0
-    assert run_cli(["levels", ds_dir, "--J", J, "--check", "--out", tmp_path / "check"]) == 0
-    assert capsys.readouterr().err == ""
+    where = [] if grid is None else ["--grid", grid]
+    assert run_cli(["levels", ds_dir, "--J", J, *where, "--out", tmp_path / "plain"]) == 0
+    assert run_cli(["levels", ds_dir, "--J", J, *where, "--check", "--out", tmp_path / "check"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        refine, extend = re.fullmatch(r"molpol: numerical: levels not converged \(refine (\S+), extend (\S+), .*\n", err).groups()
+        assert float(refine) > 1e-3 and extend == "0"
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert len(read_lines(plain)) == 2
     assert check.read_bytes() == plain.read_bytes()
@@ -979,14 +997,20 @@ def test_tables_render_every_value_as_fmt_does(tmp_path, monkeypatch):
     ints = list(range(-3, len(floats) - 3))
     ints[-1] = 10**15
     labels = [f"s{i}" for i in range(len(floats))]
+
+    def cell(x):
+        # the rule, written out: integers exact, floats to 12 significant digits
+        return str(int(x)) if isinstance(x, (int, np.integer)) else f"{float(x):.12g}"
+
+    assert [_fmt(x) for x in [*ints, *floats, *np.array(floats)]] == [cell(x) for x in [*ints, *floats, *floats]]
     columns = (labels, ints, floats, np.array(floats[::-1]))
     _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], columns)
     _write_plot(tmp_path / "t.dat", ["x", "y"], columns[1:3])
     rows = list(zip(*columns))
     assert read_lines(tmp_path / "t.csv") == ["a,b,c,d"] + [
-        ",".join([r[0], *(_fmt(x) for x in r[1:])]) for r in rows
+        ",".join([r[0], *(cell(x) for x in r[1:])]) for r in rows
     ]
-    assert read_lines(tmp_path / "t.dat") == ["# x  y"] + [f"{_fmt(r[1])} {_fmt(r[2])}" for r in rows]
+    assert read_lines(tmp_path / "t.dat") == ["# x  y"] + [f"{cell(r[1])} {cell(r[2])}" for r in rows]
     _write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
     assert read_lines(tmp_path / "empty.csv") == ["a,b"]
     # alpha.csv and alpha_plot.dat share one rendering of the scan
@@ -1003,7 +1027,7 @@ def test_tables_render_every_value_as_fmt_does(tmp_path, monkeypatch):
     csv_rows = [row.split(",") for row in read_lines(tmp_path / "alpha" / "alpha.csv")[1:]]
     plot_rows = [row.split(" ") for row in read_lines(tmp_path / "alpha" / "alpha_plot.dat")[1:]]
     assert csv_rows == plot_rows
-    assert csv_rows == [[_fmt(nu), _fmt(a.real), _fmt(a.imag)] for nu, a in zip(spec.nu, spec.values)]
+    assert csv_rows == [[cell(nu), cell(a.real), cell(a.imag)] for nu, a in zip(spec.nu, spec.values)]
 
 
 def test_dipole_curve_is_sampled_per_block_pair(tmp_path, monkeypatch):

@@ -191,9 +191,10 @@ def test_dynamic_value_closed_form(rotor):
         assert got.imag >= 0.0
 
 
-def test_imaginary_part_nonnegative(optical):
+@pytest.mark.parametrize("gamma", ["computed", 0.0, 1e-3, 6.0, 1e6])
+def test_imaginary_part_nonnegative(optical, gamma):
     spec = scan_spectrum(
-        optical, LevelId("X", 0, 0, 0), SZ, np.arange(0.0, 17000.0, 7.3)
+        optical, LevelId("X", 0, 0, 0), SZ, np.arange(0.0, 17000.0, 7.3), LineListOptions(gamma=gamma)
     )
     vals = spec.values
     finite = vals[~np.isnan(vals.real)]
@@ -498,3 +499,24 @@ def test_scan_records_options(optical):
     assert spec.options["v_max"] == 5
     assert spec.initial == LevelId("X", 0, 0, 0)
     assert spec.polarization == "sigma_z"
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("gamma", -3.0, DataError),
+        ("gamma", math.nan, DataError),
+        ("gamma", math.inf, DataError),
+        ("gamma", True, DataError),
+        ("gamma", 10**400, DataError),
+        ("gamma", "bogus", DataError),
+        ("d_floor", math.nan, DataError),
+        ("d_floor", -1e-8, DataError),
+        ("v_max", -1, QuantumNumberError),
+    ],
+)
+def test_line_list_options_refuse_a_bad_value_when_built(name, value, error):
+    # refused before any solve, for a library caller as for the CLI: gamma =
+    # -3 gave Im(alpha) < 0 on the optical stand-in, d_floor = NaN kept every line
+    with pytest.raises(error, match=f"^{name} must be"):
+        LineListOptions(**{name: value})
