@@ -454,7 +454,11 @@ def cmd_windows(args) -> int:
     # one row per window: windows.csv lists its values, windows.json names them
     # (the CSV header names the last column max_flatness, without the unit)
     keys = ["nu_lo_cm1", "nu_hi_cm1", "lambda_lo_nm", "lambda_hi_nm", "min_ratio", "max_flatness_per_cm1"]
-    rows = [(w.nu_lo, w.nu_hi, 1.0e7 / w.nu_hi, 1.0e7 / w.nu_lo, w.min_ratio, w.max_flatness) for w in wins]
+    # a window from nu = 0 reaches an infinite wavelength
+    rows = [
+        (w.nu_lo, w.nu_hi, 1.0e7 / w.nu_hi, 1.0e7 / w.nu_lo if w.nu_lo else math.inf, w.min_ratio, w.max_flatness)
+        for w in wins
+    ]
     _write_csv(out / "windows.csv", [*keys[:-1], "max_flatness"], zip(*rows))
     _write_json(
         out / "windows.json",

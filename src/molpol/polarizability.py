@@ -39,8 +39,9 @@ initial level once, before it solves anything, and keeps each branch with
 angular weight together with its driven components (q, M', weight). The
 states it solves are the initial state, then each partner with a kept branch within
 j_max_branch; their J = omega bases are solved side by side while the lines
-are built from the kept branches (rovib.solving_ahead), and the blocks are
-the ones, bit for bit, that solving one state after another gives.
+are built from the kept branches (rovib.solving_ahead: the caller solves the
+first, worker threads the others), and the blocks are the ones, bit for bit,
+that solving one state after another gives.
 
 The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
 line axis in list order, so a scan and a single-point alpha_at add the same
@@ -225,6 +226,9 @@ def build_line_list(
     passes |M| <= J, before anything is solved, so a J or M past them starts
     no solve. The lower blocks of a linewidth, up to J' + 1, are checked
     where they are solved.
+
+    A cap (j_max_branch, v_max) that leaves no line before d_floor drops any
+    is a QuantumNumberError; lines that d_floor alone drops are no error.
     """
     opts = options or LineListOptions()
     _check_J(initial.J)
@@ -250,6 +254,7 @@ def build_line_list(
     v_end = None if opts.v_max is None else opts.v_max + 1
 
     lines: list[LineStrength] = []
+    caps_left_a_line = False   # before d_floor dropped any
     with solving_ahead(ds, states, grid, opts.max_levels):
         lev_i = solve_initial(ds, initial, opts)
         for st, dip, Jp, weights in kept:
@@ -260,6 +265,7 @@ def build_line_list(
             for lev_f, d in zip(finals, dipole_matrix([lev_i], finals, sampled_curve(ds, dip, grid))[0].tolist()):
                 if st.label == initial.state and lev_f.v == lev_i.v and Jp == lev_i.J:
                     continue   # the sum excludes the initial level
+                caps_left_a_line = True
                 if abs(d) < opts.d_floor:
                     continue
                 # the alpha kernel's w * d^2, largest at the largest weight
@@ -274,7 +280,7 @@ def build_line_list(
                     )
                     for q, Mp, w in weights
                 )
-    if not lines and capped:
+    if capped and not caps_left_a_line:
         caps = " and ".join(f"{cap} = {getattr(opts, cap)}" for cap in sorted(capped))
         raise QuantumNumberError(
             f"{caps} leaves no line with angular weight from {initial.state} v={initial.v} J={initial.J} M={initial.M}"
@@ -376,12 +382,16 @@ def scan_spectrum(
 
     nu_grid must be one-dimensional and strictly ascending: resonances are
     those between its ends, and find_magic/find_windows read it as ordered
-    links. Anything else raises DataError.
+    links. It must start at nu >= 0: alpha is even in nu, but a resonance is
+    listed only at +|Delta|, so a scan below 0 would list none and let every
+    mirror pole through those screens. Anything else raises DataError.
     """
     opts = options or LineListOptions()
     nus = np.asarray(nu_grid, dtype=float)
     if nus.ndim != 1 or not np.all(np.diff(nus) > 0.0):
         raise DataError("nu_grid must be a strictly ascending one-dimensional array of wavenumbers")
+    if len(nus) and not nus[0] >= 0.0:
+        raise DataError(f"nu_grid must start at 0 cm^-1 or above, got {float(nus[0])!r}")
     lines = build_line_list(ds, initial, polarization, opts)
     lev_i = solve_initial(ds, initial, opts)
     kernel = alpha_kernel(lines)

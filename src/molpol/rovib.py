@@ -55,8 +55,13 @@ same kept-count rule, sign fix and zero padding as a direct solve.
 
 Each contracted level certifies itself: for a symmetric H and a unit x, some
 eigenvalue of H lies within ||H x - e x|| of e (Parlett, The Symmetric
-Eigenvalue Problem, Thm 4.5.1), with H the explicit span Hamiltonian. J is
-solved directly instead (the fallback) when a kept level's residual exceeds
+Eigenvalue Problem, Thm 4.5.1), with H the explicit span Hamiltonian. Its T
+is applied to the trial vectors in slabs of _RESIDUAL_ROWS rows copied out of
+a strided view of T's 2m - 1 values (_toeplitz_times), so a contraction never
+holds T's m x m matrix (1.7 MB at m = 457). A slab's product can differ from
+the whole matrix's in the last bit; that moves a residual by rounding, and
+no level or vector, which come from the K x K problem alone. J is solved
+directly instead (the fallback) when a kept level's residual exceeds
 RESIDUAL_TOL, a kept level fails the J0 span's edge check, or a kept level
 or the first one past them lies within its residual of the bound cutoff,
 where the kept count could differ. A state whose J0 block may keep every
@@ -86,19 +91,23 @@ _lapack's docstring says how the pin behaves, why the bits are eigh's, which
 symbols it finds and what runs without them.
 
 The pin frees the second CPU for a second solve. solving_ahead, which
-polarizability.build_line_list wraps around a line list, queues the J = omega
-basis of each state the line list will solve that contracts and is not
-stored, and starts min(#queued, #usable CPUs) worker threads when that is at
-least two (and the pin works). Workers call only _solve, on curves the caller
-sampled before they started, so the samples keep one writer. solve_radial
-claims a queued basis and waits for that one alone, so the caller starts on
-the first state's blocks while the last solve runs; it stores the basis or
-raises the worker's exception, and stays the only writer of bases. On exit,
-normal or not, the queue is emptied and every worker joined before the caller
-goes on: a LAPACK call still running at interpreter shutdown can crash the
-process. Unclaimed bases are dropped. On 2 vCPUs the three optical J0 solves
-take 62-90 ms two at a time (median 75 ms), against 73-111 ms (median 85 ms)
-one after another on two BLAS threads.
+polarizability.build_line_list wraps around a line list, takes the states the
+line list will solve that contract and have no stored basis, in order. The
+caller solves the first of these J = omega bases itself, in solve_radial,
+since it needs that one first (the initial state's, when it is one of them);
+the others are queued, and min(#queued, #usable CPUs - 1) worker threads take
+them in turn (when the pin works). On 2 vCPUs that is one worker, which solves
+A0's basis and then B1's while the caller solves X0's and then works on X0's
+blocks; on one CPU nothing starts. Workers call only _solve, on curves the
+caller sampled before they started, so the samples keep one writer.
+solve_radial claims a queued basis and waits for that one alone, so the caller
+starts on the first state's blocks while the last solve runs; it stores the
+basis or raises the worker's exception, and stays the only writer of bases. On
+exit, normal or not, the queue is emptied and every worker joined before the
+caller goes on: a LAPACK call still running at interpreter shutdown can crash
+the process. Unclaimed bases are dropped. On 2 vCPUs the three optical J0
+solves take 62-90 ms two at a time (median 75 ms), against 73-111 ms (median
+85 ms) one after another on two BLAS threads.
 
 Each potential and dipole curve is sampled on a grid once per loaded dataset
 (sampled_curve): the store holds the read-only samples beside the blocks and
@@ -247,14 +256,34 @@ def _kinetic_row(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
     return row
 
 
-def _toeplitz(row: np.ndarray) -> np.ndarray:
-    """Symmetric Toeplitz matrix with first row `row`: T_ij = row[|i - j|].
+def _toeplitz_rows(row: np.ndarray) -> np.ndarray:
+    """The rows of the symmetric Toeplitz matrix with first row `row`,
+    T_ij = row[|i - j|], as a read-only strided view of 2m - 1 values.
 
     Row i is the window starting at m - 1 - i of (row reversed, then row[1:]);
     copying the windows is about 10x faster than gathering row[|i - j|].
     """
     m = len(row)
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), m)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), m)[::-1]
+
+
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first row `row`: T_ij = row[|i - j|]."""
+    return _toeplitz_rows(row).copy()
+
+
+# rows of T a contraction's residual copies at a time: 234 KB at m = 457
+_RESIDUAL_ROWS = 64
+
+
+def _toeplitz_times(row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T @ x for T = _toeplitz(row), one slab of _RESIDUAL_ROWS rows of T at a
+    time, so no m x m matrix is made; each slab's product is its rows of T @ x."""
+    rows = _toeplitz_rows(row)
+    out = np.empty((len(row), x.shape[1]))
+    for lo in range(0, len(row), _RESIDUAL_ROWS):
+        np.matmul(rows[lo : lo + _RESIDUAL_ROWS].copy(), x, out=out[lo : lo + _RESIDUAL_ROWS])
+    return out
 
 
 def kinetic_matrix(grid: RadialGrid, reduced_mass: float) -> np.ndarray:
@@ -387,10 +416,13 @@ def _contract(row, v_eff, cutoff, basis, max_levels):
         e, c = np.linalg.eigh(a)
         k = min(max_levels, int(np.count_nonzero(e < cutoff)))
         x = b @ c[:, : k + 1]
-        # residuals against the explicit span Hamiltonian T + diag(v_J); one
-        # past the float range is inf, which fails the certificate below
+        # residuals against the explicit span Hamiltonian T + diag(v_J), T
+        # applied in row slabs; one past the float range is inf, which fails
+        # the certificate below
         with np.errstate(over="ignore"):
-            res = np.linalg.norm(_toeplitz(row[: len(v)]) @ x + (v[:, None] - e[: x.shape[1]]) * x, axis=0)
+            r = _toeplitz_times(row[: len(v)], x)
+            r += (v[:, None] - e[: x.shape[1]]) * x
+            res = np.linalg.norm(r, axis=0)
     if (res[:k] > RESIDUAL_TOL).any() or (np.abs(e[: len(res)] - cutoff) <= res).any():
         return None
     if np.abs(x[basis.edges, :k]).max(initial=0.0) > EDGE_AMP:
@@ -584,24 +616,28 @@ def _work(queue: list) -> None:
 def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, max_levels: int):
     """Solve the J = omega bases of `states` side by side while the body runs.
 
-    Each state solve_radial would contract whose basis is neither stored nor
-    queued is queued, in the given order; min(#queued, #usable CPUs) worker
-    threads take the solves in turn and call only _solve. Every curve they
-    read is sampled here (_contracts), before any of them starts. solve_radial
-    claims a queued basis and waits for it: it stores it, or raises the
-    worker's exception. On exit the queue is emptied, every worker joined and
-    unclaimed bases dropped. Nothing starts for fewer than two solves or two
-    CPUs, or when numpy's OpenBLAS cannot be pinned to one thread.
+    Of the states solve_radial would contract whose basis is neither stored
+    nor queued, in the given order, the first is left to the caller, which
+    needs it first and solves it in solve_radial; the others are queued, and
+    min(#queued, #usable CPUs - 1) worker threads take them in turn and call
+    only _solve. Every curve they read is sampled here (_contracts), before
+    any of them starts. solve_radial claims a queued basis and waits for it:
+    it stores it, or raises the worker's exception. On exit the queue is
+    emptied, every worker joined and unclaimed bases dropped. Nothing starts
+    for fewer than two solves or two CPUs, or when numpy's OpenBLAS cannot be
+    pinned to one thread.
     """
     store = _store(ds)
-    jobs = {}
+    needed = []
     if max_levels >= 1 and _lapack.BLAS_THREADS is not None:
         for state in states:
             key = (state, grid, max_levels)
             if key not in store.bases and key not in store.ahead and _contracts(ds, state, grid, max_levels):
-                jobs[key] = _Ahead(ds, state, grid, max_levels)
-    n_workers = min(len(jobs), _lapack.usable_cpus())
-    if n_workers < 2:
+                needed.append(state)
+    # the caller solves the first basis itself, in solve_radial
+    jobs = {(state, grid, max_levels): _Ahead(ds, state, grid, max_levels) for state in needed[1:]}
+    n_workers = min(len(jobs), _lapack.usable_cpus() - 1)
+    if n_workers < 1:
         yield
         return
     queue = list(jobs.values())

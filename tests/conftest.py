@@ -9,6 +9,7 @@ on disk).
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +45,35 @@ def dsyevd_call():
     if call is None:
         pytest.skip("numpy's LAPACK dsyevd was not found under a name of known integer width")
     return call
+
+
+@pytest.fixture
+def direct_solves(monkeypatch):
+    """(state, J, thread) of every rovib._solve call, in call order: the
+    caller's thread is threading.main_thread(), a solve-ahead worker's another."""
+    seen = []
+    solve = rovib._solve
+
+    def recording(ds, state, J, grid, max_levels, trim):
+        seen.append((state, J, threading.current_thread()))
+        return solve(ds, state, J, grid, max_levels, trim)
+
+    monkeypatch.setattr(rovib, "_solve", recording)
+    return seen
+
+
+@pytest.fixture
+def worker_starts(monkeypatch):
+    """The thread of every solve-ahead worker, recorded as it enters rovib._work."""
+    started = []
+    work = rovib._work
+
+    def recording(queue):
+        started.append(threading.current_thread())
+        return work(queue)
+
+    monkeypatch.setattr(rovib, "_work", recording)
+    return started
 
 
 @pytest.fixture(autouse=True)

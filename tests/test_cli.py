@@ -593,6 +593,10 @@ def negative_gamma_dir(tmp_path_factory, optical_dir):
         ("optical_standin_dir", ["alpha", "--nu", "9000:9001:1", "--J", "3", "--j-max-branch", "1"]),
         ("optical_standin_dir", ["alpha", "--nu", "9000:9002:1", "--j-max-branch", "0"]),
         ("rotor_dir", ["alpha", "--nu", "0:1e308:1e-300"]),
+        # below 0 cm^-1 a scan listed no resonance and its mirror poles passed the screens
+        ("optical_standin_dir", ["alpha", "--nu=-9600:-9590:1"]),
+        ("optical_standin_dir", ["magic", "--Ja", "0", "--Jb", "1", "--nu=-9600:-8800:1"]),
+        ("krb_rotor_standin_dir", ["windows", "--nu=-0.01:0.01:0.001", "--min-width", "0"]),
         ("optical_standin_dir", ["levels", "--grid", "5:inf:801"]),
         ("optical_standin_dir", ["levels", "--grid", "5:1e300:801"]),
         ("optical_standin_dir", ["levels", "--grid", "nan:20:801"]),
@@ -741,6 +745,16 @@ def test_scan_frequencies_whose_squares_overflow_warn_nothing(krb_rotor_standin_
 def test_infinite_criteria_are_accepted(rotor_dir, argv, reply, tmp_path, capsys):
     assert run_cli([argv[0], rotor_dir, *argv[1:], "--out", tmp_path]) == 0
     assert reply in capsys.readouterr().out
+
+
+def test_a_window_from_nu_0_reaches_an_infinite_wavelength(tmp_path, capsys):
+    # 1e7 / nu_lo raised a ZeroDivisionError: exit 1 with a traceback
+    argv = ["windows", KRB_ROTOR_STANDIN, "--nu", "0:0.01:0.001", "--min-width", "0", "--ratio-floor", "0"]
+    assert run_cli([*argv, "--flatness-cap", "inf", "--out", tmp_path]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_lines(tmp_path / "windows.csv")[1].split(",")[:4] == ["0", "0.01", "1000000000", "inf"]
+    (window,) = json.loads((tmp_path / "windows.json").read_text())["windows"]
+    assert window["lambda_hi_nm"] == "inf"
 
 
 @pytest.mark.parametrize(
@@ -1072,48 +1086,41 @@ def test_each_curve_is_sampled_once_per_grid(tmp_path, monkeypatch):
 # ------------------------------------------------- solve-ahead and BLAS pin
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """One entry per solve-ahead worker started, in start order."""
-    started = []
-    work = rovib._work
-
-    def counting(queue):
-        started.append(len(queue))
-        return work(queue)
-
-    monkeypatch.setattr(rovib, "_work", counting)
-    return started
-
-
 ALPHA = ["alpha", OPTICAL_STANDIN, "--nu", "9000:9010:1"]
 
 
-def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, workers):
+def test_an_optical_request_solves_its_bases_two_at_a_time(tmp_path, direct_solves):
     _, get_threads = blas_thread_calls()
     if _lapack.usable_cpus() < 2:
         pytest.skip("one usable CPU: nothing is solved ahead")
     threads, blas_threads = threading.active_count(), get_threads()
     assert run_cli([*ALPHA, "--out", tmp_path / "first"]) == 0
-    # X0, A0 and B1 queued: two workers on two CPUs, and both joined
-    assert len(workers) == min(3, _lapack.usable_cpus())
+    # the caller solves X0's basis, the one it needs first; A0 and B1 are
+    # queued, for at most one worker per other usable CPU, and every worker is joined
+    solved_by = {(state, J): thread for state, J, thread in direct_solves}
+    assert len(direct_solves) == 3 and sorted(solved_by) == [("A0", 0), ("B1", 1), ("X0", 0)]
+    caller = threading.main_thread()
+    assert solved_by["X0", 0] is caller
+    workers = {solved_by["A0", 0], solved_by["B1", 1]}
+    assert caller not in workers and len(workers) <= _lapack.usable_cpus() - 1
     assert threading.active_count() == threads
     assert get_threads() == blas_threads
     assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
-    # every basis is stored now: a second request queues nothing
+    # every basis is stored now: a second request solves nothing
     assert run_cli([*ALPHA, "--out", tmp_path / "second"]) == 0
-    assert len(workers) == min(3, _lapack.usable_cpus())
+    assert len(direct_solves) == 3
 
 
-def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys, workers):
+def test_a_request_that_fails_with_solves_in_flight_joins_them(tmp_path, capsys, direct_solves, worker_starts):
     # X0 J = 0 keeps 64 levels, so v = 500 is not bound: the caller fails
-    # while A0 and B1 are solving
+    # after its own X0 solve, with a worker started on A0 and B1
     _, get_threads = blas_thread_calls()
     threads, blas_threads = threading.active_count(), get_threads()
     assert run_cli(["alpha", OPTICAL_STANDIN, "--v", "500", "--nu", "9000:9005:1", "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("molpol: data: initial level v=500 not bound") and err.count("\n") == 1
-    assert workers or _lapack.usable_cpus() < 2
+    assert ("X0", 0, threading.main_thread()) in direct_solves
+    assert worker_starts or _lapack.usable_cpus() < 2
     assert threading.active_count() == threads
     assert get_threads() == blas_threads
     assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
@@ -1166,12 +1173,14 @@ def test_an_m_past_j_starts_no_solve(tmp_path, capsys, solves):
     assert solves.direct == []
 
 
-def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, workers):
+def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch):
     blas_thread_calls()
     solve = rovib._solve
+    failed_on = []
 
     def failing(ds, state, J, grid, max_levels, trim):
         if state == "A0":
+            failed_on.append(threading.current_thread())
             raise DataError("A0 cannot be solved")
         return solve(ds, state, J, grid, max_levels, trim)
 
@@ -1179,16 +1188,18 @@ def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, w
     threads = threading.active_count()
     assert run_cli([*ALPHA, "--out", tmp_path]) == 3
     assert capsys.readouterr().err == "molpol: data: A0 cannot be solved\n"
-    assert workers or _lapack.usable_cpus() < 2
+    # a worker's A0 solve failed, unless one CPU left nothing to solve ahead
+    (a0,) = failed_on
+    assert a0 is not threading.main_thread() or _lapack.usable_cpus() < 2
     assert threading.active_count() == threads
 
 
-def test_without_the_blas_calls_nothing_is_pinned_or_solved_ahead(tmp_path, monkeypatch, workers):
+def test_without_the_blas_calls_nothing_is_pinned_or_solved_ahead(tmp_path, monkeypatch, direct_solves):
     # compared at one BLAS thread, where the pin changes nothing either
     set_threads, get_threads = blas_thread_calls()
     argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Jb", "1", "--nu", "8800:9000:1", "--plot"]
     assert run_cli([*argv, "--out", tmp_path / "pinned"]) == 0
-    started = len(workers)
+    pinned = len(direct_solves)
     dataset_module._LOADED.clear()
     monkeypatch.setattr(_lapack, "BLAS_THREADS", None)
     blas_threads = get_threads()
@@ -1198,7 +1209,8 @@ def test_without_the_blas_calls_nothing_is_pinned_or_solved_ahead(tmp_path, monk
         assert get_threads() == 1
     finally:
         set_threads(blas_threads)
-    assert len(workers) == started
+    assert len(direct_solves) > pinned
+    assert all(thread is threading.main_thread() for *_, thread in direct_solves[pinned:])
     names = sorted(p.name for p in (tmp_path / "pinned").iterdir())
     assert len(names) == 4
     for name in names:

@@ -2,12 +2,12 @@
 
 Each example is one request to cli.main, run in process on a shipped stand-in
 dataset with a drawn subcommand and drawn argument values: scan ranges (NaN,
-inf, reversed, zero or sub-resolution steps, far too many points), J/M/v and
-caps, linewidths, criteria, radial grids of at most 401 points, plan/dress
-frequencies, and an --out that is a file or runs through one. Whatever the
-arguments, the request exits 0, 2, 3 or 4; nothing but SystemExit leaves
-main; a data or numerical failure prints exactly one `molpol: <class>:` line
-to stderr, and a success prints nothing there.
+inf, reversed, zero or sub-resolution steps, far too many points, from 0 or
+from below it), J/M/v and caps, linewidths, criteria, radial grids of at most
+401 points, plan/dress frequencies, and an --out that is a file or runs
+through one. Whatever the arguments, the request exits 0, 2, 3 or 4; nothing
+but SystemExit leaves main; a data or numerical failure prints exactly one
+`molpol: <class>:` line to stderr, and a success prints nothing there.
 
 No drawn scan or grid comes near MAX_SCAN_POINTS or MAX_GRID_POINTS: scans
 hold at most 40 points, or far more than the cap (refused before any array
@@ -73,7 +73,7 @@ def _scan(draw, ds):
     hi = lo + (draw(st.integers(1, 40)) - 1) * step
     mutation = draw(_mostly(st.just("none"), st.sampled_from(
         ["nan", "inf", "reversed", "zero_step", "negative_step", "sub_resolution", "too_many", "malformed",
-         "tiny_wavelength"]
+         "tiny_wavelength", "from_zero", "below_zero"]
     )))
     if mutation in ("nan", "inf"):
         parts = [repr(lo), repr(hi), repr(step)]
@@ -88,6 +88,8 @@ def _scan(draw, ds):
         "too_many": (lo, lo + 1e9 * step, step),
         "malformed": (lo, hi, None),
         "tiny_wavelength": (1e-320, hi, step),   # 1e7/lo overflows, under --nm
+        "from_zero": (0.0, hi - lo, step),          # a data error under --nm only
+        "below_zero": (-lo, hi - 2.0 * lo, step),
     }[mutation]
     text = f"{lo!r}:{hi!r}" if step is None else f"{lo!r}:{hi!r}:{step!r}"
     return text, nm or mutation == "tiny_wavelength"

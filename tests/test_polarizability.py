@@ -358,6 +358,18 @@ def test_scan_needs_a_strictly_ascending_grid():
             scan_spectrum(ds, level, SZ, bad)
 
 
+def test_scan_needs_a_grid_from_zero_up():
+    # alpha is even in nu but a resonance is listed only at +|Delta|: below 0
+    # a scan listed none, and its mirror poles passed the magic/window screens
+    ds = load_dataset(Path(__file__).resolve().parents[1] / "datasets" / "krb_rotor_standin")
+    level = LevelId("X0", 0, 0, 0)
+    nus = 0.001 * np.arange(301)   # 0:0.3:0.001
+    assert len(scan_spectrum(ds, level, SZ, nus).resonances) == 1
+    for bad in (nus - 0.3, nus - 1e-300, np.array([-0.1]), np.array([math.nan])):
+        with pytest.raises(DataError, match="start at 0 cm"):
+            scan_spectrum(ds, level, SZ, bad)
+
+
 def test_scan_matches_pointwise(rotor):
     nus = np.arange(0.0, 0.3, 0.007)
     spec = scan_spectrum(rotor, LevelId("X0", 0, 0, 0), SZ, nus, G0)
@@ -478,6 +490,19 @@ def test_caps_that_leave_no_weighted_line_are_named():
     opts = LineListOptions(grid=RadialGrid(5.0, 20.0, 301), j_max_branch=0)
     with pytest.raises(QuantumNumberError, match="j_max_branch = 0 leaves no line"):
         build_line_list(ds, LevelId("X0", 0, 0, 0), SZ, opts)
+
+
+def test_a_cap_is_not_blamed_for_lines_the_floor_dropped():
+    # v_max = 0 keeps the v' = 0 lines to A0 and B1, and d_floor = inf drops
+    # them: no line, as with d_floor = inf alone, and no cap to blame
+    ds = load_dataset(OPTICAL_STANDIN)
+    level = LevelId("X0", 0, 0, 0)
+    floor = dict(grid=RadialGrid(5.0, 20.0, 301), gamma="default", d_floor=math.inf)
+    assert build_line_list(ds, level, SZ, LineListOptions(**floor)) == []
+    assert build_line_list(ds, level, SZ, LineListOptions(**floor, v_max=0)) == []
+    # j_max_branch = 0 leaves no line before the floor: it is still named
+    with pytest.raises(QuantumNumberError, match="j_max_branch = 0 leaves no line"):
+        build_line_list(ds, level, SZ, LineListOptions(**floor, j_max_branch=0))
 
 
 def test_capture_complete_for_rotor(rotor):

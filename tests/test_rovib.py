@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -234,30 +235,16 @@ def test_convergence_check_reports_the_trim_shift(monkeypatch):
     assert not rep.converged
 
 
-def _counting_direct_solves(monkeypatch):
-    """Patch rovib._solve to record the (state, J) of every direct solve."""
-    calls = []
-    solve = rovib._solve
-
-    def counting(ds, state, J, grid, max_levels, trim):
-        calls.append((state, J))
-        return solve(ds, state, J, grid, max_levels, trim)
-
-    monkeypatch.setattr(rovib, "_solve", counting)
-    return calls
-
-
 CONTRACTED = [("X0", 1), ("X0", 2), ("X0", 3), ("A0", 1), ("A0", 2), ("B1", 2)]
 
 
 @pytest.mark.parametrize("state, J", CONTRACTED)
-def test_contracted_block_matches_the_direct_solve(state, J, monkeypatch):
+def test_contracted_block_matches_the_direct_solve(state, J, monkeypatch, direct_solves):
     ds = load_dataset(OPTICAL_STANDIN)
     grid = default_grid(ds)
-    direct = _counting_direct_solves(monkeypatch)
     levels = solve_radial(ds, state, J, grid)
     # the state's J = omega basis is the only direct solve: nothing fell back
-    assert direct == [(state, ds.state(state).omega)]
+    assert [(s, j) for s, j, _ in direct_solves] == [(state, ds.state(state).omega)]
     monkeypatch.undo()
     ref = direct_levels(ds, state, J, grid, 64, trim=True)
     assert len(levels) == len(ref) == 64
@@ -266,17 +253,43 @@ def test_contracted_block_matches_the_direct_solve(state, J, monkeypatch):
 
 
 @pytest.mark.parametrize("J", [1, 10, 60])
-def test_a_contraction_that_fails_its_certificate_falls_back(J, monkeypatch):
+def test_a_contraction_that_fails_its_certificate_falls_back(J, monkeypatch, direct_solves):
     # K = 2 * 4 = 8 J0 eigenvectors cannot hold the J levels to RESIDUAL_TOL
     ds = load_dataset(OPTICAL_STANDIN)
     grid = default_grid(ds)
-    direct = _counting_direct_solves(monkeypatch)
     levels = solve_radial(ds, "X0", J, grid, 4)
-    assert direct == [("X0", 0), ("X0", J)]
+    assert [(s, j) for s, j, _ in direct_solves] == [("X0", 0), ("X0", J)]
     monkeypatch.undo()
     ref = direct_levels(ds, "X0", J, grid, 4, trim=True)
     assert [l.energy for l in levels] == [l.energy for l in ref]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
+
+
+def test_a_contraction_never_builds_the_m_by_m_kinetic_matrix():
+    # the residual applies T in row slabs: one contraction of the optical X0
+    # J = 1 block (m = 457) peaks below one m x m float64 matrix (1.67 MB)
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    solve_radial(ds, "X0", 0, grid)
+    basis = rovib._store(ds).bases[("X0", grid, 64)]
+    row, v_eff, cutoff = rovib._block_inputs(ds, "X0", 1, grid)
+    m = len(basis.v_eff)
+    assert m == 457
+    tracemalloc.start()
+    try:
+        contracted = rovib._contract(row, v_eff, cutoff, basis, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert contracted is not None and contracted.kept == 64
+    assert peak < m * m * 8
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 457])
+def test_the_slab_product_is_the_toeplitz_product(m):
+    rng = np.random.default_rng(m)
+    row, x = rng.standard_normal(m), rng.standard_normal((m, 3))
+    np.testing.assert_allclose(rovib._toeplitz_times(row, x), rovib._toeplitz(row) @ x, rtol=1e-13, atol=1e-13)
 
 
 def _rotor_delta(ds, J, grid):
@@ -651,19 +664,28 @@ def test_the_blas_pin_holds_under_many_threads(monkeypatch):
     assert get_threads() == before
 
 
-def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(monkeypatch):
-    # three workers, one per queued state, whatever the core count
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(cpus, monkeypatch, direct_solves, worker_starts):
+    # whatever the core count: the caller solves X0's basis, the one it needs
+    # first, and min(2, cpus - 1) workers share the queue of A0's and B1's,
+    # one solving both on two CPUs and two taking one each on four
     blas_thread_calls()
-    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: cpus)
     grid = default_grid(load_dataset(OPTICAL_STANDIN))
     states = ["X0", "A0", "B1"]
     lazy = dataclasses.replace(load_dataset(OPTICAL_STANDIN))
     ahead = dataclasses.replace(lazy)
     with rovib.solving_ahead(ahead, states, grid, 64):
-        assert sorted(rovib._store(ahead).ahead) == sorted((state, grid, 64) for state in states)
+        assert list(rovib._store(ahead).ahead) == [(state, grid, 64) for state in states[1:]]
         for state in states[::-1]:
             solve_radial(ahead, state, 1, grid, 64)
     assert rovib._store(ahead).ahead == {}
+    assert len(worker_starts) == min(2, cpus - 1)
+    # the caller waits for B1 and A0 before it solves X0
+    (a0, b1), x0 = sorted(direct_solves[:2], key=lambda s: s[0]), direct_solves[2]
+    assert a0[:2] == ("A0", 0) and b1[:2] == ("B1", 1) and len(direct_solves) == 3
+    assert x0 == ("X0", 0, threading.main_thread())
+    assert {a0[2], b1[2]} <= set(worker_starts)
     for state in states:
         solve_radial(lazy, state, 1, grid, 64)
         a, b = rovib._store(ahead).bases[(state, grid, 64)], rovib._store(lazy).bases[(state, grid, 64)]
