@@ -130,11 +130,7 @@ def _parse_range(text: str, in_nm: bool) -> np.ndarray:
         raise DataError(f"range {text!r} has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points")
     count = int(math.floor(steps)) + 1
     grid = lo + step * np.arange(count)
-    if in_nm:
-        grid = np.sort(1.0e7 / grid)
-    if not np.all(np.diff(grid) > 0.0):
-        raise DataError(f"range {text!r} repeats points: its step is below the float resolution")
-    return grid
+    return np.sort(1.0e7 / grid) if in_nm else grid
 
 
 def _parse_radial_grid(text: str) -> RadialGrid:

@@ -9,13 +9,16 @@ A dataset is a directory::
 Curve files are two-column text with ``#`` comments and a mandatory
 ``units: <length> <value>`` header line. Accepted units: bohr/angstrom for
 length, cm-1/hartree for potentials, debye/au for dipoles. Everything is
-converted to the canonical units (Bohr, cm^-1, Debye) on load. molecule.json
-is checked on load too: the top level, each state and the rotor block must be
-objects and states a list; every number must be a finite JSON number (not
-a boolean or a string); omega must be an integer, asymptote_energy a number
-or null (no asymptote), a rotor's r_e > 0, and parity_tag null, "+" or "-".
-A rotor block holds only r_e: rovib solves a rotor at every J it accepts.
-Keys the loader does not read are ignored.
+converted to the canonical units (Bohr, cm^-1, Debye) on load. In
+molecule.json the top level, each state and the rotor block must be objects
+and states a list. Every number is checked by the type that holds it, so a
+dataset built in Python meets the same rules: a number is an int or float
+within the float range (not a boolean or a string); omega is the integer 0 or
+1 (1.0 is refused); asymptote_energy is a number, or null or Infinity for no
+asymptote (not NaN or -Infinity); r_e and reduced_mass lie in (0, inf),
+default_gamma in [0, inf); parity_tag is null, "+" or "-". A rotor block holds
+only r_e: rovib solves a rotor at every J it accepts. Keys the loader does not
+read are ignored.
 
 Curves interpolate with a natural cubic spline between the tabulated nodes,
 built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in
@@ -57,14 +60,26 @@ __all__ = [
 ]
 
 
+def _number(value, ok, rule: str, kinds=(int, float, np.integer, np.floating)) -> float:
+    """value as a float, when it is one of kinds (never a bool or a string)
+    within the float range and ok accepts it; else a DataError stating rule."""
+    try:
+        x = float(value) if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
+    except OverflowError:   # an int past the float range
+        x = math.nan
+    if not ok(x):
+        raise DataError(f"{rule}, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ElectronicState:
     """One electronic state of the molecule.
 
     omega is the magnitude of the electronic angular momentum projection on
-    the internuclear axis (0 or 1 supported; omega = 0 is taken as 0+).
-    asymptote_energy is the dissociation limit in cm^-1, math.inf for model
-    wells that never dissociate.
+    the internuclear axis: the integer 0 or 1 (omega = 0 is taken as 0+).
+    asymptote_energy is the dissociation limit in cm^-1, a real number or
+    math.inf for model wells that never dissociate (not NaN or -inf).
     """
 
     label: str
@@ -73,30 +88,13 @@ class ElectronicState:
     parity_tag: str | None = None
 
     def __post_init__(self):
-        if isinstance(self.omega, bool) or self.omega not in (0, 1):
-            raise DataError(f"state {self.label!r}: omega must be 0 or 1, got {self.omega}")
+        what = f"state {self.label!r}"
+        rule = f"{what}: omega must be the integer 0 or 1"
+        object.__setattr__(self, "omega", int(_number(self.omega, lambda x: x in (0.0, 1.0), rule, (int, np.integer))))
+        rule = f"{what}: asymptote_energy must be a number or inf (no asymptote), not NaN or -inf"
+        object.__setattr__(self, "asymptote_energy", _number(self.asymptote_energy, lambda x: x > -math.inf, rule))
         if self.parity_tag not in (None, "+", "-"):
-            raise DataError(f"state {self.label!r}: parity_tag must be null, '+' or '-', got {self.parity_tag!r}")
-
-
-def _check_samples(r: np.ndarray, y: np.ndarray, what: str) -> None:
-    if r.ndim != 1 or y.shape != r.shape:
-        raise DataError(f"{what}: samples must be two equal-length columns")
-    if len(r) < 2:
-        raise DataError(f"{what}: need at least 2 sample points, got {len(r)}")
-    if not np.all(np.isfinite(r)) or not np.all(np.isfinite(y)):
-        raise DataError(f"{what}: non-finite sample values")
-    if r[0] <= 0.0:
-        raise DataError(f"{what}: R values must be positive")
-    dr = np.diff(r)
-    if not np.all(dr > 0.0):
-        bad = int(np.argmin(dr > 0.0)) + 2
-        raise DataError(f"{what}: R not strictly increasing at sample {bad}")
-
-
-def _check_fit(values, what: str, fit: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{what}: {fit} leaves the float range")
+            raise DataError(f"{what}: parity_tag must be null, '+' or '-', got {self.parity_tag!r}")
 
 
 def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,21 +177,42 @@ class _NaturalSpline:
         return np.where((xe >= self.x[0]) & (xe <= self.x[-1]), out, np.nan)
 
 
+def _checked_spline(r, y, what: str):
+    """(r, y) as float arrays and their natural spline, checked: two
+    equal-length columns of at least 2 finite samples at strictly increasing
+    R > 0, and spline coefficients in the float range; errors name what."""
+    r, y = np.asarray(r, dtype=float), np.asarray(y, dtype=float)
+    if r.ndim != 1 or y.shape != r.shape:
+        raise DataError(f"{what}: samples must be two equal-length columns")
+    if len(r) < 2:
+        raise DataError(f"{what}: need at least 2 sample points, got {len(r)}")
+    if not np.all(np.isfinite(r)) or not np.all(np.isfinite(y)):
+        raise DataError(f"{what}: non-finite sample values")
+    if r[0] <= 0.0:
+        raise DataError(f"{what}: R values must be positive")
+    dr = np.diff(r)
+    if not np.all(dr > 0.0):
+        bad = int(np.argmin(dr > 0.0)) + 2
+        raise DataError(f"{what}: R not strictly increasing at sample {bad}")
+    # past the float range a fit comes out inf or NaN, refused here
+    with np.errstate(all="ignore"):
+        spline = _NaturalSpline(r, y)
+    if not np.all(np.isfinite(spline.c)):
+        raise DataError(f"{what}: its spline leaves the float range")
+    return r, y, spline
+
+
 class PotentialCurve:
     """Tabulated potential of one electronic state, in Bohr / cm^-1."""
 
     def __init__(self, state: ElectronicState, r, v):
         self.state = state
-        self.r = np.asarray(r, dtype=float)
-        self.v = np.asarray(v, dtype=float)
         what = f"potential curve for {state.label!r}"
-        _check_samples(self.r, self.v, what)
-        # past the float range a fit comes out inf or NaN, refused here
-        with np.errstate(all="ignore"):
-            self._spline = _NaturalSpline(self.r, self.v)
+        self.r, self.v, self._spline = _checked_spline(r, v, what)
+        with np.errstate(all="ignore"):   # a tail past the float range, refused below
             self._fit_tails()
-        _check_fit(self._spline.c, what, "its spline")
-        _check_fit([self._sr_a, self._sr_b, *(self._lr or ())], what, "its tail fit")
+        if not np.all(np.isfinite([self._sr_a, self._sr_b, *(self._lr or ())])):
+            raise DataError(f"{what}: its tail fit leaves the float range")
 
     def _fit_tails(self) -> None:
         r, v = self.r, self.v
@@ -260,13 +279,7 @@ class DipoleCurve:
     def __init__(self, bra: str, ket: str, r, d):
         self.bra = bra
         self.ket = ket
-        self.r = np.asarray(r, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-        what = f"dipole curve {bra!r} -> {ket!r}"
-        _check_samples(self.r, self.d, what)
-        with np.errstate(all="ignore"):
-            self._spline = _NaturalSpline(self.r, self.d)
-        _check_fit(self._spline.c, what, "its spline")
+        self.r, self.d, self._spline = _checked_spline(r, d, f"dipole curve {bra!r} -> {ket!r}")
 
     @property
     def is_permanent(self) -> bool:
@@ -288,8 +301,8 @@ class RotorInfo:
     r_e: float
 
     def __post_init__(self):
-        if not 0.0 < self.r_e < math.inf:
-            raise DataError(f"rotor r_e must be finite and > 0 Bohr, got {self.r_e}")
+        r_e = _number(self.r_e, lambda x: 0.0 < x < math.inf, "rotor r_e must be finite and > 0 Bohr")
+        object.__setattr__(self, "r_e", r_e)
 
 
 @dataclass
@@ -311,32 +324,30 @@ class MoleculeDataset:
     _store: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if not (self.reduced_mass > 0.0 and math.isfinite(self.reduced_mass)):
-            raise DataError(f"dataset {self.name!r}: reduced_mass must be positive")
-        if not 0.0 <= self.default_gamma < math.inf:
-            raise DataError(f"dataset {self.name!r}: default_gamma must be finite and >= 0, got {self.default_gamma}")
+        what = f"dataset {self.name!r}"
+        rule = f"{what}: reduced_mass must be finite and > 0 amu"
+        self.reduced_mass = _number(self.reduced_mass, lambda x: 0.0 < x < math.inf, rule)
+        rule = f"{what}: default_gamma must be finite and >= 0 MHz"
+        self.default_gamma = _number(self.default_gamma, lambda x: 0.0 <= x < math.inf, rule)
         labels = [s.label for s in self.states]
         if len(set(labels)) != len(labels):
-            raise DataError(f"dataset {self.name!r}: duplicate state labels")
+            raise DataError(f"{what}: duplicate state labels")
         if self.ground_label not in labels:
-            raise DataError(f"dataset {self.name!r}: ground_label {self.ground_label!r} not among states")
+            raise DataError(f"{what}: ground_label {self.ground_label!r} not among states")
         for s in self.states:
             if s.label not in self.potentials:
-                raise DataError(f"dataset {self.name!r}: state {s.label!r} has no potential curve")
+                raise DataError(f"{what}: state {s.label!r} has no potential curve")
         for lab in self.potentials:
             if lab not in labels:
-                raise DataError(f"dataset {self.name!r}: potential for undeclared state {lab!r}")
+                raise DataError(f"{what}: potential for undeclared state {lab!r}")
         perm_seen = set()
         for dip in self.dipoles:
             for end in (dip.bra, dip.ket):
                 if end not in labels:
-                    raise DataError(f"dataset {self.name!r}: dipole curve references undeclared state {end!r}")
+                    raise DataError(f"{what}: dipole curve references undeclared state {end!r}")
             if dip.is_permanent:
                 if dip.bra in perm_seen:
-                    raise DataError(f"dataset {self.name!r}: more than one permanent dipole for {dip.bra!r}")
+                    raise DataError(f"{what}: more than one permanent dipole for {dip.bra!r}")
                 perm_seen.add(dip.bra)
 
     def state(self, label: str) -> ElectronicState:
@@ -472,18 +483,6 @@ def _read_curve(path: Path, data: bytes, value_units: dict[str, float], make):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _meta_number(value, what: str, integer: bool = False):
-    """A finite JSON number from molecule.json (an int or float, not a bool or a
-    string); a whole number when integer is set."""
-    try:
-        x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
-    except OverflowError:   # an int beyond the float range
-        x = math.nan
-    if not math.isfinite(x) or (integer and not x.is_integer()):
-        raise DataError(f"{what} must be a finite {'integer' if integer else 'number'}, got {value!r}")
-    return int(x) if integer else x
-
-
 # the most recent load, keyed by its files' names and bytes: one entry at most
 _LOADED: dict[tuple, MoleculeDataset] = {}
 
@@ -525,7 +524,8 @@ def load_dataset(path) -> MoleculeDataset:
 
 
 def _parse_meta(meta) -> dict:
-    """The MoleculeDataset fields that molecule.json holds, checked; errors name the field."""
+    """The MoleculeDataset fields that molecule.json holds. Only the JSON's
+    shape is checked here; each value is checked by the type that holds it."""
     if not isinstance(meta, dict):
         raise DataError("the top level must be an object")
     for key in ("name", "reduced_mass", "ground_label", "states"):
@@ -537,15 +537,12 @@ def _parse_meta(meta) -> dict:
     for entry in meta["states"]:
         if not isinstance(entry, dict) or "label" not in entry or "omega" not in entry:
             raise DataError("every state needs 'label' and 'omega'")
-        label = str(entry["label"])
         asym = entry.get("asymptote_energy")
         states.append(
             ElectronicState(
-                label=label,
-                omega=_meta_number(entry["omega"], f"state {label!r} omega", integer=True),
-                asymptote_energy=(
-                    math.inf if asym is None else _meta_number(asym, f"state {label!r} asymptote_energy")
-                ),
+                label=str(entry["label"]),
+                omega=entry["omega"],
+                asymptote_energy=math.inf if asym is None else asym,
                 parity_tag=entry.get("parity_tag"),
             )
         )
@@ -553,13 +550,13 @@ def _parse_meta(meta) -> dict:
     if rotor is not None:
         if not isinstance(rotor, dict) or "r_e" not in rotor:
             raise DataError("rotor block needs 'r_e'")
-        rotor = RotorInfo(r_e=_meta_number(rotor["r_e"], "rotor r_e"))
+        rotor = RotorInfo(r_e=rotor["r_e"])
     return dict(
         name=str(meta["name"]),
-        reduced_mass=_meta_number(meta["reduced_mass"], "reduced_mass"),
+        reduced_mass=meta["reduced_mass"],
         states=states,
         ground_label=str(meta["ground_label"]),
-        default_gamma=_meta_number(meta.get("default_gamma", MoleculeDataset.default_gamma), "default_gamma"),
+        default_gamma=meta.get("default_gamma", MoleculeDataset.default_gamma),
         rotor=rotor,
     )
 

@@ -13,11 +13,11 @@ class DataError(Exception):
 
 
 class QuantumNumberError(DataError, ValueError):
-    """A requested J below omega or past rovib's float-exact J(J+1), a level count below 1, a negative cap on final v, or a cap on final v or J that leaves no line with angular weight."""
+    """A requested J that is not an integer, below omega or past rovib's float-exact J(J+1), a level count that is not an integer >= 1, a cap on final v or J that is not an integer, a negative cap on final v, or a cap on final v or J that leaves no line with angular weight."""
 
 
 class GridError(DataError, ValueError):
-    """A radial grid with non-finite bounds, no finite 1/h^2, or more than MAX_GRID_POINTS points."""
+    """A radial grid with non-finite bounds, no finite 1/h^2, or a point count that is not an integer from 16 to MAX_GRID_POINTS."""
 
 
 class NumericalError(Exception):

@@ -62,7 +62,7 @@ from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset
 from .errors import DataError, NumericalError, QuantumNumberError
-from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, _check_J, energy_floor, sampled_curve, solved_block, solving_ahead
+from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, _check_J, _is_int, energy_floor, sampled_curve, solved_block, solving_ahead
 
 __all__ = [
     "LevelId",
@@ -96,9 +96,10 @@ class LineListOptions:
 
     Building the options refuses a bad value, before anything is solved: a
     gamma that is neither mode nor a finite number >= 0 (a bool included),
-    a d_floor that is NaN or below 0 (inf keeps no line) and a v_max below 0
-    (QuantumNumberError). max_levels and J are checked by rovib, where they
-    enter a solve.
+    a d_floor that is NaN or below 0 (inf keeps no line), and a j_max_branch
+    or v_max that is neither None nor an integer (a Python or numpy int, not
+    a bool), or a v_max below 0 (QuantumNumberError). max_levels and J are
+    checked by rovib, where they enter a solve.
     """
 
     grid: RadialGrid | None = None
@@ -117,8 +118,10 @@ class LineListOptions:
             raise DataError(f"gamma must be 'computed', 'default', or finite and >= 0 in MHz, got {gamma!r}")
         if not self.d_floor >= 0.0:
             raise DataError(f"d_floor must be >= 0 in Debye, got {self.d_floor!r}")
-        if self.v_max is not None and self.v_max < 0:
-            raise QuantumNumberError(f"v_max must be at least 0, got {self.v_max}")
+        if self.j_max_branch is not None and not _is_int(self.j_max_branch):
+            raise QuantumNumberError(f"j_max_branch must be None or an integer, got {self.j_max_branch!r}")
+        if self.v_max is not None and not (_is_int(self.v_max) and self.v_max >= 0):
+            raise QuantumNumberError(f"v_max must be None or an integer of at least 0, got {self.v_max!r}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,10 @@ def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOption
 
 
 def _check_M(level: LevelId) -> None:
-    """|M| <= J, checked before the level's block is solved."""
+    """v and M integers (a Python or numpy int, not a bool) and |M| <= J,
+    checked before the level's block is solved."""
+    if not (_is_int(level.v) and _is_int(level.M)):
+        raise DataError(f"initial v and M must be integers, got v={level.v!r}, M={level.M!r}")
     if abs(level.M) > level.J:
         raise DataError(f"initial |M|={abs(level.M)} exceeds J={level.J}")
 
@@ -222,10 +228,10 @@ def build_line_list(
     (rovib.solving_ahead) while the lines are built from the same list. A line
     strength w * d^2 outside the float range is a NumericalError.
 
-    The initial J and every kept J' pass rovib's J rule, and the initial M
-    passes |M| <= J, before anything is solved, so a J or M past them starts
-    no solve. The lower blocks of a linewidth, up to J' + 1, are checked
-    where they are solved.
+    The initial J and every kept J' pass rovib's J rule, and the initial v
+    and M are integers with |M| <= J, before anything is solved, so a J, v or
+    M past them starts no solve. The lower blocks of a linewidth, up to
+    J' + 1, are checked where they are solved.
 
     A cap (j_max_branch, v_max) that leaves no line before d_floor drops any
     is a QuantumNumberError; lines that d_floor alone drops are no error.
@@ -389,7 +395,10 @@ def scan_spectrum(
     opts = options or LineListOptions()
     nus = np.asarray(nu_grid, dtype=float)
     if nus.ndim != 1 or not np.all(np.diff(nus) > 0.0):
-        raise DataError("nu_grid must be a strictly ascending one-dimensional array of wavenumbers")
+        raise DataError(
+            "nu_grid must be a strictly ascending one-dimensional array of wavenumbers"
+            " (a step below the float resolution repeats points)"
+        )
     if len(nus) and not nus[0] >= 0.0:
         raise DataError(f"nu_grid must start at 0 cm^-1 or above, got {float(nus[0])!r}")
     lines = build_line_list(ds, initial, polarization, opts)

@@ -193,9 +193,18 @@ CHECK_TOL = 1e-3         # cm^-1, largest shift convergence_check accepts
 MAX_LEVELS = 64          # bound levels a block keeps when the caller names no cap
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer: a Python or numpy int, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid: n points from r_min to r_max inclusive (Bohr)."""
+    """Uniform radial grid: n points from r_min to r_max inclusive (Bohr).
+
+    n is an integer (a Python or numpy int, not a bool) from 16 to
+    MAX_GRID_POINTS; anything else is a GridError when the grid is built.
+    """
 
     r_min: float
     r_max: float
@@ -204,8 +213,8 @@ class RadialGrid:
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max < math.inf):
             raise GridError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
-        if not 16 <= self.n <= MAX_GRID_POINTS:
-            raise GridError(f"need 16 to MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points, got {self.n}")
+        if not (_is_int(self.n) and 16 <= self.n <= MAX_GRID_POINTS):
+            raise GridError(f"grid point count must be an integer from 16 to MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {self.n!r}")
         # the kinetic scale hbar^2 / (2 mu h^2) needs a finite, nonzero 1/h^2
         if not sys.float_info.min <= self.h * self.h < math.inf:
             raise GridError(f"grid spacing {self.h} Bohr has no finite 1/h^2")
@@ -315,9 +324,12 @@ def _effective_potential(ds: MoleculeDataset, state: str, J: int, grid: RadialGr
 
 
 def _check_J(J: int) -> None:
-    """QuantumNumberError unless J(J+1) <= 2^53 (J <= 94,906,265): every
-    centrifugal term starts from J(J+1) as an exact double."""
-    if J * (J + 1) > 2**53:
+    """QuantumNumberError unless J is an integer (not a bool) with J(J+1) <=
+    2^53 (J <= 94,906,265): every centrifugal term starts from J(J+1) as an
+    exact double."""
+    if not _is_int(J):
+        raise QuantumNumberError(f"J must be an integer, got {J!r}")
+    if int(J) * (int(J) + 1) > 2**53:
         raise QuantumNumberError(f"J = {J} past 94906265: J(J+1) is not exact in a double")
 
 
@@ -491,6 +503,12 @@ def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels
     return basis or _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
 
 
+def _check_max_levels(max_levels: int) -> None:
+    """QuantumNumberError unless max_levels is an integer (not a bool) of at least 1."""
+    if not (_is_int(max_levels) and max_levels >= 1):
+        raise QuantumNumberError(f"max_levels must be an integer of at least 1, got {max_levels!r}")
+
+
 def solve_radial(
     ds: MoleculeDataset,
     state: str,
@@ -506,14 +524,14 @@ def solve_radial(
     store's basis: J = omega levels are read from it, and any other J is
     contracted in it, or solved directly when that fails its certificate. A
     basis that solving_ahead queued is waited for, not solved again. A J
-    whose J(J+1) passes 2^53 is a QuantumNumberError before any solve.
+    that is not an integer or whose J(J+1) passes 2^53, and a max_levels that
+    is not an integer of at least 1, are QuantumNumberErrors before any solve.
     """
     _check_J(J)
     omega = ds.state(state).omega
     if J < omega:
         raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")
-    if max_levels < 1:
-        raise QuantumNumberError(f"max_levels must be at least 1, got {max_levels}")
+    _check_max_levels(max_levels)
     if not _contracts(ds, state, grid, max_levels):
         return _levels(state, J, grid, _solve(ds, state, J, grid, max_levels, trim=False))
     store = _store(ds)
@@ -625,11 +643,13 @@ def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, 
     it stores it, or raises the worker's exception. On exit the queue is
     emptied, every worker joined and unclaimed bases dropped. Nothing starts
     for fewer than two solves or two CPUs, or when numpy's OpenBLAS cannot be
-    pinned to one thread.
+    pinned to one thread. A max_levels solve_radial refuses is refused on
+    entry, before anything is queued.
     """
+    _check_max_levels(max_levels)
     store = _store(ds)
     needed = []
-    if max_levels >= 1 and _lapack.BLAS_THREADS is not None:
+    if _lapack.BLAS_THREADS is not None:
         for state in states:
             key = (state, grid, max_levels)
             if key not in store.bases and key not in store.ahead and _contracts(ds, state, grid, max_levels):

@@ -763,6 +763,10 @@ def test_a_window_from_nu_0_reaches_an_infinite_wavelength(tmp_path, capsys):
         ("optical_dir", ("states", 1, "omega"), 0.5),
         ("optical_dir", ("states", 1, "asymptote_energy"), "abc"),
         ("optical_dir", ("states", 1, "asymptote_energy"), math.nan),
+        # JSON's -Infinity is refused, where Infinity, like null, is no asymptote
+        ("optical_dir", ("states", 1, "asymptote_energy"), -math.inf),
+        # this loaded: omega is the integer 0 or 1, not the float 1.0
+        ("optical_dir", ("states", 1, "omega"), 1.0),
         ("rotor_dir", ("rotor", "r_e"), -RBCS["r_e"]),
         # JSON of the wrong shape: each of these raised a TypeError
         ("rotor_dir", (), ["name", "reduced_mass", "ground_label", "states"]),

@@ -20,6 +20,7 @@ from molpol import (
     MorseModel,
     PotentialCurve,
     RigidRotorModel,
+    RotorInfo,
     load_dataset,
     synthesize,
     write_dataset,
@@ -138,6 +139,31 @@ def test_unknown_unit_rejected(tmp_path):
         load_dataset(d)
 
 
+def test_an_infinite_asymptote_reads_as_none(tmp_path):
+    # JSON's Infinity token, as null, is a state without an asymptote
+    write_dataset(make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rt"), tmp_path / "ds")
+    null = load_dataset(tmp_path / "ds")
+    meta_path = tmp_path / "ds" / "molecule.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["states"][0]["asymptote_energy"] is None
+    meta["states"][0]["asymptote_energy"] = math.inf
+    meta_path.write_text(json.dumps(meta))
+    assert '"asymptote_energy": Infinity' in meta_path.read_text()
+    inf = load_dataset(tmp_path / "ds")
+    assert inf is not null and inf.states == null.states
+
+
+def test_the_types_store_the_numbers_they_checked():
+    # a numpy number is taken, and stored as the int or float it checked
+    r = np.linspace(5.0, 10.0, 20)
+    x = ElectronicState("X", np.int64(0), np.float32(-2.5))
+    assert x == ElectronicState("X", 0, -2.5) and type(x.omega) is int and type(x.asymptote_energy) is float
+    assert type(RotorInfo(np.int64(8)).r_e) is float
+    ds = MoleculeDataset("n", np.int64(10), [x], {"X": PotentialCurve(x, r, r)}, [], "X", np.float32(6))
+    assert (ds.reduced_mass, ds.default_gamma) == (10.0, 6.0)
+    assert type(ds.reduced_mass) is float and type(ds.default_gamma) is float
+
+
 def test_dangling_dipole_reference():
     r = np.linspace(5.0, 10.0, 20)
     x = ElectronicState("X", 0, 0.0)
@@ -206,6 +232,16 @@ IN_LIBRARY = {
     "potential at R = 0": lambda ds: ds.potentials["X"](0.0),
     "harmonic model without grid": lambda ds: synthesize(HarmonicModel(100.0, 8.0), reduced_mass=10.0),
     "boolean omega": lambda ds: ElectronicState("Z", True, math.inf),
+    # these built, and failed later or not at all: a NaN asymptote in an
+    # IndexError from the span trim, -inf read as no asymptote, omega = 1.0 in
+    # a TypeError in the line list, and True read as 1 Bohr, 1 amu and 1 MHz
+    "NaN asymptote": lambda ds: ElectronicState("Z", 0, math.nan),
+    "asymptote at -inf": lambda ds: ElectronicState("Z", 0, -math.inf),
+    "omega 1.0": lambda ds: ElectronicState("Z", 1.0, math.inf),
+    "string rotor r_e": lambda ds: RotorInfo("8.0"),
+    "boolean rotor r_e": lambda ds: RotorInfo(True),
+    "boolean reduced_mass": lambda ds: dataclasses.replace(ds, reduced_mass=True),
+    "boolean default_gamma": lambda ds: dataclasses.replace(ds, default_gamma=True),
 }
 
 

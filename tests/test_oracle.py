@@ -6,8 +6,9 @@ in-place dsyevd and the one walk over the branches. The oracle takes none of
 them. It solves each (state, J) block with np.linalg.eigh of the full-grid
 Hamiltonian, written out here, and keeps the lowest max_levels levels below
 the asymptote. Its angular factors are sympy's 3-j symbols. Each linewidth is
-an explicit Einstein-A sum over every lower level and every lower M, and alpha
-is a per-line Python sum.
+an explicit Einstein-A sum over every lower M and, in each lower block, over
+the lowest max_levels levels, the ones the package keeps; alpha is a per-line
+Python sum.
 
 Every line quantity may differ only by what the package's certificates allow.
 A level's energy is within RESIDUAL_TOL of an eigenvalue. Its vector is

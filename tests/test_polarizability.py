@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -538,6 +539,12 @@ def test_scan_records_options(optical):
         ("d_floor", math.nan, DataError),
         ("d_floor", -1e-8, DataError),
         ("v_max", -1, QuantumNumberError),
+        # v_max = 1.5 raised a TypeError in the line list, j_max_branch = 1.5
+        # acted as a cap of 1, and True as 1
+        ("v_max", 1.5, QuantumNumberError),
+        ("v_max", True, QuantumNumberError),
+        ("j_max_branch", 1.5, QuantumNumberError),
+        ("j_max_branch", True, QuantumNumberError),
     ],
 )
 def test_line_list_options_refuse_a_bad_value_when_built(name, value, error):
@@ -545,3 +552,38 @@ def test_line_list_options_refuse_a_bad_value_when_built(name, value, error):
     # -3 gave Im(alpha) < 0 on the optical stand-in, d_floor = NaN kept every line
     with pytest.raises(error, match=f"^{name} must be"):
         LineListOptions(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "level, options, error",
+    [
+        # M = 0.5 built 200 lines with half-integer M', v = 1.0 and J = 1.0
+        # raised a TypeError, max_levels = 64.0 an IndexError
+        (LevelId("X0", 0, 1, 0.5), {}, DataError),
+        (LevelId("X0", 1.0, 0, 0), {}, DataError),
+        (LevelId("X0", 0, 1.0, 0), {}, QuantumNumberError),
+        (LevelId("X0", 0, 0, 0), {"max_levels": 64.0}, QuantumNumberError),
+        # a bool read as 1
+        (LevelId("X0", 0, 0, True), {}, DataError),
+        (LevelId("X0", 0, True, 0), {}, QuantumNumberError),
+        (LevelId("X0", 0, 0, 0), {"max_levels": True}, QuantumNumberError),
+    ],
+    ids=["M 0.5", "v 1.0", "J 1.0", "max_levels 64.0", "M True", "J True", "max_levels True"],
+)
+def test_a_count_that_is_not_an_integer_is_refused_before_any_solve(level, options, error, monkeypatch):
+    queued, solved = [], []
+    monkeypatch.setattr(rovib, "_Ahead", lambda *args: queued.append(args))
+    monkeypatch.setattr(rovib, "_solve", lambda *args: solved.append(args))
+    with pytest.raises(error, match="integer"):
+        build_line_list(load_dataset(OPTICAL_STANDIN), level, SZ, LineListOptions(**options))
+    assert queued == [] and solved == []
+
+
+def test_numpy_integers_are_integers():
+    ds = load_dataset(OPTICAL_STANDIN)
+    ints = [0, 1, 1, 301, 32, 2, 5]
+    lists = []
+    for v, J, M, n, max_levels, j_max_branch, v_max in (ints, map(np.int64, ints)):
+        opts = LineListOptions(RadialGrid(5.0, 20.0, n), max_levels, "default", j_max_branch=j_max_branch, v_max=v_max)
+        lists.append(build_line_list(dataclasses.replace(ds), LevelId("X0", v, J, M), SX, opts))
+    assert lists[0] and lists[1] == lists[0]

@@ -265,6 +265,32 @@ def test_a_contraction_that_fails_its_certificate_falls_back(J, monkeypatch, dir
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
 
 
+def test_a_contracted_level_that_fails_the_edge_check_falls_back(monkeypatch, direct_solves):
+    # X0 J = 1 contracts with every residual within RESIDUAL_TOL; with no edge
+    # amplitude allowed, in _contract alone, its edge check fails instead
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    contract, edge_amp, contracted = rovib._contract, rovib.EDGE_AMP, []
+
+    def edgeless(*args):
+        assert contract(*args) is not None
+        rovib.EDGE_AMP = 0.0
+        try:
+            contracted.append(contract(*args))
+        finally:
+            rovib.EDGE_AMP = edge_amp
+        return contracted[-1]
+
+    monkeypatch.setattr(rovib, "_contract", edgeless)
+    levels = solve_radial(ds, "X0", 1, grid)
+    assert contracted == [None]
+    assert [(s, j) for s, j, _ in direct_solves] == [("X0", 0), ("X0", 1)]
+    monkeypatch.undo()
+    ref = direct_levels(ds, "X0", 1, grid, 64, trim=True)
+    assert [l.energy for l in levels] == [l.energy for l in ref]
+    np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
+
+
 def test_a_contraction_never_builds_the_m_by_m_kinetic_matrix():
     # the residual applies T in row slabs: one contraction of the optical X0
     # J = 1 block (m = 457) peaks below one m x m float64 matrix (1.67 MB)
@@ -525,7 +551,8 @@ def test_max_levels_truncates(morse_ds):
     assert len(solve_radial(morse_ds, "X0", 0, MORSE_GRID, 7)) == 7
 
 
-@pytest.mark.parametrize("max_levels", [0, -3])
+# 64.0 ended in an IndexError, and True solved as a cap of 1
+@pytest.mark.parametrize("max_levels", [0, -3, 64.0, True])
 def test_max_levels_below_one_rejected(morse_ds, krb_rotor, max_levels):
     with pytest.raises(ValueError, match="max_levels"):
         solve_radial(morse_ds, "X0", 0, MORSE_GRID, max_levels)
@@ -599,9 +626,12 @@ def test_grid_validation():
         RadialGrid(-1.0, 4.0, 100)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 4.0, 8)
-    for r_min, r_max in [(5.0, math.inf), (math.nan, 20.0), (5.0, math.nan), (5.0, 1e300), (1e-300, 2e-300)]:
+    # n = 301.0 was accepted, and its points then raised a TypeError
+    bad = [(5.0, math.inf, 801), (math.nan, 20.0, 801), (5.0, math.nan, 801), (5.0, 1e300, 801), (1e-300, 2e-300, 801)]
+    for r_min, r_max, n in [*bad, (5.0, 16.0, 301.0)]:
         with pytest.raises(GridError):
-            RadialGrid(r_min, r_max, 801)
+            RadialGrid(r_min, r_max, n)
+    assert RadialGrid(5.0, 16.0, np.int64(301)) == RadialGrid(5.0, 16.0, 301)
     assert RadialGrid(5.0, 20.0, rovib.MAX_GRID_POINTS).n == rovib.MAX_GRID_POINTS
     with pytest.raises(GridError, match="MAX_GRID_POINTS"):
         RadialGrid(5.0, 20.0, rovib.MAX_GRID_POINTS + 1)
@@ -691,6 +721,35 @@ def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(cpus, mon
         a, b = rovib._store(ahead).bases[(state, grid, 64)], rovib._store(lazy).bases[(state, grid, 64)]
         assert a.span == b.span and a.kept == b.kept
         assert np.array_equal(a.energies, b.energies) and np.array_equal(a.vectors, b.vectors), state
+
+
+def test_a_worker_that_cannot_start_leaves_its_solves_to_the_caller(tmp_path, monkeypatch, direct_solves):
+    # Thread.start raising RuntimeError (no thread to be had) starts no worker
+    # and queues nothing: the caller solves every basis, to the same bytes
+    blas_thread_calls()
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 2)
+    argv = ["alpha", str(OPTICAL_STANDIN), "--nu", "8600:10399.5:0.5", "--plot"]
+    assert main([*argv, "--out", str(tmp_path / "started")]) == 0
+    assert any(thread is not threading.main_thread() for *_, thread in direct_solves)
+    started = len(direct_solves)
+    dataset_module._LOADED.clear()
+    start, refused = threading.Thread.start, []
+
+    def no_worker(thread):
+        if thread.name == "molpol-solve-ahead":
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", no_worker)
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == 0
+    assert len(refused) == 1 and len(direct_solves) == 2 * started
+    assert all(thread is threading.main_thread() for *_, thread in direct_solves[started:])
+    assert rovib._store(load_dataset(OPTICAL_STANDIN)).ahead == {}
+    names = sorted(p.name for p in (tmp_path / "started").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "refused" / name).read_bytes() == (tmp_path / "started" / name).read_bytes(), name
 
 
 def test_unclaimed_solves_are_dropped_on_exit(monkeypatch):
