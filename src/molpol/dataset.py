@@ -60,13 +60,18 @@ __all__ = [
 ]
 
 
-def _number(value, ok, rule: str, kinds=(int, float, np.integer, np.floating)) -> float:
-    """value as a float, when it is one of kinds (never a bool or a string)
-    within the float range and ok accepts it; else a DataError stating rule."""
+def _real(value, kinds=(int, float, np.integer, np.floating)) -> float:
+    """value as a float when it is one of kinds (never a bool or a string)
+    within the float range; else NaN."""
     try:
-        x = float(value) if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
+        return float(value) if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
     except OverflowError:   # an int past the float range
-        x = math.nan
+        return math.nan
+
+
+def _number(value, ok, rule: str, kinds=(int, float, np.integer, np.floating)) -> float:
+    """_real(value, kinds) when ok accepts it; else a DataError stating rule."""
+    x = _real(value, kinds)
     if not ok(x):
         raise DataError(f"{rule}, got {value!r}")
     return x
@@ -76,8 +81,9 @@ def _number(value, ok, rule: str, kinds=(int, float, np.integer, np.floating)) -
 class ElectronicState:
     """One electronic state of the molecule.
 
-    omega is the magnitude of the electronic angular momentum projection on
-    the internuclear axis: the integer 0 or 1 (omega = 0 is taken as 0+).
+    label is a string. omega is the magnitude of the electronic angular
+    momentum projection on the internuclear axis: the integer 0 or 1
+    (omega = 0 is taken as 0+).
     asymptote_energy is the dissociation limit in cm^-1, a real number or
     math.inf for model wells that never dissociate (not NaN or -inf).
     """
@@ -88,6 +94,8 @@ class ElectronicState:
     parity_tag: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise DataError(f"state label must be a string, got {self.label!r}")
         what = f"state {self.label!r}"
         rule = f"{what}: omega must be the integer 0 or 1"
         object.__setattr__(self, "omega", int(_number(self.omega, lambda x: x in (0.0, 1.0), rule, (int, np.integer))))

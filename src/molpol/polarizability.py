@@ -41,7 +41,9 @@ states it solves are the initial state, then each partner with a kept branch wit
 j_max_branch; their J = omega bases are solved side by side while the lines
 are built from the kept branches (rovib.solving_ahead: the caller solves the
 first, worker threads the others), and the blocks are the ones, bit for bit,
-that solving one state after another gives.
+that solving one state after another gives. The store also holds the
+dataset's most recent scan (scan_spectrum), so a request that repeats it
+exactly, as windows repeats alpha's scan, solves, builds and evaluates nothing.
 
 The alpha kernel evaluates (lines x nu-chunk) arrays and sums them down the
 line axis in list order, so a scan and a single-point alpha_at add the same
@@ -53,16 +55,16 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
-from .dataset import MoleculeDataset
+from .dataset import MoleculeDataset, _number
 from .errors import DataError, NumericalError, QuantumNumberError
-from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, _check_J, _is_int, energy_floor, sampled_curve, solved_block, solving_ahead
+from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, _check_J, _check_max_levels, _is_int, _store, energy_floor, sampled_curve, solved_block, solving_ahead
 
 __all__ = [
     "LevelId",
@@ -96,10 +98,11 @@ class LineListOptions:
 
     Building the options refuses a bad value, before anything is solved: a
     gamma that is neither mode nor a finite number >= 0 (a bool included),
-    a d_floor that is NaN or below 0 (inf keeps no line), and a j_max_branch
-    or v_max that is neither None nor an integer (a Python or numpy int, not
-    a bool), or a v_max below 0 (QuantumNumberError). max_levels and J are
-    checked by rovib, where they enter a solve.
+    a d_floor that is not a real number >= 0 (a bool, a string and NaN
+    included; inf keeps no line, and the float is stored), and a
+    j_max_branch or v_max that is neither None nor an integer (a Python or
+    numpy int, not a bool), or a v_max below 0 (QuantumNumberError).
+    max_levels and J are checked by rovib, where they enter a solve.
     """
 
     grid: RadialGrid | None = None
@@ -116,8 +119,7 @@ class LineListOptions:
             isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= sys.float_info.max
         ):
             raise DataError(f"gamma must be 'computed', 'default', or finite and >= 0 in MHz, got {gamma!r}")
-        if not self.d_floor >= 0.0:
-            raise DataError(f"d_floor must be >= 0 in Debye, got {self.d_floor!r}")
+        object.__setattr__(self, "d_floor", _number(self.d_floor, lambda x: x >= 0.0, "d_floor must be >= 0 in Debye"))
         if self.j_max_branch is not None and not _is_int(self.j_max_branch):
             raise QuantumNumberError(f"j_max_branch must be None or an integer, got {self.j_max_branch!r}")
         if self.v_max is not None and not (_is_int(self.v_max) and self.v_max >= 0):
@@ -318,18 +320,32 @@ def alpha_kernel(lines: list[LineStrength]) -> Callable[[np.ndarray], np.ndarray
     evaluates the same lines many times (a bisection) keeps the returned
     function and gets the bits alpha_at would give at each frequency.
 
-    The frequencies are taken in chunks of about _KERNEL_CHUNK // len(lines),
-    so each (lines x chunk) complex array is about 256 KB and the few alive at
-    once stay in a core's L2 cache, however long the scan. A chunk holds whole
-    nu columns, each summed down the line axis in list order, so the chunk
-    size moves no bit of the result.
+    The frequencies are taken in chunks of about _KERNEL_CHUNK // len(lines)
+    nu columns. Each call allocates one (lines x chunk) complex buffer, about
+    256 KB, and computes every chunk in it in place: z^2 - nu^2, then
+    z / (z^2 - nu^2), then the terms times w d^2, and last their running sum
+    down the line axis, whose last row is the chunk's alpha. A chunk takes a
+    contiguous prefix of the buffer, so a last, shorter chunk needs no ufunc
+    buffers either. A chunk holds whole nu columns, each summed in list
+    order, so the chunk size moves no bit of the result.
+
+    z^2 - nu^2 is exactly 0 only where Im(z^2) is 0, since nu^2 is real, so
+    the pole pass (mask the zeros, divide by 1 there, then write NaN+NaNj)
+    runs only for a list with such a line: an undamped one.
+
+    The sum is np.add.accumulate, one line at a time, and not sum(axis=0):
+    numpy sums pairwise along a contiguous axis, so a one-column chunk would
+    add the lines in another order than a wide one, and a single-point
+    alpha_at would lose the bits of the scan.
     """
     zs = [complex(ln.delta_e, -0.5 * ln.gamma * MHZ_CM1) for ln in lines]
     z = np.array(zs)[:, None]
     # z^2 as Python complex products: numpy's vectorized complex multiply can
     # round the last bit differently, which would move the committed tables
     z2 = np.array([zc * zc for zc in zs])[:, None]
-    wd2 = np.array([ln.weight * ln.d_vib**2 for ln in lines])[:, None]
+    # complex already, so that no chunk's `term *= wd2` casts it again
+    wd2 = np.array([ln.weight * ln.d_vib**2 for ln in lines], dtype=complex)[:, None]
+    undamped = bool(np.any(z2.imag == 0.0))
     step = max(1, _KERNEL_CHUNK // max(1, len(lines)))
 
     def kernel(nus: np.ndarray) -> np.ndarray:
@@ -337,18 +353,24 @@ def alpha_kernel(lines: list[LineStrength]) -> Callable[[np.ndarray], np.ndarray
         out = np.zeros(len(nus), dtype=complex)
         if not lines:
             return out
+        work = np.empty(len(lines) * min(step, len(nus)), dtype=complex)
         for lo in range(0, len(nus), step):
+            chunk = nus[lo : lo + step]
+            den = work[: len(lines) * len(chunk)].reshape(len(lines), len(chunk))
             # nu^2 past the float range makes den infinite: each term is 0, the limit alpha -> 0
             with np.errstate(over="ignore"):
-                den = z2 - nus[lo : lo + step] ** 2
-            pole = den == 0
-            den[pole] = 1.0
-            term = z / den
-            term[pole] = complex(math.nan, math.nan)
+                np.subtract(z2, chunk**2, out=den)
+            if undamped:
+                pole = den == 0
+                den[pole] = 1.0
+            term = np.divide(z, den, out=den)
+            if undamped:
+                term[pole] = complex(math.nan, math.nan)
             term *= wd2
             # a running sum down the line axis adds one line at a time in list
-            # order; adding it to out's +0 keeps an all-zero column at +0
-            out[lo : lo + step] += np.add.accumulate(term, axis=0, out=den)[-1]
+            # order, each row before it is overwritten; adding it to out's +0
+            # keeps an all-zero column at +0
+            out[lo : lo + step] += np.add.accumulate(term, axis=0, out=term)[-1]
         return ALPHA_HZ_PER_WCM2 * out
 
     return kernel
@@ -391,6 +413,14 @@ def scan_spectrum(
     links. It must start at nu >= 0: alpha is even in nu, but a resonance is
     listed only at +|Delta|, so a scan below 0 would list none and let every
     mirror pole through those screens. Anything else raises DataError.
+
+    The most recent scan on a dataset is held in its rovib store. After the
+    checks a new scan makes (the grid, J, v, M and max_levels), a request
+    whose initial level, polarization and options have the reprs of the held
+    scan's (so False is not 0, nor -0.0 0.0) and whose grid has its bytes
+    gets the held scan again, with nothing solved, built or evaluated. Every
+    caller gets its own lists and dicts and read-only views of the held nu
+    and values, so no caller's edit reaches the next request.
     """
     opts = options or LineListOptions()
     nus = np.asarray(nu_grid, dtype=float)
@@ -401,10 +431,36 @@ def scan_spectrum(
         )
     if len(nus) and not nus[0] >= 0.0:
         raise DataError(f"nu_grid must start at 0 cm^-1 or above, got {float(nus[0])!r}")
+    _check_J(initial.J)
+    _check_M(initial)
+    _check_max_levels(opts.max_levels)
+    store = _store(ds)
+    key = (repr(initial), repr(polarization), repr(opts))
+    held = store.spectrum
+    if held is None or held[0] != key or held[1].nu.tobytes() != nus.tobytes():
+        held = store.spectrum = (key, _scan(ds, initial, polarization, nus, opts))
+    spec = held[1]
+    return replace(
+        spec,
+        nu=spec.nu.view(),
+        values=spec.values.view(),
+        resonances=list(spec.resonances),
+        lines=list(spec.lines),
+        capture=dict(spec.capture),
+        options=dict(spec.options),
+    )
+
+
+def _scan(
+    ds: MoleculeDataset, initial: LevelId, polarization: Polarization, nus: np.ndarray, opts: LineListOptions
+) -> PolarizabilitySpectrum:
+    """scan_spectrum's scan on a checked grid, with read-only copies of the
+    grid and the values."""
     lines = build_line_list(ds, initial, polarization, opts)
     lev_i = solve_initial(ds, initial, opts)
     kernel = alpha_kernel(lines)
-    values = kernel(nus)
+    nu, values = nus.copy(), kernel(nus)
+    nu.flags.writeable = values.flags.writeable = False
 
     lo, hi = (float(nus[0]), float(nus[-1])) if len(nus) else (0.0, 0.0)
     res_seen: dict[tuple[str, int, int], float] = {}
@@ -423,7 +479,7 @@ def scan_spectrum(
     return PolarizabilitySpectrum(
         initial=initial,
         polarization=polarization.name,
-        nu=nus,
+        nu=nu,
         values=values,
         resonances=resonances,
         lines=lines,

@@ -163,7 +163,7 @@ import numpy as np
 
 from . import _lapack
 from .constants import HBAR2_OVER_TWO
-from .dataset import MoleculeDataset
+from .dataset import MoleculeDataset, _real
 from .errors import DataError, GridError, QuantumNumberError
 
 __all__ = [
@@ -202,8 +202,10 @@ def _is_int(x) -> bool:
 class RadialGrid:
     """Uniform radial grid: n points from r_min to r_max inclusive (Bohr).
 
-    n is an integer (a Python or numpy int, not a bool) from 16 to
-    MAX_GRID_POINTS; anything else is a GridError when the grid is built.
+    r_min and r_max are real numbers (not a bool or a string), stored as
+    floats, with 0 < r_min < r_max < inf; n is an integer (a Python or numpy
+    int, not a bool) from 16 to MAX_GRID_POINTS. Anything else is a GridError
+    when the grid is built.
     """
 
     r_min: float
@@ -211,8 +213,11 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise GridError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
+        r_min, r_max = _real(self.r_min), _real(self.r_max)
+        if not (0.0 < r_min < r_max < math.inf):
+            raise GridError(f"need 0 < r_min < r_max < inf, got {self.r_min!r}, {self.r_max!r}")
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "r_max", r_max)
         if not (_is_int(self.n) and 16 <= self.n <= MAX_GRID_POINTS):
             raise GridError(f"grid point count must be an integer from 16 to MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {self.n!r}")
         # the kinetic scale hbar^2 / (2 mu h^2) needs a finite, nonzero 1/h^2
@@ -557,15 +562,18 @@ class Block:
 
 @dataclass
 class _Store:
-    """One dataset's solved blocks, its states' J = omega bases and its curves
-    sampled on grids; never invalidated. solve_radial is the only writer of
-    bases, and convergence_check re-solves on a copy of the dataset. `ahead`
-    holds the bases solving_ahead has queued and solve_radial not yet claimed."""
+    """One dataset's solved blocks, its states' J = omega bases, its curves
+    sampled on grids and its most recent alpha scan; never invalidated.
+    solve_radial is the only writer of bases, and convergence_check re-solves
+    on a copy of the dataset. `ahead` holds the bases solving_ahead has queued
+    and solve_radial not yet claimed. `spectrum` is one slot, which
+    polarizability.scan_spectrum overwrites with each scan it computes."""
 
     blocks: dict = field(default_factory=dict)    # (state, J, grid, max_levels) -> Block
     bases: dict = field(default_factory=dict)     # (state, grid, max_levels) -> _Basis
     samples: dict = field(default_factory=dict)   # (curve, grid) -> read-only (n,) array
     ahead: dict = field(default_factory=dict)     # (state, grid, max_levels) -> _Ahead
+    spectrum: tuple | None = None                 # (key, PolarizabilitySpectrum)
 
 
 def _store(ds: MoleculeDataset) -> _Store:

@@ -866,14 +866,12 @@ def test_each_state_j_block_is_solved_once_per_request(argv, blocks, dense, tmp_
     assert len(solves.dense) == dense
 
 
-def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monkeypatch):
-    # the pass by counts: each state's J0 span solved densely (X0 457, A0 448,
-    # B1 472 points), six K = 2 * 64 contractions, and a bisection that
-    # evaluates each spectrum's kernel once per step for all its brackets
-    # (625 evaluations when each bracket was bisected on its own). A dense
-    # solve runs in place (_lapack.eigh_in_place) and a contraction through
-    # np.linalg.eigh, which the in-place helper calls itself when numpy's
-    # dsyevd is not found: each eigensolve is counted once, where it starts
+def _count_eigensolves_and_kernel_calls(monkeypatch):
+    """(sizes, evaluations): the matrix size of every eigensolve and the nu
+    count of every alpha kernel evaluation from here on. A dense solve runs
+    in place (_lapack.eigh_in_place) and a contraction through
+    np.linalg.eigh, which the in-place helper calls itself when numpy's
+    dsyevd is not found: each eigensolve is counted once, where it starts."""
     sizes, evaluations = [], []
     eigh, in_place, kernel = np.linalg.eigh, _lapack.eigh_in_place, polarizability.alpha_kernel
     dense = threading.local()
@@ -904,10 +902,48 @@ def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monk
     monkeypatch.setattr(_lapack, "eigh_in_place", counting_in_place)
     monkeypatch.setattr(polarizability, "alpha_kernel", counting_kernel)
     monkeypatch.setattr(control, "alpha_kernel", counting_kernel)
+    return sizes, evaluations
+
+
+def test_optical_magic_is_three_dense_solves_and_few_kernel_calls(tmp_path, monkeypatch):
+    # the pass by counts: each state's J0 span solved densely (X0 457, A0 448,
+    # B1 472 points), six K = 2 * 64 contractions, and a bisection that
+    # evaluates each spectrum's kernel once per step for all its brackets
+    # (625 evaluations when each bracket was bisected on its own)
+    sizes, evaluations = _count_eigensolves_and_kernel_calls(monkeypatch)
     argv = ["magic", OPTICAL_STANDIN, "--Ja", "0", "--Ma", "0", "--Jb", "1", "--Mb", "0", "--nu", "8800:9600:1"]
     assert run_cli([*argv, "--out", tmp_path]) == 0
     assert sorted(sizes) == [128] * 6 + [448, 457, 472]
     assert 0 < len(evaluations) <= 100
+
+
+@pytest.mark.parametrize("order", [("alpha", "windows"), ("windows", "alpha")])
+def test_alpha_and_windows_on_one_grid_share_one_scan(order, tmp_path, monkeypatch):
+    # the optical scan pass: the second request reads the scan the first made
+    # (three dense solves and three contractions, one 3600-point kernel
+    # evaluation, one of the resonance peaks, one line list); a grid one ulp
+    # away is scanned anew, from the stored blocks
+    sizes, evaluations = _count_eigensolves_and_kernel_calls(monkeypatch)
+    built = []
+    build = polarizability.build_line_list
+
+    def counting_build(*args):
+        built.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(polarizability, "build_line_list", counting_build)
+    level = ["--state", "X0", "--v", "0", "--J", "0", "--M", "0"]
+    for cmd in order:
+        assert run_cli([cmd, OPTICAL_STANDIN, *level, "--nu", "8600:10399.5:0.5", "--out", tmp_path / cmd]) == 0
+        assert len(built) == 1
+    report = json.loads((tmp_path / "alpha" / "alpha_report.json").read_text())
+    assert sorted(sizes) == [128] * 3 + [448, 457, 472]
+    assert evaluations == [3600, report["resonances_in_range"]]
+    lo = repr(float(np.nextafter(8600.0, math.inf)))
+    assert run_cli(["windows", OPTICAL_STANDIN, *level, "--nu", f"{lo}:10399.5:0.5", "--out", tmp_path / "shifted"]) == 0
+    assert len(built) == 2
+    assert evaluations == [3600, report["resonances_in_range"]] * 2
+    assert sorted(sizes) == [128] * 3 + [448, 457, 472]
 
 
 def test_each_block_builds_its_levels_once(tmp_path, monkeypatch):

@@ -242,6 +242,8 @@ IN_LIBRARY = {
     "boolean rotor r_e": lambda ds: RotorInfo(True),
     "boolean reduced_mass": lambda ds: dataclasses.replace(ds, reduced_mass=True),
     "boolean default_gamma": lambda ds: dataclasses.replace(ds, default_gamma=True),
+    # built, with an int for a label
+    "non-string state label": lambda ds: ElectronicState(5, 0, 0.0),
 }
 
 

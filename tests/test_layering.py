@@ -1,10 +1,13 @@
-"""Platform code stays in one module.
+"""Platform code and the block store each stay in one module.
 
 molpol reaches numpy's LAPACK and OpenBLAS through ctypes in molpol._lapack
 alone, and the modules that pin the BLAS thread count share _lapack's one pin.
+A dataset's store is read and written by rovib alone: other modules reach it
+through rovib._store.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import molpol
@@ -51,3 +54,16 @@ def test_rovib_and_coupling_pin_through_lapacks_one_pin():
         ]
         pins = [obj for obj in held if isinstance(obj, _lapack._OneBlasThread)]
         assert pins and all(pin is _lapack.one_blas_thread for pin in pins), module.__name__
+
+
+def test_only_rovib_reads_or_writes_a_datasets_store():
+    # ds._store in rovib alone; any other module goes through rovib._store(ds)
+    for path in SRC.glob("*.py"):
+        if path.name == "rovib.py":
+            continue
+        module = importlib.import_module("molpol" if path.stem == "__init__" else f"molpol.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_store":
+                assert _resolve(node.value, vars(module)) is rovib, f"{path.name}:{node.lineno}"
+    rovib_tree = ast.parse(Path(rovib.__file__).read_text())
+    assert any(isinstance(node, ast.Attribute) and node.attr == "_store" for node in ast.walk(rovib_tree))

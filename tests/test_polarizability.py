@@ -27,6 +27,7 @@ from molpol import (
     natural_linewidth,
     scan_spectrum,
     solve_radial,
+    write_dataset,
 )
 from molpol import polarizability, rovib
 from molpol.coupling import natural_linewidths
@@ -428,8 +429,10 @@ OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optic
 
 
 def test_an_optical_scan_keeps_the_kernels_working_set_small():
-    # the kernel's chunk arrays are the largest allocations after the solves:
-    # 3.54 MB at 1 << 16 entries a chunk, 1.93 MB at 1 << 15, 1.13 MB at 1 << 14
+    # the kernel's one (lines x chunk) buffer, in which each chunk is
+    # computed in place, is the largest allocation after the solves: 0.59 MB
+    # at 1 << 14 entries a chunk, against 1.13 MB when each chunk allocated
+    # its own arrays
     lines = build_line_list(load_dataset(OPTICAL_STANDIN), LevelId("X0", 0, 0, 0), SZ)
     kernel = polarizability.alpha_kernel(lines)
     nus = 8600.0 + 0.5 * np.arange(3600)
@@ -440,7 +443,56 @@ def test_an_optical_scan_keeps_the_kernels_working_set_small():
     finally:
         tracemalloc.stop()
     assert len(lines) == 136
-    assert peak <= 1.25e6
+    assert peak <= 0.7e6
+
+
+@pytest.mark.parametrize("kernel_chunk", [1, 7, 1 << 14])
+def test_an_undamped_pole_is_nan_in_its_own_column_only(optical, kernel_chunk, monkeypatch):
+    # an undamped list takes the kernel's pole pass: the exact hit is
+    # NaN+NaNj, and its neighbours, in its chunk or not, keep their bits
+    monkeypatch.setattr(polarizability, "_KERNEL_CHUNK", kernel_chunk)
+    lines = build_line_list(optical, LevelId("X", 0, 0, 0), SZ, G0)
+    chunk = max(1, kernel_chunk // len(lines))
+    nu_res = lines[len(lines) // 2].nu_res
+    # an even count of points about nu_res leaves it off the linspace
+    nus = np.sort(np.append(np.linspace(nu_res - 40.0, nu_res + 40.0, 2 * chunk + 6), nu_res))
+    pole = int(np.flatnonzero(nus == nu_res)[0])
+    values = polarizability.alpha_kernel(lines)(nus)
+    assert np.flatnonzero(np.isnan(values.real) | np.isnan(values.imag)).tolist() == [pole]
+    assert np.isnan(values[pole].real) and np.isnan(values[pole].imag)
+    rest = np.delete(values, pole).view(np.uint64)
+    assert np.array_equal(rest, np.delete(_alpha_line_by_line(lines, nus), pole).view(np.uint64))
+
+
+@pytest.mark.parametrize("J, M", [(2, 1), (5, 3)])
+def test_q_plus_one_at_m_is_q_minus_one_at_minus_m_bit_for_bit(J, M):
+    # the mirror M -> -M with q -> -q keeps every weight exact, so the two
+    # scans add the same terms in the same order
+    ds = load_dataset(OPTICAL_STANDIN)
+    nus = 8600.0 + 0.5 * np.arange(3600)
+    plus = scan_spectrum(ds, LevelId("X0", 0, J, M), Polarization.parse("q+1"), nus)
+    minus = scan_spectrum(ds, LevelId("X0", 0, J, -M), Polarization.parse("q-1"), nus)
+    assert len(plus.lines) == len(minus.lines) > 0
+    assert np.array_equal(plus.values.view(np.uint64), minus.values.view(np.uint64))
+
+
+def test_doubled_dipoles_give_four_times_alpha_and_linewidths_bit_for_bit():
+    # every dipole curve times 2 is every d_vib times 2, exactly: alpha at a
+    # fixed linewidth and every computed Einstein-A linewidth go as d^2
+    ds = load_dataset(OPTICAL_STANDIN)
+    doubled = dataclasses.replace(ds, dipoles=[DipoleCurve(d.bra, d.ket, d.r, 2.0 * d.d) for d in ds.dipoles])
+    level, nus = LevelId("X0", 0, 3, 1), 8600.0 + 0.5 * np.arange(3600)
+    for gamma in (0.0, "default", "computed"):
+        opts = LineListOptions(gamma=gamma)
+        one, two = scan_spectrum(ds, level, SX, nus, opts), scan_spectrum(doubled, level, SX, nus, opts)
+        key = [(ln.state, ln.v, ln.J, ln.M, ln.q) for ln in one.lines]
+        assert key and key == [(ln.state, ln.v, ln.J, ln.M, ln.q) for ln in two.lines]
+        if gamma == "computed":
+            assert [4.0 * ln.gamma for ln in one.lines] == [ln.gamma for ln in two.lines]
+        else:
+            assert np.array_equal((4.0 * one.values).view(np.uint64), two.values.view(np.uint64))
+    widths = {key: blk.gammas for key, blk in rovib._store(ds).blocks.items() if blk.gammas is not None}
+    assert widths and all(np.array_equal(4.0 * widths[key], rovib._store(doubled).blocks[key].gammas) for key in widths)
 
 
 def test_pruned_linewidths_equal_the_full_lower_list_bit_for_bit(monkeypatch):
@@ -538,6 +590,9 @@ def test_scan_records_options(optical):
         ("gamma", "bogus", DataError),
         ("d_floor", math.nan, DataError),
         ("d_floor", -1e-8, DataError),
+        # "x" raised a bare TypeError, and True was read as 1 Debye
+        ("d_floor", "x", DataError),
+        ("d_floor", True, DataError),
         ("v_max", -1, QuantumNumberError),
         # v_max = 1.5 raised a TypeError in the line list, j_max_branch = 1.5
         # acted as a cap of 1, and True as 1
@@ -587,3 +642,108 @@ def test_numpy_integers_are_integers():
         opts = LineListOptions(RadialGrid(5.0, 20.0, n), max_levels, "default", j_max_branch=j_max_branch, v_max=v_max)
         lists.append(build_line_list(dataclasses.replace(ds), LevelId("X0", v, J, M), SX, opts))
     assert lists[0] and lists[1] == lists[0]
+
+
+# ------------------------------------------------------------- the held scan
+
+
+def _counting_line_lists(monkeypatch) -> list:
+    """The initial level of every build_line_list call from here on."""
+    built = []
+    build = polarizability.build_line_list
+
+    def counting(ds, initial, *args):
+        built.append(initial)
+        return build(ds, initial, *args)
+
+    monkeypatch.setattr(polarizability, "build_line_list", counting)
+    return built
+
+
+def _same_scan(a, b) -> bool:
+    return (
+        np.array_equal(a.nu.view(np.uint64), b.nu.view(np.uint64))
+        and np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+        and (a.initial, a.polarization, a.resonances, a.lines, a.capture, a.options)
+        == (b.initial, b.polarization, b.resonances, b.lines, b.capture, b.options)
+    )
+
+
+def test_a_repeated_scan_is_the_held_one(optical, monkeypatch):
+    level, nus = LevelId("X", 0, 0, 0), np.arange(8500.0, 9600.0, 1.0)
+    first = scan_spectrum(optical, level, SZ, nus)
+    built = _counting_line_lists(monkeypatch)
+    again = scan_spectrum(optical, LevelId("X", 0, 0, 0), Polarization.parse("sigma_z"), nus.copy(), LineListOptions())
+    assert built == [] and _same_scan(again, first)
+    # a grid with one point an ulp away is scanned anew
+    shifted = nus.copy()
+    shifted[-1] = np.nextafter(shifted[-1], math.inf)
+    assert scan_spectrum(optical, level, SZ, shifted).nu[-1] == shifted[-1]
+    assert built == [level]
+
+
+def test_options_that_compare_equal_but_read_apart_are_scanned_anew(optical):
+    # 0.0, -0.0 and 0 are equal, and each is the gamma its scan reports
+    level, nus = LevelId("X", 0, 0, 0), np.arange(8500.0, 9600.0, 1.0)
+    for gamma in (0.0, -0.0, 0, 0.0):
+        reported = scan_spectrum(optical, level, SZ, nus, LineListOptions(gamma=gamma)).options["gamma"]
+        assert repr(reported) == repr(gamma)
+
+
+@pytest.mark.parametrize(
+    "held, level, options, error",
+    [
+        # False == 0 and True == 1, and each hashes alike
+        (LevelId("X", 0, 0, 0), LevelId("X", False, 0, 0), {}, DataError),
+        (LevelId("X", 0, 0, 0), LevelId("X", 0, False, 0), {}, QuantumNumberError),
+        (LevelId("X", 0, 0, 0), LevelId("X", 0, 0, False), {}, DataError),
+        (LevelId("X", 0, 1, 1), LevelId("X", 0, 1, True), {}, DataError),
+        (LevelId("X", 0, 0, 0), LevelId("X", 0, 0, 0), {"max_levels": True}, QuantumNumberError),
+    ],
+    ids=["v False", "J False", "M False", "M True", "max_levels True"],
+)
+def test_a_request_refused_anew_is_refused_on_the_held_scan(optical, held, level, options, error, monkeypatch):
+    nus = np.arange(8500.0, 9600.0, 1.0)
+    ints = {name: int(value) for name, value in options.items()}
+    scan_spectrum(optical, held, SZ, nus, LineListOptions(**ints))
+    built = _counting_line_lists(monkeypatch)
+    with pytest.raises(error, match="integer"):
+        scan_spectrum(optical, level, SZ, nus, LineListOptions(**options))
+    assert built == []
+
+
+def test_the_held_scan_is_read_only_and_no_caller_changes_it(optical):
+    level, nus = LevelId("X", 0, 0, 0), np.arange(8500.0, 9600.0, 1.0)
+    grid = nus.copy()
+    first = scan_spectrum(optical, level, SZ, grid)
+    kept = dataclasses.replace(
+        first, nu=first.nu.copy(), values=first.values.copy(), resonances=list(first.resonances),
+        lines=list(first.lines), capture=dict(first.capture), options=dict(first.options),
+    )
+    # the held nu is a copy of the caller's grid, not the grid itself
+    grid += 1.0
+    for array in (first.nu, first.values):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    first.resonances.clear()
+    first.lines.reverse()
+    first.capture["E"] = -1.0
+    first.options["gamma"] = 0.0
+    assert _same_scan(scan_spectrum(optical, level, SZ, nus), kept)
+
+
+def test_a_new_load_holds_no_old_scan(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    write_dataset(make_optical(), root)
+    level, nus = LevelId("X", 0, 0, 0), np.arange(8500.0, 9600.0, 1.0)
+    ds = load_dataset(root)
+    scan_spectrum(ds, level, SZ, nus)
+    meta = root / "molecule.json"
+    meta.write_bytes(meta.read_bytes() + b"\n")
+    fresh = load_dataset(root)
+    assert fresh is not ds and rovib._store(fresh).spectrum is None
+    built = _counting_line_lists(monkeypatch)
+    scan_spectrum(fresh, level, SZ, nus)
+    assert built == [level]

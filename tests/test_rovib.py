@@ -626,8 +626,10 @@ def test_grid_validation():
         RadialGrid(-1.0, 4.0, 100)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 4.0, 8)
-    # n = 301.0 was accepted, and its points then raised a TypeError
+    # n = 301.0 was accepted, and its points then raised a TypeError; an
+    # r_min of "5" raised a bare TypeError, and True was read as 1 Bohr
     bad = [(5.0, math.inf, 801), (math.nan, 20.0, 801), (5.0, math.nan, 801), (5.0, 1e300, 801), (1e-300, 2e-300, 801)]
+    bad += [("5", 20.0, 801), (True, 20.0, 801), (5.0, "20", 801)]
     for r_min, r_max, n in [*bad, (5.0, 16.0, 301.0)]:
         with pytest.raises(GridError):
             RadialGrid(r_min, r_max, n)
