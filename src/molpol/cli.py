@@ -11,13 +11,14 @@ MAX_SCAN_POINTS points; a longer one is a data error, raised before any grid
 is allocated, and so is one whose step is too small to keep its points
 distinct. A radial --grid rmin:rmax:n needs finite bounds and at most
 rovib.MAX_GRID_POINTS points, checked before any matrix is built. The
-line-list options --gamma, --d-floor and --v-max are checked where a request
-builds its LineListOptions, before any solve, by the dataclass itself.
+line-list options and the initial level (--v/--J/--M) are checked by the
+LineListOptions and LevelId a request builds, before any solve.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -313,7 +314,7 @@ def cmd_alpha(args) -> int:
     _write_json(
         out / "alpha_report.json",
         {
-            "initial": initial._asdict(),
+            "initial": dataclasses.asdict(initial),
             "polarization": pol.name,
             "points": len(nus),
             "poles": int(np.count_nonzero(np.isnan(spec.values.real))),
@@ -349,8 +350,8 @@ def cmd_magic(args) -> int:
     _write_json(
         out / "magic.json",
         {
-            "level_a": ida._asdict() | {"polarization": pol_a.name},
-            "level_b": idb._asdict() | {"polarization": pol_b.name},
+            "level_a": dataclasses.asdict(ida) | {"polarization": pol_a.name},
+            "level_b": dataclasses.asdict(idb) | {"polarization": pol_b.name},
             "scan": {"lo_cm1": float(nus[0]), "hi_cm1": float(nus[-1]), "points": len(nus)},
             "tol_cm1": args.tol,
             "roots": [{"nu_cm1": r.nu, "alpha_hz_per_wcm2": r.alpha} for r in roots],
@@ -416,7 +417,7 @@ def cmd_plan(args) -> int:
     _write_json(
         out / "plan.json",
         {
-            "initial": initial._asdict() | {"polarization": pol.name},
+            "initial": dataclasses.asdict(initial) | {"polarization": pol.name},
             "wavelength_nm": trap.wavelength_nm,
             "nu_cm1": trap.nu,
             "intensity_wcm2": trap.intensity,
@@ -459,7 +460,7 @@ def cmd_windows(args) -> int:
     _write_json(
         out / "windows.json",
         {
-            "initial": initial._asdict() | {"polarization": pol.name},
+            "initial": dataclasses.asdict(initial) | {"polarization": pol.name},
             "criteria": {
                 "min_width_cm1": args.min_width,
                 "flatness_cap_per_cm1": args.flatness_cap,

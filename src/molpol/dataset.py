@@ -548,7 +548,7 @@ def _parse_meta(meta) -> dict:
         asym = entry.get("asymptote_energy")
         states.append(
             ElectronicState(
-                label=str(entry["label"]),
+                label=entry["label"],
                 omega=entry["omega"],
                 asymptote_energy=math.inf if asym is None else asym,
                 parity_tag=entry.get("parity_tag"),
@@ -563,7 +563,7 @@ def _parse_meta(meta) -> dict:
         name=str(meta["name"]),
         reduced_mass=meta["reduced_mass"],
         states=states,
-        ground_label=str(meta["ground_label"]),
+        ground_label=meta["ground_label"],
         default_gamma=meta.get("default_gamma", MoleculeDataset.default_gamma),
         rotor=rotor,
     )

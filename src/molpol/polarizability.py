@@ -56,14 +56,13 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .constants import ALPHA_HZ_PER_WCM2, MHZ_CM1
 from .coupling import LineStrength, Polarization, angular_weight, dipole_matrix, dipole_route, natural_linewidths
 from .dataset import MoleculeDataset, _number
-from .errors import DataError, NumericalError, QuantumNumberError
+from .errors import DataError, GridError, NumericalError, QuantumNumberError
 from .rovib import MAX_LEVELS, Block, RadialGrid, RovibLevel, _check_J, _check_max_levels, _is_int, _store, energy_floor, sampled_curve, solved_block, solving_ahead
 
 __all__ = [
@@ -79,13 +78,24 @@ __all__ = [
 ]
 
 
-class LevelId(NamedTuple):
-    """Initial-level key: electronic state label, v, J, M."""
+@dataclass(frozen=True)
+class LevelId:
+    """Initial-level key: electronic state label, v, J, M. Building one
+    (dataclasses.replace included) refuses, before any solve, a J that fails
+    rovib's J rule (QuantumNumberError), and a v or M that is not an integer
+    (a Python or numpy int, not a bool) or an |M| above J (DataError)."""
 
     state: str
     v: int
     J: int
     M: int
+
+    def __post_init__(self):
+        _check_J(self.J)
+        if not (_is_int(self.v) and _is_int(self.M)):
+            raise DataError(f"initial v and M must be integers, got v={self.v!r}, M={self.M!r}")
+        if abs(self.M) > self.J:
+            raise DataError(f"initial |M|={abs(self.M)} exceeds J={self.J}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,14 @@ class LineListOptions:
     the dataset default), "default" (always the dataset default), or a float
     override in MHz (0.0 turns damping off).
 
-    Building the options refuses a bad value, before anything is solved: a
-    gamma that is neither mode nor a finite number >= 0 (a bool included),
-    a d_floor that is not a real number >= 0 (a bool, a string and NaN
-    included; inf keeps no line, and the float is stored), and a
-    j_max_branch or v_max that is neither None nor an integer (a Python or
-    numpy int, not a bool), or a v_max below 0 (QuantumNumberError).
-    max_levels and J are checked by rovib, where they enter a solve.
+    Building the options, dataclasses.replace included, refuses a bad value
+    before anything is solved: a grid that is neither None nor a RadialGrid
+    (GridError), a gamma that is neither mode nor a finite number >= 0 (a
+    bool included), a d_floor that is not a real number >= 0 (a bool, a
+    string and NaN included; inf keeps no line, and the float is stored), a
+    max_levels that fails rovib's rule, and a j_max_branch or v_max that is
+    neither None nor an integer (a Python or numpy int, not a bool), or a
+    v_max below 0 (QuantumNumberError).
     """
 
     grid: RadialGrid | None = None
@@ -113,6 +124,9 @@ class LineListOptions:
     v_max: int | None = None     # per final state; default: all bound
 
     def __post_init__(self):
+        if self.grid is not None and not isinstance(self.grid, RadialGrid):
+            raise GridError(f"grid must be None or a RadialGrid, got {self.grid!r}")
+        _check_max_levels(self.max_levels)
         gamma = self.gamma
         if gamma not in ("computed", "default") and (
             # an int past the float range is not finite either: float() of it overflows
@@ -168,22 +182,12 @@ def default_grid(ds: MoleculeDataset) -> RadialGrid:
 def solve_initial(ds: MoleculeDataset, initial: LevelId, options: LineListOptions | None = None) -> RovibLevel:
     """Resolve the initial LevelId to a solved bound level."""
     opts = options or LineListOptions()
-    _check_M(initial)
     levels = solved_block(ds, initial.state, initial.J, opts.grid or default_grid(ds), opts.max_levels).levels
     if not 0 <= initial.v < len(levels):
         raise DataError(
             f"initial level v={initial.v} not bound for state {initial.state!r} at J={initial.J}"
         )
     return levels[initial.v]
-
-
-def _check_M(level: LevelId) -> None:
-    """v and M integers (a Python or numpy int, not a bool) and |M| <= J,
-    checked before the level's block is solved."""
-    if not (_is_int(level.v) and _is_int(level.M)):
-        raise DataError(f"initial v and M must be integers, got v={level.v!r}, M={level.M!r}")
-    if abs(level.M) > level.J:
-        raise DataError(f"initial |M|={abs(level.M)} exceeds J={level.J}")
 
 
 def _branches(ds: MoleculeDataset, state: str, J: int):
@@ -230,17 +234,15 @@ def build_line_list(
     (rovib.solving_ahead) while the lines are built from the same list. A line
     strength w * d^2 outside the float range is a NumericalError.
 
-    The initial J and every kept J' pass rovib's J rule, and the initial v
-    and M are integers with |M| <= J, before anything is solved, so a J, v or
-    M past them starts no solve. The lower blocks of a linewidth, up to
-    J' + 1, are checked where they are solved.
+    The initial level checked itself when it was built, and every kept J'
+    passes rovib's J rule before anything is solved, so a J' past it starts
+    no solve. The lower blocks of a linewidth, up to J' + 1, are checked
+    where they are solved.
 
     A cap (j_max_branch, v_max) that leaves no line before d_floor drops any
     is a QuantumNumberError; lines that d_floor alone drops are no error.
     """
     opts = options or LineListOptions()
-    _check_J(initial.J)
-    _check_M(initial)
     grid = opts.grid or default_grid(ds)
     om_i = ds.state(initial.state).omega
     driven = []   # (state, dipole curve, J', [(q, M', weight)]): the same weights for every v'
@@ -414,13 +416,13 @@ def scan_spectrum(
     listed only at +|Delta|, so a scan below 0 would list none and let every
     mirror pole through those screens. Anything else raises DataError.
 
-    The most recent scan on a dataset is held in its rovib store. After the
-    checks a new scan makes (the grid, J, v, M and max_levels), a request
-    whose initial level, polarization and options have the reprs of the held
-    scan's (so False is not 0, nor -0.0 0.0) and whose grid has its bytes
-    gets the held scan again, with nothing solved, built or evaluated. Every
-    caller gets its own lists and dicts and read-only views of the held nu
-    and values, so no caller's edit reaches the next request.
+    The most recent scan on a dataset is held in its rovib store. A request
+    whose initial level, polarization and options (each checked when it was
+    built) have the reprs of the held scan's (so a gamma of -0.0 is not 0.0,
+    nor 0) and whose grid has its bytes gets the held scan again, with
+    nothing solved, built or evaluated. Every caller gets its own lists and
+    dicts and read-only views of the held nu and values, so no caller's edit
+    reaches the next request.
     """
     opts = options or LineListOptions()
     nus = np.asarray(nu_grid, dtype=float)
@@ -431,9 +433,6 @@ def scan_spectrum(
         )
     if len(nus) and not nus[0] >= 0.0:
         raise DataError(f"nu_grid must start at 0 cm^-1 or above, got {float(nus[0])!r}")
-    _check_J(initial.J)
-    _check_M(initial)
-    _check_max_levels(opts.max_levels)
     store = _store(ds)
     key = (repr(initial), repr(polarization), repr(opts))
     held = store.spectrum

@@ -651,10 +651,9 @@ def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, 
     it stores it, or raises the worker's exception. On exit the queue is
     emptied, every worker joined and unclaimed bases dropped. Nothing starts
     for fewer than two solves or two CPUs, or when numpy's OpenBLAS cannot be
-    pinned to one thread. A max_levels solve_radial refuses is refused on
-    entry, before anything is queued.
+    pinned to one thread. max_levels is taken as checked: its one caller,
+    build_line_list, passes LineListOptions' own.
     """
-    _check_max_levels(max_levels)
     store = _store(ds)
     needed = []
     if _lapack.BLAS_THREADS is not None:

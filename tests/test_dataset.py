@@ -195,6 +195,22 @@ def _meta(change):
     return edit
 
 
+def _relabel(old: str, label, ground_label=None):
+    """State `old` relabelled `label` in molecule.json, with its files renamed
+    after str(label), and ground_label set when one is given."""
+
+    def edit(root: Path) -> None:
+        for path in root.glob("*.dat"):
+            parts = path.stem.split("__")
+            if old in parts[1:]:
+                path.rename(root / ("__".join(str(label) if p == old else p for p in parts) + ".dat"))
+        _meta(lambda m: [s.update(label=label) for s in m["states"] if s["label"] == old])(root)
+        if ground_label is not None:
+            _meta(lambda m: m.update(ground_label=ground_label))(root)
+
+    return edit
+
+
 POT, MOL = "pot__X.dat", "molecule.json"
 # case: (the file its error must name, an edit that breaks the on-disk
 # make_optical() dataset: states X, E, H; dipoles X-E, X-H)
@@ -217,6 +233,9 @@ ON_DISK = {
     "duplicate labels": (MOL, _meta(lambda m: m["states"][2].update(label="E"))),
     "unknown ground_label": (MOL, _meta(lambda m: m.update(ground_label="Z"))),
     "dipole to an undeclared state": (MOL, _copy("dip__X__E.dat", "dip__X__Z.dat")),
+    # these loaded, the label read as the string "0"
+    "non-string state label": (MOL, _relabel("H", 0)),
+    "non-string ground_label": (MOL, _relabel("X", "0", ground_label=0)),
 }
 
 R3 = np.array([5.0, 6.0, 7.0])

@@ -31,7 +31,7 @@ from molpol import (
 )
 from molpol import polarizability, rovib
 from molpol.coupling import natural_linewidths
-from molpol.errors import DataError, QuantumNumberError
+from molpol.errors import DataError, GridError, QuantumNumberError
 
 from conftest import RBCS, make_optical, make_rotor, rotor_b
 
@@ -397,15 +397,23 @@ def _alpha_line_by_line(lines, nus):
     return ALPHA_HZ_PER_WCM2 * out
 
 
-@pytest.mark.parametrize("kernel_chunk", [1, 7, 1 << 14, 1 << 16])
+# _KERNEL_CHUNK for a list of n lines: one nu column a chunk, five columns a
+# chunk, the default and a larger chunk
+KERNEL_CHUNKS = {"1": lambda n: 1, "5 columns": lambda n: 5 * n, "16384": lambda n: 1 << 14, "65536": lambda n: 1 << 16}
+
+
+@pytest.mark.parametrize("kernel_chunk", KERNEL_CHUNKS)
 def test_scan_longer_than_a_kernel_chunk_matches_pointwise(optical, kernel_chunk, monkeypatch):
     # the chunk size moves no bit: one nu per chunk gives the same values
-    monkeypatch.setattr(polarizability, "_KERNEL_CHUNK", kernel_chunk)
     init = LevelId("X", 0, 0, 0)
     lines = build_line_list(optical, init, SZ)
-    chunk = max(1, kernel_chunk // len(lines))
+    monkeypatch.setattr(polarizability, "_KERNEL_CHUNK", KERNEL_CHUNKS[kernel_chunk](len(lines)))
+    chunk = max(1, polarizability._KERNEL_CHUNK // len(lines))
     nus = np.linspace(8500.0, 9600.0, 2 * chunk + 7)
-    values = scan_spectrum(optical, init, SZ, nus).values
+    # one column a chunk, or several in three chunks or more, the last one short
+    assert chunk == 1 or (len(nus) > 2 * chunk and len(nus) % chunk)
+    # a copy holds no other case's scan
+    values = scan_spectrum(dataclasses.replace(optical), init, SZ, nus).values
     pointwise = np.array([alpha_at(lines, nu) for nu in nus])
     assert len(nus) > chunk
     assert np.array_equal(values.view(np.uint64), pointwise.view(np.uint64))
@@ -446,16 +454,17 @@ def test_an_optical_scan_keeps_the_kernels_working_set_small():
     assert peak <= 0.7e6
 
 
-@pytest.mark.parametrize("kernel_chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("kernel_chunk", ["1", "5 columns", "16384"])
 def test_an_undamped_pole_is_nan_in_its_own_column_only(optical, kernel_chunk, monkeypatch):
     # an undamped list takes the kernel's pole pass: the exact hit is
     # NaN+NaNj, and its neighbours, in its chunk or not, keep their bits
-    monkeypatch.setattr(polarizability, "_KERNEL_CHUNK", kernel_chunk)
     lines = build_line_list(optical, LevelId("X", 0, 0, 0), SZ, G0)
-    chunk = max(1, kernel_chunk // len(lines))
+    monkeypatch.setattr(polarizability, "_KERNEL_CHUNK", KERNEL_CHUNKS[kernel_chunk](len(lines)))
+    chunk = max(1, polarizability._KERNEL_CHUNK // len(lines))
     nu_res = lines[len(lines) // 2].nu_res
     # an even count of points about nu_res leaves it off the linspace
     nus = np.sort(np.append(np.linspace(nu_res - 40.0, nu_res + 40.0, 2 * chunk + 6), nu_res))
+    assert chunk == 1 or (len(nus) > 2 * chunk and len(nus) % chunk)
     pole = int(np.flatnonzero(nus == nu_res)[0])
     values = polarizability.alpha_kernel(lines)(nus)
     assert np.flatnonzero(np.isnan(values.real) | np.isnan(values.imag)).tolist() == [pole]
@@ -600,6 +609,10 @@ def test_scan_records_options(optical):
         ("v_max", True, QuantumNumberError),
         ("j_max_branch", 1.5, QuantumNumberError),
         ("j_max_branch", True, QuantumNumberError),
+        # refused when solved, and not before
+        ("max_levels", 0, QuantumNumberError),
+        # an AttributeError inside the solve
+        ("grid", (5.0, 20.0, 801), GridError),
     ],
 )
 def test_line_list_options_refuse_a_bad_value_when_built(name, value, error):
@@ -610,27 +623,51 @@ def test_line_list_options_refuse_a_bad_value_when_built(name, value, error):
 
 
 @pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: LevelId("X0", 0, 1, 2), DataError, r"^initial \|M\|=2 exceeds J=1$"),
+        (lambda: LevelId("X0", 0, 94_906_266, 0), QuantumNumberError, r"J\(J\+1\) is not exact"),
+        # dataclasses.replace builds anew, so it re-runs the rules
+        (lambda: dataclasses.replace(LevelId("X0", 0, 1, 1), J=0), DataError, r"^initial \|M\|=1 exceeds J=0$"),
+        (lambda: dataclasses.replace(LineListOptions(), max_levels=0), QuantumNumberError, "^max_levels must be"),
+    ],
+    ids=["M past J", "J past 94906265", "replaced J", "replaced max_levels"],
+)
+def test_a_level_or_options_is_checked_whenever_it_is_built(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_a_level_keeps_its_repr_and_field_order():
+    # the held scan's key and the CLI's JSON reports keep their bytes
+    level = LevelId("X0", 0, 1, 0)
+    assert repr(level) == "LevelId(state='X0', v=0, J=1, M=0)"
+    assert list(dataclasses.asdict(level).items()) == [("state", "X0"), ("v", 0), ("J", 1), ("M", 0)]
+
+
+@pytest.mark.parametrize(
     "level, options, error",
     [
         # M = 0.5 built 200 lines with half-integer M', v = 1.0 and J = 1.0
         # raised a TypeError, max_levels = 64.0 an IndexError
-        (LevelId("X0", 0, 1, 0.5), {}, DataError),
-        (LevelId("X0", 1.0, 0, 0), {}, DataError),
-        (LevelId("X0", 0, 1.0, 0), {}, QuantumNumberError),
-        (LevelId("X0", 0, 0, 0), {"max_levels": 64.0}, QuantumNumberError),
+        (("X0", 0, 1, 0.5), {}, DataError),
+        (("X0", 1.0, 0, 0), {}, DataError),
+        (("X0", 0, 1.0, 0), {}, QuantumNumberError),
+        (("X0", 0, 0, 0), {"max_levels": 64.0}, QuantumNumberError),
         # a bool read as 1
-        (LevelId("X0", 0, 0, True), {}, DataError),
-        (LevelId("X0", 0, True, 0), {}, QuantumNumberError),
-        (LevelId("X0", 0, 0, 0), {"max_levels": True}, QuantumNumberError),
+        (("X0", 0, 0, True), {}, DataError),
+        (("X0", 0, True, 0), {}, QuantumNumberError),
+        (("X0", 0, 0, 0), {"max_levels": True}, QuantumNumberError),
     ],
     ids=["M 0.5", "v 1.0", "J 1.0", "max_levels 64.0", "M True", "J True", "max_levels True"],
 )
 def test_a_count_that_is_not_an_integer_is_refused_before_any_solve(level, options, error, monkeypatch):
+    # the level and the options refuse it when they are built
     queued, solved = [], []
     monkeypatch.setattr(rovib, "_Ahead", lambda *args: queued.append(args))
     monkeypatch.setattr(rovib, "_solve", lambda *args: solved.append(args))
     with pytest.raises(error, match="integer"):
-        build_line_list(load_dataset(OPTICAL_STANDIN), level, SZ, LineListOptions(**options))
+        build_line_list(load_dataset(OPTICAL_STANDIN), LevelId(*level), SZ, LineListOptions(**options))
     assert queued == [] and solved == []
 
 
@@ -694,11 +731,11 @@ def test_options_that_compare_equal_but_read_apart_are_scanned_anew(optical):
     "held, level, options, error",
     [
         # False == 0 and True == 1, and each hashes alike
-        (LevelId("X", 0, 0, 0), LevelId("X", False, 0, 0), {}, DataError),
-        (LevelId("X", 0, 0, 0), LevelId("X", 0, False, 0), {}, QuantumNumberError),
-        (LevelId("X", 0, 0, 0), LevelId("X", 0, 0, False), {}, DataError),
-        (LevelId("X", 0, 1, 1), LevelId("X", 0, 1, True), {}, DataError),
-        (LevelId("X", 0, 0, 0), LevelId("X", 0, 0, 0), {"max_levels": True}, QuantumNumberError),
+        (LevelId("X", 0, 0, 0), ("X", False, 0, 0), {}, DataError),
+        (LevelId("X", 0, 0, 0), ("X", 0, False, 0), {}, QuantumNumberError),
+        (LevelId("X", 0, 0, 0), ("X", 0, 0, False), {}, DataError),
+        (LevelId("X", 0, 1, 1), ("X", 0, 1, True), {}, DataError),
+        (LevelId("X", 0, 0, 0), ("X", 0, 0, 0), {"max_levels": True}, QuantumNumberError),
     ],
     ids=["v False", "J False", "M False", "M True", "max_levels True"],
 )
@@ -708,7 +745,7 @@ def test_a_request_refused_anew_is_refused_on_the_held_scan(optical, held, level
     scan_spectrum(optical, held, SZ, nus, LineListOptions(**ints))
     built = _counting_line_lists(monkeypatch)
     with pytest.raises(error, match="integer"):
-        scan_spectrum(optical, level, SZ, nus, LineListOptions(**options))
+        scan_spectrum(optical, LevelId(*level), SZ, nus, LineListOptions(**options))
     assert built == []
 
 
