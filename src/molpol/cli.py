@@ -33,7 +33,6 @@ from .control import (
     dd_interaction,
     find_magic,
     find_windows,
-    induced_dipole,
     lattice_plan,
     microwave_plan,
 )
@@ -238,7 +237,7 @@ def cmd_validate(args) -> int:
             {
                 "label": s.label,
                 "omega": s.omega,
-                "asymptote_cm1": s.asymptote_energy if math.isfinite(s.asymptote_energy) else "inf",
+                "asymptote_cm1": s.asymptote_energy,
                 "potential_points": len(ds.potentials[s.label].r),
                 "has_interior_minimum": ds.potentials[s.label].has_interior_minimum,
             }

@@ -4,21 +4,22 @@ A dataset is a directory::
 
     molecule.json           metadata (name, reduced mass, states, ...)
     pot__<label>.dat        one potential curve per electronic state
-    dip__<bra>__<ket>.dat   dipole curves (bra == ket: permanent dipole)
+    dip__<bra>__<ket>.dat   at most one dipole curve per pair of states, in
+                            either order (bra == ket: permanent dipole)
 
 Curve files are two-column text with ``#`` comments and a mandatory
 ``units: <length> <value>`` header line. Accepted units: bohr/angstrom for
 length, cm-1/hartree for potentials, debye/au for dipoles. Everything is
 converted to the canonical units (Bohr, cm^-1, Debye) on load. In
 molecule.json the top level, each state and the rotor block must be objects
-and states a list. Every number is checked by the type that holds it, so a
-dataset built in Python meets the same rules: a number is an int or float
-within the float range (not a boolean or a string); omega is the integer 0 or
-1 (1.0 is refused); asymptote_energy is a number, or null or Infinity for no
-asymptote (not NaN or -Infinity); r_e and reduced_mass lie in (0, inf),
-default_gamma in [0, inf); parity_tag is null, "+" or "-". A rotor block holds
-only r_e: rovib solves a rotor at every J it accepts. Keys the loader does not
-read are ignored.
+and states a list. Every value is checked by the type that holds it, so a
+dataset built in Python meets the same rules: name and every label are
+strings; a number is an int or float within the float range (not a boolean
+or a string); omega is the integer 0 or 1 (1.0 is refused); asymptote_energy
+is a number, or null or Infinity for no asymptote (not NaN or -Infinity); r_e
+and reduced_mass lie in (0, inf), default_gamma in [0, inf); parity_tag is
+null, "+" or "-". A rotor block holds only r_e: rovib solves a rotor at every
+J it accepts. Keys the loader does not read are ignored.
 
 Curves interpolate with a natural cubic spline between the tabulated nodes,
 built as scipy's ``CubicSpline(bc_type="natural")`` builds it and evaluated in
@@ -280,21 +281,15 @@ class PotentialCurve:
 class DipoleCurve:
     """Tabulated dipole moment function in Bohr / Debye.
 
-    bra == ket labels a permanent dipole, otherwise a transition dipole.
-    Clamps to the endpoint values outside the tabulated range.
+    bra == ket labels a permanent dipole, otherwise a transition dipole; the
+    curve joins the two states in either direction. Clamps to the endpoint
+    values outside the tabulated range.
     """
 
     def __init__(self, bra: str, ket: str, r, d):
         self.bra = bra
         self.ket = ket
         self.r, self.d, self._spline = _checked_spline(r, d, f"dipole curve {bra!r} -> {ket!r}")
-
-    @property
-    def is_permanent(self) -> bool:
-        return self.bra == self.ket
-
-    def connects(self, a: str, b: str) -> bool:
-        return {self.bra, self.ket} == {a, b}
 
     def __call__(self, r_eval):
         rr = np.clip(np.asarray(r_eval, dtype=float), self.r[0], self.r[-1])
@@ -315,7 +310,9 @@ class RotorInfo:
 
 @dataclass
 class MoleculeDataset:
-    """All inputs describing one molecule."""
+    """All inputs describing one molecule. Building one checks every value,
+    that each state has one potential, built on that same state record, and
+    that no two dipole curves join one pair of states (bra == ket included)."""
 
     name: str
     reduced_mass: float              # amu
@@ -332,6 +329,8 @@ class MoleculeDataset:
     _store: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"dataset name must be a string, got {self.name!r}")
         what = f"dataset {self.name!r}"
         rule = f"{what}: reduced_mass must be finite and > 0 amu"
         self.reduced_mass = _number(self.reduced_mass, lambda x: 0.0 < x < math.inf, rule)
@@ -345,18 +344,20 @@ class MoleculeDataset:
         for s in self.states:
             if s.label not in self.potentials:
                 raise DataError(f"{what}: state {s.label!r} has no potential curve")
+            if self.potentials[s.label].state != s:
+                raise DataError(f"{what}: {s!r} differs from its potential's {self.potentials[s.label].state!r}")
         for lab in self.potentials:
             if lab not in labels:
                 raise DataError(f"{what}: potential for undeclared state {lab!r}")
-        perm_seen = set()
+        pairs = set()
         for dip in self.dipoles:
             for end in (dip.bra, dip.ket):
                 if end not in labels:
                     raise DataError(f"{what}: dipole curve references undeclared state {end!r}")
-            if dip.is_permanent:
-                if dip.bra in perm_seen:
-                    raise DataError(f"{what}: more than one permanent dipole for {dip.bra!r}")
-                perm_seen.add(dip.bra)
+            pair = frozenset((dip.bra, dip.ket))
+            if pair in pairs:
+                raise DataError(f"{what}: more than one dipole curve joins {dip.bra!r} and {dip.ket!r}")
+            pairs.add(pair)
 
     def state(self, label: str) -> ElectronicState:
         for s in self.states:
@@ -366,7 +367,7 @@ class MoleculeDataset:
 
     def dipole_between(self, a: str, b: str) -> DipoleCurve | None:
         for dip in self.dipoles:
-            if dip.connects(a, b):
+            if {dip.bra, dip.ket} == {a, b}:
                 return dip
         return None
 
@@ -560,7 +561,7 @@ def _parse_meta(meta) -> dict:
             raise DataError("rotor block needs 'r_e'")
         rotor = RotorInfo(r_e=rotor["r_e"])
     return dict(
-        name=str(meta["name"]),
+        name=meta["name"],
         reduced_mass=meta["reduced_mass"],
         states=states,
         ground_label=meta["ground_label"],

@@ -53,7 +53,6 @@ terms in the same order and agree bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -108,12 +107,12 @@ class LineListOptions:
 
     Building the options, dataclasses.replace included, refuses a bad value
     before anything is solved: a grid that is neither None nor a RadialGrid
-    (GridError), a gamma that is neither mode nor a finite number >= 0 (a
-    bool included), a d_floor that is not a real number >= 0 (a bool, a
-    string and NaN included; inf keeps no line, and the float is stored), a
-    max_levels that fails rovib's rule, and a j_max_branch or v_max that is
-    neither None nor an integer (a Python or numpy int, not a bool), or a
-    v_max below 0 (QuantumNumberError).
+    (GridError), a gamma that is neither mode nor a finite real number >= 0
+    (a bool included; a numpy number is taken and kept as given), a d_floor
+    that is not a real number >= 0 (a bool, a string and NaN included; inf
+    keeps no line, and the float is stored), a max_levels that fails rovib's
+    rule, and a j_max_branch or v_max that is neither None nor an integer (a
+    Python or numpy int, not a bool), or a v_max below 0 (QuantumNumberError).
     """
 
     grid: RadialGrid | None = None
@@ -127,12 +126,8 @@ class LineListOptions:
         if self.grid is not None and not isinstance(self.grid, RadialGrid):
             raise GridError(f"grid must be None or a RadialGrid, got {self.grid!r}")
         _check_max_levels(self.max_levels)
-        gamma = self.gamma
-        if gamma not in ("computed", "default") and (
-            # an int past the float range is not finite either: float() of it overflows
-            isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= sys.float_info.max
-        ):
-            raise DataError(f"gamma must be 'computed', 'default', or finite and >= 0 in MHz, got {gamma!r}")
+        if not (isinstance(self.gamma, str) and self.gamma in ("computed", "default")):
+            _number(self.gamma, lambda x: 0.0 <= x < math.inf, "gamma must be 'computed', 'default', or finite and >= 0 in MHz")
         object.__setattr__(self, "d_floor", _number(self.d_floor, lambda x: x >= 0.0, "d_floor must be >= 0 in Debye"))
         if self.j_max_branch is not None and not _is_int(self.j_max_branch):
             raise QuantumNumberError(f"j_max_branch must be None or an integer, got {self.j_max_branch!r}")

@@ -236,6 +236,10 @@ ON_DISK = {
     # these loaded, the label read as the string "0"
     "non-string state label": (MOL, _relabel("H", 0)),
     "non-string ground_label": (MOL, _relabel("X", "0", ground_label=0)),
+    # loaded as the name 'None'
+    "null name": (MOL, _meta(lambda m: m.update(name=None))),
+    # loaded, and dipole_between answered with the curve whose file sorts first
+    "second dipole curve for a pair": (MOL, _copy("dip__X__E.dat", "dip__E__X.dat")),
 }
 
 R3 = np.array([5.0, 6.0, 7.0])
@@ -261,8 +265,17 @@ IN_LIBRARY = {
     "boolean rotor r_e": lambda ds: RotorInfo(True),
     "boolean reduced_mass": lambda ds: dataclasses.replace(ds, reduced_mass=True),
     "boolean default_gamma": lambda ds: dataclasses.replace(ds, default_gamma=True),
-    # built, with an int for a label
+    # built, with an int for a label or a name
     "non-string state label": lambda ds: ElectronicState(5, 0, 0.0),
+    "non-string name": lambda ds: dataclasses.replace(ds, name=0),
+    # built, and dipole_between answered with the curve listed first
+    "second dipole curve for a pair": lambda ds: dataclasses.replace(
+        ds, dipoles=[*ds.dipoles, DipoleCurve("E", "X", R3, R3)]
+    ),
+    # built, and rovib took the bound cutoff from this record, the curve's tail from its own
+    "potential on another record of its state": lambda ds: dataclasses.replace(
+        ds, states=[ElectronicState("X", 0, 500.0, "+"), *ds.states[1:]]
+    ),
 }
 
 
@@ -356,7 +369,7 @@ def test_synthesize_morse_minimum_at_node_nearest_re():
 
 def test_synthesize_rotor_constant_dipole(rbcs_rotor):
     dip = rbcs_rotor.dipoles[0]
-    assert dip.is_permanent
+    assert dip.bra == dip.ket == "X0"
     np.testing.assert_allclose(dip.d, RBCS["d"], rtol=0, atol=0)
     assert rbcs_rotor.rotor is not None
     assert rbcs_rotor.rotor.r_e == pytest.approx(RBCS["r_e"], rel=1e-12)

@@ -193,7 +193,7 @@ def test_dynamic_value_closed_form(rotor):
         assert got.imag >= 0.0
 
 
-@pytest.mark.parametrize("gamma", ["computed", 0.0, 1e-3, 6.0, 1e6])
+@pytest.mark.parametrize("gamma", ["computed", 0.0, 1e-3, 6.0, 1e6, np.float32(1.5)])
 def test_imaginary_part_nonnegative(optical, gamma):
     spec = scan_spectrum(
         optical, LevelId("X", 0, 0, 0), SZ, np.arange(0.0, 17000.0, 7.3), LineListOptions(gamma=gamma)
@@ -597,6 +597,8 @@ def test_scan_records_options(optical):
         ("gamma", True, DataError),
         ("gamma", 10**400, DataError),
         ("gamma", "bogus", DataError),
+        # a bare ValueError from comparing the array with the mode names
+        ("gamma", np.array([1.0, 2.0]), DataError),
         ("d_floor", math.nan, DataError),
         ("d_floor", -1e-8, DataError),
         # "x" raised a bare TypeError, and True was read as 1 Debye
