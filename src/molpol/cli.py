@@ -265,7 +265,7 @@ def cmd_levels(args) -> int:
         if not rep.converged:
             raise NumericalError(
                 f"levels not converged (refine {_fmt(rep.shift_refine)}, extend {_fmt(rep.shift_extend)}, "
-                f"trim {_fmt(rep.shift_trim)}, contract {_fmt(rep.shift_contract)} cm-1)"
+                f"residual {_fmt(rep.residual)} cm-1, count {'held' if rep.count_held else 'failed'})"
             )
     sys.stdout.write(f"{len(levels)} bound levels for {state} J={args.J} -> {out / 'levels.csv'}\n")
     return 0

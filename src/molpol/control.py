@@ -172,7 +172,7 @@ def lattice_plan(alpha: complex, intensity: float, wavelength_nm: float) -> Latt
         wavelength_nm=wavelength_nm,
         nu=1.0e7 / wavelength_nm,
         intensity=intensity,
-        v0_over_h=-re * intensity,
+        v0_over_h=0.0 - re * intensity,   # +0.0, not -0.0, at zero intensity
         decoherence_rate=4.0 * math.pi * im * intensity,
         coherent_ratio=ratio,
         r_l=wavelength_nm / 2.0,

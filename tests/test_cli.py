@@ -139,27 +139,45 @@ def test_levels_check_passes_fine_grid(optical_dir, tmp_path, capsys):
 
 
 def test_levels_check_flags_a_bad_trim(optical_standin_dir, tmp_path, capsys, monkeypatch):
-    # trimmed solves off by 0.01 cm^-1: only the untrimmed re-solve sees it
+    # trimmed solves off by 0.01 cm^-1: only the full-grid residual sees it
     # (the check's base is the stored block cmd_levels wrote levels.csv from)
     monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
     argv = ["levels", optical_standin_dir, "--grid", "5:20:401", "--check", "--out", tmp_path]
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("molpol: numerical:") and err.count("\n") == 1
-    assert "refine" in err and "extend" in err and "trim" in err
+    assert "refine" in err and "extend" in err and "residual 0.01" in err
 
 
 def test_levels_check_flags_a_bad_contraction(optical_standin_dir, tmp_path, capsys, monkeypatch):
-    # contracted levels off by 0.01 cm^-1: only the direct re-solve sees it
+    # contracted levels off by 0.01 cm^-1: only the full-grid residual sees it
     monkeypatch.setattr(rovib, "_contract", shifted_contract(0.01))
     argv = ["levels", optical_standin_dir, "--J", "1", "--grid", "5:20:401", "--check", "--out", tmp_path]
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("molpol: numerical:") and err.count("\n") == 1
-    assert "contract 0.01" in err
+    assert "residual 0.01" in err and "count held" in err
 
 
-def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
+def test_levels_check_flags_a_missing_level(optical_standin_dir, tmp_path, capsys, monkeypatch):
+    # every solve without its v = 10 level: the probe grids miss it too, and
+    # every kept level is certified, but the full grid counts one level more
+    solve = rovib.solve_radial
+
+    def without_v10(*args):
+        levels = solve(*args)
+        return levels[:10] + levels[11:]
+
+    monkeypatch.setattr(rovib, "solve_radial", without_v10)
+    argv = ["levels", optical_standin_dir, "--grid", "5:20:401", "--check", "--out", tmp_path]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: numerical:") and err.count("\n") == 1
+    assert "count failed" in err
+
+
+@pytest.mark.parametrize("J", ["0", "1"])
+def test_levels_check_reuses_the_solved_block(J, tmp_path, monkeypatch):
     calls = []
     solve = rovib._solve
 
@@ -168,11 +186,12 @@ def test_levels_check_reuses_the_solved_block(tmp_path, monkeypatch):
         return solve(ds, state, J, grid, max_levels, trim)
 
     monkeypatch.setattr(rovib, "_solve", counting)
-    assert run_cli(["levels", OPTICAL_STANDIN, "--out", tmp_path / "plain"]) == 0
-    assert run_cli(["levels", OPTICAL_STANDIN, "--check", "--out", tmp_path / "check"]) == 0
-    # the plain run's solve, whose basis the held dataset keeps, so the
-    # check's base solves nothing; then its 2n - 1, extended and untrimmed re-solves
-    assert calls == [(801, True), (1601, True), (1201, True), (801, False)]
+    assert run_cli(["levels", OPTICAL_STANDIN, "--J", J, "--out", tmp_path / "plain"]) == 0
+    assert run_cli(["levels", OPTICAL_STANDIN, "--J", J, "--check", "--out", tmp_path / "check"]) == 0
+    # the plain run's J = 0 solve, whose basis the held dataset keeps, so the
+    # check's base solves nothing; then its 2n - 1 and extended re-solves (a J
+    # = 1 block is contracted in each grid's basis), and nothing on 801 points
+    assert calls == [(801, True), (1601, True), (1201, True)]
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert check.read_bytes() == plain.read_bytes()
 
@@ -193,13 +212,12 @@ def test_levels_and_fcf_read_the_block_store(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rovib, "_levels", counting)
     assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path / "check"]) == 0
-    # the base is the stored block: levels only for the 2n - 1, extended, direct
-    # trimmed and untrimmed re-solves
-    assert built == [1601, 1201, 801, 801]
+    # the base is the stored block: levels only for the 2n - 1 and extended re-solves
+    assert built == [1601, 1201]
     dataset_module._LOADED.clear()
     built.clear()
     assert run_cli(["levels", OPTICAL_STANDIN, "--J", "1", "--check", "--out", tmp_path / "fresh"]) == 0
-    assert built == [801, 1601, 1201, 801, 801]
+    assert built == [801, 1601, 1201]
     for name in ("check", "fresh"):
         assert (tmp_path / name / "levels.csv").read_bytes() == (tmp_path / "levels" / "levels.csv").read_bytes()
 
@@ -261,8 +279,8 @@ def test_levels_check_leaves_no_probe_grid_in_the_store(tmp_path):
 )
 def test_rotor_levels_check_passes_and_writes_the_plain_table(name, grid, J, code, tmp_path, capsys):
     # a rotor block is one node; its check re-solves it on the probe grids and
-    # untrimmed. The refined grid keeps that node: on one without it J >= 5
-    # moves by more than 1e-3 cm^-1. The extended grid keeps h and every node:
+    # certifies it as a node. The refined grid keeps that node: on one without
+    # it J >= 5 moves by more than 1e-3 cm^-1. The extended grid keeps h and every node:
     # on 6:9:100 one that did not moved KRb's level by 1.7e-3 cm^-1 at J = 5.
     # On 6:9:101 a refined-grid midpoint lies nearer KRb's r_e than any node,
     # so the level moves there and the check fails on the refine shift alone

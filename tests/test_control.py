@@ -178,6 +178,9 @@ def test_lattice_plan_exact_arithmetic():
 def test_lattice_plan_degenerate_inputs():
     assert lattice_plan(complex(-100.0, 0.001), 0.0, 1064.0).v0_over_h == 0.0
     assert lattice_plan(complex(-100.0, 0.001), 0.0, 1064.0).decoherence_rate == 0.0
+    # a trap depth of zero is +0.0 whatever the sign of Re(alpha): never -0
+    for re_alpha in (-100.0, 100.0):
+        assert math.copysign(1.0, lattice_plan(complex(re_alpha, 0.001), 0.0, 1064.0).v0_over_h) == 1.0
     assert lattice_plan(complex(-100.0, 0.0), 1.0e4, 1064.0).coherent_ratio == math.inf
 
 

@@ -485,6 +485,23 @@ def test_q_plus_one_at_m_is_q_minus_one_at_minus_m_bit_for_bit(J, M):
     assert np.array_equal(plus.values.view(np.uint64), minus.values.view(np.uint64))
 
 
+@pytest.mark.parametrize("J", [1, 2])
+def test_the_sum_over_m_is_the_same_for_every_polarization(J):
+    # the rank-2 part of alpha sums to zero over M, so sum_M alpha(J, M) is
+    # the scalar part times 2J + 1 for every polarization, spherical or Cartesian
+    ds = load_dataset(OPTICAL_STANDIN)
+    nus = 8600.0 + 9.0 * np.arange(200)
+    sums = {
+        pol: sum(scan_spectrum(ds, LevelId("X0", 0, J, M), Polarization.parse(pol), nus).values for M in range(-J, J + 1))
+        for pol in ("q-1", "q0", "q+1", "sigma_x", "sigma_y", "sigma_z")
+    }
+    ref = sums.pop("q0")
+    assert np.all(ref.imag > 0.0)
+    for pol, total in sums.items():
+        np.testing.assert_allclose(total.real, ref.real, rtol=1e-12, atol=0, err_msg=pol)
+        np.testing.assert_allclose(total.imag, ref.imag, rtol=1e-12, atol=0, err_msg=pol)
+
+
 def test_doubled_dipoles_give_four_times_alpha_and_linewidths_bit_for_bit():
     # every dipole curve times 2 is every d_vib times 2, exactly: alpha at a
     # fixed linewidth and every computed Einstein-A linewidth go as d^2

@@ -219,20 +219,44 @@ def test_too_narrow_span_falls_back_to_the_full_grid(monkeypatch):
         assert_matches_full_solve(ds, state, J, grid, max_levels)
 
 
-def test_convergence_check_reports_the_trim_shift(monkeypatch):
+def test_convergence_check_certifies_a_trimmed_block(monkeypatch):
     ds = load_dataset(OPTICAL_STANDIN)
     grid = default_grid(ds)
     rep = convergence_check(ds, "X0", 0, grid, 64)
-    assert rep.converged
-    assert 0.0 < rep.shift_trim < 1e-9
+    assert rep.converged and rep.count_held
+    assert 0.0 < rep.residual < rovib.RESIDUAL_TOL
     # a trimmed solve off by 0.01 cm^-1 on every grid: refinement and
-    # extension cannot see it, the untrimmed solve does. The block is stored
+    # extension cannot see it, the full-grid residual does. The block is stored
     # already, so the faulty solver runs on a copy with a fresh store
     monkeypatch.setattr(rovib, "solve_radial", shifted_solve(0.01))
     rep = convergence_check(dataclasses.replace(ds), "X0", 0, grid, 64)
-    assert rep.shift_refine < rep.tol and rep.shift_extend < rep.tol
-    assert rep.shift_trim == pytest.approx(0.01, rel=1e-6)
+    assert rep.shift_refine < rep.tol and rep.shift_extend < rep.tol and rep.count_held
+    assert rep.residual == pytest.approx(0.01, rel=1e-6)
     assert not rep.converged
+
+
+@pytest.mark.parametrize("max_levels", [64, 200])
+def test_every_optical_block_certifies_itself(max_levels):
+    # 64 levels from a trimmed span or a contraction, or every bound level
+    # (114-149 of them) from the full grid: each lies within RESIDUAL_TOL of a
+    # full-grid eigenvalue, and none is missing below the top kept one
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    for state in ds.states:
+        for J in range(state.omega, 4):
+            levels = rovib.solved_block(ds, state.label, J, grid, max_levels).levels
+            residual, count_held = rovib._certificate(ds, state.label, J, grid, levels)
+            assert 0.0 < residual < rovib.RESIDUAL_TOL and count_held, (state.label, J)
+
+
+def test_the_certificate_counts_a_missing_level():
+    # X0 J = 0 without its v = 10 level: every residual stays small, but the
+    # full grid holds one eigenvalue more below the top kept level than are kept
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    levels = rovib.solved_block(ds, "X0", 0, grid, 64).levels
+    residual, count_held = rovib._certificate(ds, "X0", 0, grid, levels[:10] + levels[11:])
+    assert residual < rovib.RESIDUAL_TOL and not count_held
 
 
 CONTRACTED = [("X0", 1), ("X0", 2), ("X0", 3), ("A0", 1), ("A0", 2), ("B1", 2)]
@@ -339,27 +363,26 @@ def test_rotor_blocks_build_no_basis():
             np.testing.assert_array_equal(level.wavefunction, delta.wavefunction)
     assert rovib._store(ds).bases == {}
     rep = convergence_check(ds, "X0", 1, grid)
-    assert rep.shift_contract == 0.0 and rep.shift_trim == 0.0
+    assert rep.residual == 0.0 and rep.count_held
 
 
-def test_convergence_check_reports_the_contraction_shift(monkeypatch):
+def test_convergence_check_certifies_a_contracted_block(monkeypatch):
     ds = load_dataset(OPTICAL_STANDIN)
     grid = default_grid(ds)
-    rep = convergence_check(ds, "X0", 0, grid, 64)
-    assert rep.shift_contract == 0.0   # J = omega is the direct solve
+    convergence_check(ds, "X0", 0, grid, 64)
     # the base solved here stays in the store; the probe grids' solves do not
     store = rovib._store(ds)
     assert list(store.bases) == [("X0", grid, 64)]
     assert {key[1] for key in store.samples} == {grid}
     rep = convergence_check(ds, "X0", 1, grid, 64)
-    assert rep.converged
-    assert 0.0 < rep.shift_contract < 1e-10
-    # contracted levels off by 0.01 cm^-1 on every grid: only the direct
-    # trimmed re-solve sees it (on a copy with a fresh store: the block is stored)
+    assert rep.converged and rep.count_held
+    assert 0.0 < rep.residual < rovib.RESIDUAL_TOL
+    # contracted levels off by 0.01 cm^-1 on every grid: only the full-grid
+    # residual sees it (on a copy with a fresh store: the block is stored)
     monkeypatch.setattr(rovib, "_contract", shifted_contract(0.01))
     rep = convergence_check(dataclasses.replace(ds), "X0", 1, grid, 64)
-    assert rep.shift_refine < 1e-6 and rep.shift_extend < 1e-6 and rep.shift_trim < 1e-9
-    assert rep.shift_contract == pytest.approx(0.01, rel=1e-6)
+    assert rep.shift_refine < 1e-6 and rep.shift_extend < 1e-6 and rep.count_held
+    assert rep.residual == pytest.approx(0.01, rel=1e-6)
     assert not rep.converged
 
 
@@ -368,13 +391,13 @@ def test_convergence_check_of_an_empty_block():
     ds = load_dataset(OPTICAL_STANDIN)
     rep = convergence_check(ds, "X0", 100000, RadialGrid(5.0, 20.0, 201))
     assert rep.converged and rep.n_levels == 0
-    assert rep.shift_refine == rep.shift_extend == rep.shift_trim == rep.shift_contract == 0.0
+    assert rep.shift_refine == rep.shift_extend == rep.residual == 0.0 and rep.count_held
     # re-solves that find levels where the stored block has none still fail it
     rotor = make_rotor(RBCS["mu"], RBCS["r_e"], RBCS["d"], "rot")
     grid = default_grid(rotor)
     rovib._store(rotor).blocks[("X0", 0, grid, rovib.MAX_LEVELS)] = rovib.Block(())
     rep = convergence_check(rotor, "X0", 0, grid)
-    assert math.isinf(rep.shift_refine) and math.isinf(rep.shift_extend) and math.isinf(rep.shift_trim)
+    assert math.isinf(rep.shift_refine) and math.isinf(rep.shift_extend)
     assert not rep.converged
 
 
