@@ -48,7 +48,7 @@ from .polarizability import (
     scan_spectrum,
     solve_initial,
 )
-from .rovib import MAX_LEVELS, RadialGrid, convergence_check, sampled_curve, solved_block
+from .rovib import MAX_LEVELS, RadialGrid, _check_block, convergence_check, sampled_curve, solved_block
 
 
 def _fmt(x) -> str:
@@ -279,6 +279,9 @@ def cmd_fcf(args) -> int:
         raise DataError(f"--max-v must be at least 0, got {args.max_v}")
     grid = _grid(args, ds)
     out = _outdir(args)
+    # both blocks are checked before either is solved
+    for state, J in ((lower, args.J), (upper, args.Jp)):
+        _check_block(ds, state, J, args.max_v + 1)
     lev_i = solved_block(ds, lower, args.J, grid, args.max_v + 1).levels
     lev_f = solved_block(ds, upper, args.Jp, grid, args.max_v + 1).levels
     dip = ds.dipole_between(lower, upper)

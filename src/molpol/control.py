@@ -99,11 +99,11 @@ def microwave_plan(
     """Dress the v-th ground level on its J=0 -> 1 rotational line."""
     opts = options or LineListOptions()
     g = ds.ground_label
-    lev0 = solve_initial(ds, LevelId(g, v, 0, 0), opts)
-    lev1 = solve_initial(ds, LevelId(g, v, 1, 0), opts)
     dip = ds.permanent_dipole(g)
     if dip is None:
         raise DataError(f"dataset {ds.name!r} has no permanent dipole for {g!r}")
+    lev0 = solve_initial(ds, LevelId(g, v, 0, 0), opts)
+    lev1 = solve_initial(ds, LevelId(g, v, 1, 0), opts)
     # <J=1| d |J=0>: which level is the row fixes the product's rounding
     d_perm = abs(float(dipole_matrix([lev1], [lev0], sampled_curve(ds, dip, lev0.grid))[0, 0]))
     delta_e = lev1.energy - lev0.energy

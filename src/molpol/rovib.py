@@ -70,19 +70,19 @@ the threshold, where the basis holds the other J only to about 3e-8 cm^-1.
 
 J0 is always omega. There is one solve path. _solve is the direct solve of
 one block: it returns the _Basis it solved (span, diagonal, eigenpairs, kept
-count) and writes nothing. _contract returns a contracted block as a _Basis on
-the same span, and _levels alone turns a basis into RovibLevels. _contracts
-alone decides whether a state contracts. solve_radial checks J and
-max_levels once and is the only writer of the store's bases: it solves a
-contracting state directly at J0 first, trimmed, even when no J0 level is
-asked for, so a block's bits never depend on which J a process solved first,
-and keeps that basis's K columns (which _eigensolve copies out of the m x m
-eigenvector matrix); J0's levels are read from it. A state that
-does not contract is solved on the full grid, where _trim_span leaves its J0
-block anyway. Each block's levels are built once. On the optical stand-in's
-default grid contracted energies agree with the direct trimmed solve to about
-2e-11 cm^-1 and wavefunctions to about 5e-13; on 2 vCPUs with two BLAS
-threads a contracted block costs 6-7 ms against 34-42 ms for its dense solve.
+count), writes nothing, and alone decides whether the block is trimmed.
+_contract returns a contracted block as a _Basis on the same span, and
+_levels alone turns a basis into RovibLevels. _contracts alone decides
+whether a state contracts. solve_radial checks the request once
+(_check_block) and is the only writer of the store's bases: it solves a
+contracting state directly at J0 first even when no J0 level is asked for,
+so a block's bits never depend on which J a process solved first, and keeps
+that basis's K columns (which _eigensolve copies out of the m x m
+eigenvector matrix); J0's levels are read from it. Each block's levels are
+built once. On the optical stand-in's default grid contracted energies agree
+with the direct trimmed solve to about 2e-11 cm^-1 and wavefunctions to about
+5e-13; on 2 vCPUs with two BLAS threads a contracted block costs 6-7 ms
+against 34-42 ms for its dense solve.
 
 Every eigensolve and every product of a contraction runs on one BLAS thread
 (_lapack.one_blas_thread), and a dense solve runs numpy's own LAPACK dsyevd in
@@ -98,8 +98,8 @@ since it needs that one first (the initial state's, when it is one of them);
 the others are queued, and min(#queued, #usable CPUs - 1) worker threads take
 them in turn (when the pin works). On 2 vCPUs that is one worker, which solves
 A0's basis and then B1's while the caller solves X0's and then works on X0's
-blocks; on one CPU nothing starts. Workers call only _solve, on curves the
-caller sampled before they started, so the samples keep one writer.
+blocks. Workers call only _solve, on curves the caller sampled before they
+started, so the samples keep one writer.
 solve_radial claims a queued basis and waits for that one alone, so the caller
 starts on the first state's blocks while the last solve runs; it stores the
 basis or raises the worker's exception, and stays the only writer of bases. On
@@ -489,12 +489,14 @@ def _block_inputs(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid):
     return row, v_eff, asym - BOUND_GUARD if math.isfinite(asym) else math.inf
 
 
-def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int, trim: bool) -> _Basis:
+def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int) -> _Basis:
     """The direct solve of one block, as the _Basis it solved; writes nothing.
 
-    Trimmed (or its full-grid fallback) when trim, else on the full grid. A
-    rotor's block is a one-node basis: the grid node nearest the rotor
-    radius, a unit vector, and E = V + B J(J+1) with B = hbar^2/(2 mu R_node^2).
+    A block of a state that contracts (_contracts) is trimmed, and solved on
+    the full grid when its span fails the check; any other block is solved
+    on the full grid alone, even where _trim_span proposes a span. A rotor's
+    block is a one-node basis: the grid node nearest the rotor radius, a unit
+    vector, and E = V + B J(J+1) with B = hbar^2/(2 mu R_node^2).
     """
     if _is_rotor(ds, state):
         pts = grid.points
@@ -508,7 +510,7 @@ def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels
         return _Basis(slice(i, i + 1), energy, energy, np.ones((1, 1)), 1, [])
     row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     asym = ds.state(state).asymptote_energy
-    trimmed = _trim_span(v_eff, grid.h, ds.reduced_mass, max_levels, asym) if trim else None
+    trimmed = _contracts(ds, state, grid, max_levels) and _trim_span(v_eff, grid.h, ds.reduced_mass, max_levels, asym)
     basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, *trimmed) if trimmed else None
     return basis or _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
 
@@ -517,6 +519,19 @@ def _check_max_levels(max_levels: int) -> None:
     """QuantumNumberError unless max_levels is an integer (not a bool) of at least 1."""
     if not (_is_int(max_levels) and max_levels >= 1):
         raise QuantumNumberError(f"max_levels must be an integer of at least 1, got {max_levels!r}")
+
+
+def _check_block(ds: MoleculeDataset, state: str, J: int, max_levels: int) -> int:
+    """The state's omega, once one block can be asked for; solves and samples
+    nothing. J passes _check_J, the state exists (else a DataError),
+    J >= omega and max_levels passes _check_max_levels; a J or max_levels that
+    fails is a QuantumNumberError."""
+    _check_J(J)
+    omega = ds.state(state).omega
+    if J < omega:
+        raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")
+    _check_max_levels(max_levels)
+    return omega
 
 
 def solve_radial(
@@ -528,32 +543,26 @@ def solve_radial(
 ) -> list[RovibLevel]:
     """Bound levels of one electronic state at fixed J, lowest first, at most max_levels.
 
-    A rotor, or a state whose J = omega block may keep every bound level, is
-    solved directly on the full grid, where _trim_span leaves such a block.
-    Any other state is solved directly at J = omega first, trimmed, into the
+    A rotor, or a state that does not contract (_contracts), is solved
+    directly. Any other state is solved directly at J = omega first into the
     store's basis: J = omega levels are read from it, and any other J is
     contracted in it, or solved directly when that fails its certificate. A
-    basis that solving_ahead queued is waited for, not solved again. A J
-    that is not an integer or whose J(J+1) passes 2^53, and a max_levels that
-    is not an integer of at least 1, are QuantumNumberErrors before any solve.
+    basis that solving_ahead queued is waited for, not solved again. The
+    block's request is checked first (_check_block), before any solve.
     """
-    _check_J(J)
-    omega = ds.state(state).omega
-    if J < omega:
-        raise QuantumNumberError(f"J = {J} below omega = {omega} for state {state!r}")
-    _check_max_levels(max_levels)
+    omega = _check_block(ds, state, J, max_levels)
     if not _contracts(ds, state, grid, max_levels):
-        return _levels(state, J, grid, _solve(ds, state, J, grid, max_levels, trim=False))
+        return _levels(state, J, grid, _solve(ds, state, J, grid, max_levels))
     store = _store(ds)
     bases = store.bases
     key = (state, grid, max_levels)
     if key not in bases:
         ahead = store.ahead.pop(key, None)
-        bases[key] = ahead.result() if ahead is not None else _solve(ds, state, omega, grid, max_levels, trim=True)
+        bases[key] = ahead.result() if ahead is not None else _solve(ds, state, omega, grid, max_levels)
     basis = bases[key]
     if J != omega:
         row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
-        basis = _contract(row, v_eff, cutoff, basis, max_levels) or _solve(ds, state, J, grid, max_levels, trim=True)
+        basis = _contract(row, v_eff, cutoff, basis, max_levels) or _solve(ds, state, J, grid, max_levels)
     return _levels(state, J, grid, basis)
 
 
@@ -619,7 +628,7 @@ class _Ahead:
 
     def run(self) -> None:
         try:
-            self.basis = _solve(*self.args, trim=True)
+            self.basis = _solve(*self.args)
         except Exception as exc:
             self.error = exc
         finally:
@@ -668,14 +677,10 @@ def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, 
                 needed.append(state)
     # the caller solves the first basis itself, in solve_radial
     jobs = {(state, grid, max_levels): _Ahead(ds, state, grid, max_levels) for state in needed[1:]}
-    n_workers = min(len(jobs), _lapack.usable_cpus() - 1)
-    if n_workers < 1:
-        yield
-        return
     queue = list(jobs.values())
     workers = []
     try:
-        for _ in range(n_workers):
+        for _ in range(min(len(jobs), _lapack.usable_cpus() - 1)):
             worker = threading.Thread(target=_work, args=(queue,), name="molpol-solve-ahead")
             try:
                 worker.start()
@@ -694,8 +699,11 @@ def solving_ahead(ds: MoleculeDataset, states: Sequence[str], grid: RadialGrid, 
 
 
 def wavefunction_matrix(levels: Sequence[RovibLevel]) -> np.ndarray:
-    """(k, n) matrix whose rows are the levels' wavefunctions, stacked into a new array."""
-    return np.array([lev.wavefunction for lev in levels], dtype=float).reshape(len(levels), -1)
+    """(k, n) matrix whose rows are the levels' wavefunctions, stacked into a new
+    array; (0, 0) for no levels, which name no grid."""
+    if not levels:
+        return np.zeros((0, 0))
+    return np.array([lev.wavefunction for lev in levels], dtype=float)
 
 
 @dataclass

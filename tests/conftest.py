@@ -54,9 +54,9 @@ def direct_solves(monkeypatch):
     seen = []
     solve = rovib._solve
 
-    def recording(ds, state, J, grid, max_levels, trim):
+    def recording(ds, state, J, grid, max_levels):
         seen.append((state, J, threading.current_thread()))
-        return solve(ds, state, J, grid, max_levels, trim)
+        return solve(ds, state, J, grid, max_levels)
 
     monkeypatch.setattr(rovib, "_solve", recording)
     return seen

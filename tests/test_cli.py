@@ -181,9 +181,9 @@ def test_levels_check_reuses_the_solved_block(J, tmp_path, monkeypatch):
     calls = []
     solve = rovib._solve
 
-    def counting(ds, state, J, grid, max_levels, trim):
-        calls.append((grid.n, trim))
-        return solve(ds, state, J, grid, max_levels, trim)
+    def counting(ds, state, J, grid, max_levels):
+        calls.append(grid.n)
+        return solve(ds, state, J, grid, max_levels)
 
     monkeypatch.setattr(rovib, "_solve", counting)
     assert run_cli(["levels", OPTICAL_STANDIN, "--J", J, "--out", tmp_path / "plain"]) == 0
@@ -191,7 +191,7 @@ def test_levels_check_reuses_the_solved_block(J, tmp_path, monkeypatch):
     # the plain run's J = 0 solve, whose basis the held dataset keeps, so the
     # check's base solves nothing; then its 2n - 1 and extended re-solves (a J
     # = 1 block is contracted in each grid's basis), and nothing on 801 points
-    assert calls == [(801, True), (1601, True), (1201, True)]
+    assert calls == [801, 1601, 1201]
     plain, check = (tmp_path / d / "levels.csv" for d in ("plain", "check"))
     assert check.read_bytes() == plain.read_bytes()
 
@@ -379,6 +379,18 @@ def test_fcf_negative_max_v_names_the_flag(optical_dir, tmp_path, capsys):
     code = run_cli(["fcf", optical_dir, "--final-state", "E", "--max-v", "-1", "--out", tmp_path])
     assert code == 3
     assert capsys.readouterr().err == "molpol: data: --max-v must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "upper, error",
+    [(["--final-state", "NOPE"], "no state 'NOPE'"), (["--final-state", "B1", "--Jp", "0"], "J = 0 below omega = 1")],
+    ids=["no-state", "J-below-omega"],
+)
+def test_fcf_refuses_the_upper_block_before_the_lower_is_solved(upper, error, tmp_path, capsys, direct_solves):
+    assert run_cli(["fcf", OPTICAL_STANDIN, *upper, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("molpol: data:") and error in err and err.count("\n") == 1
+    assert direct_solves == []
 
 
 # --------------------------------------------------------------------- alpha
@@ -839,9 +851,9 @@ def solves(monkeypatch):
         seen.blocks.append((state, J, grid, max_levels))
         return solve_radial(ds, state, J, grid, max_levels)
 
-    def counting_direct(ds, state, J, grid, max_levels, trim):
+    def counting_direct(ds, state, J, grid, max_levels):
         seen.direct.append((state, J))
-        return solve(ds, state, J, grid, max_levels, trim)
+        return solve(ds, state, J, grid, max_levels)
 
     def counting_dense(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
         seen.dense.append(span)
@@ -1236,11 +1248,11 @@ def test_a_worker_error_is_raised_in_the_caller(tmp_path, capsys, monkeypatch):
     solve = rovib._solve
     failed_on = []
 
-    def failing(ds, state, J, grid, max_levels, trim):
+    def failing(ds, state, J, grid, max_levels):
         if state == "A0":
             failed_on.append(threading.current_thread())
             raise DataError("A0 cannot be solved")
-        return solve(ds, state, J, grid, max_levels, trim)
+        return solve(ds, state, J, grid, max_levels)
 
     monkeypatch.setattr(rovib, "_solve", failing)
     threads = threading.active_count()

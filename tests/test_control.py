@@ -128,9 +128,11 @@ def test_microwave_plan_invariant(rotor, nu, inten):
     assert 0.0 <= plan.d_induced <= 0.5 * plan.d_permanent + 1e-12
 
 
-def test_microwave_plan_needs_permanent_dipole():
+def test_microwave_plan_needs_permanent_dipole(direct_solves):
+    # refused before the J = 0 and J = 1 ground blocks are solved
     with pytest.raises(DataError, match="permanent dipole"):
         microwave_plan(make_optical(), 0.05, 100.0)
+    assert direct_solves == []
 
 
 # --------------------------------------------------------------- interaction

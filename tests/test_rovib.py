@@ -82,6 +82,11 @@ def test_block_wavefunctions_are_rows_of_one_read_only_matrix(morse_levels):
     np.testing.assert_array_equal(wavefunction_matrix(morse_levels), w)
 
 
+def test_the_wavefunction_matrix_of_no_levels_is_empty():
+    w = wavefunction_matrix([])
+    assert w.shape == (0, 0) and w.dtype == np.float64
+
+
 OPTICAL_STANDIN = Path(__file__).resolve().parents[1] / "datasets" / "rbcs_optical_standin"
 
 
@@ -116,14 +121,20 @@ def _solved_span(ds, state, J, grid, max_levels):
     return None if trimmed is None else trimmed[0]
 
 
-def direct_levels(ds, state, J, grid, max_levels, trim):
-    """The levels of rovib's direct solve of one block, trimmed or not."""
-    return rovib._levels(state, J, grid, rovib._solve(ds, state, J, grid, max_levels, trim))
+def direct_levels(ds, state, J, grid, max_levels):
+    """The levels of rovib's direct solve of one block."""
+    return rovib._levels(state, J, grid, rovib._solve(ds, state, J, grid, max_levels))
+
+
+def full_grid_levels(ds, state, J, grid, max_levels):
+    """The levels of one block solved on the full grid: the direct solve's fallback."""
+    row, v_eff, cutoff = rovib._block_inputs(ds, state, J, grid)
+    return rovib._levels(state, J, grid, rovib._eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n)))
 
 
 def assert_matches_full_solve(ds, state, J, grid, max_levels):
     trimmed = solve_radial(ds, state, J, grid, max_levels)
-    full = direct_levels(ds, state, J, grid, max_levels, trim=False)
+    full = full_grid_levels(ds, state, J, grid, max_levels)
     assert len(trimmed) == len(full) > 0
     np.testing.assert_allclose([l.energy for l in trimmed], [l.energy for l in full], rtol=0, atol=1e-9)
     np.testing.assert_allclose(wavefunction_matrix(trimmed), wavefunction_matrix(full), rtol=0, atol=1e-10)
@@ -188,7 +199,7 @@ def test_keeping_every_bound_level_solves_the_full_grid(state):
     grid = default_grid(ds)
     assert _solved_span(ds, state, 0, grid, 200) is None
     levels = solve_radial(ds, state, 0, grid, 200)
-    full = direct_levels(ds, state, 0, grid, 200, trim=False)
+    full = full_grid_levels(ds, state, 0, grid, 200)
     assert 100 < len(levels) < 200
     assert [l.energy for l in levels] == [l.energy for l in full]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(full))
@@ -209,14 +220,35 @@ def test_too_narrow_span_falls_back_to_the_full_grid(monkeypatch):
     monkeypatch.setattr(rovib, "_eigensolve", counting)
     for ds, state, J, grid, max_levels in _trim_cases():
         solves.clear()
-        direct = direct_levels(ds, state, J, grid, max_levels, trim=True)
-        # the trimmed solve, then the full one, which the untrimmed solve repeats bit for bit
+        direct = direct_levels(ds, state, J, grid, max_levels)
+        # the trimmed solve, then the full one, which full_grid_levels repeats bit for bit
         assert len(solves) == 2 and solves[1] == slice(0, grid.n), (ds.name, state, J)
-        full = direct_levels(ds, state, J, grid, max_levels, trim=False)
+        full = full_grid_levels(ds, state, J, grid, max_levels)
         assert [l.energy for l in direct] == [l.energy for l in full]
         np.testing.assert_array_equal(wavefunction_matrix(direct), wavefunction_matrix(full))
         # solve_radial, which contracts J != omega in the full-grid J = omega basis, agrees too
         assert_matches_full_solve(ds, state, J, grid, max_levels)
+
+
+def test_a_state_that_does_not_contract_is_solved_once_on_the_full_grid(monkeypatch):
+    # a 5 amu, 50 cm^-1 harmonic well: its J = 0 block holds about 10 WKB
+    # levels below the box top, so every bound level may be kept and the state
+    # does not contract. At J = 200 the centrifugal tilt would let _trim_span
+    # propose 49:301, whose check fails: one full-grid eigensolve, not two
+    grid = RadialGrid(5.0, 11.0, 301)
+    ds = synthesize(HarmonicModel(5.0 * 50.0**2 / (2.0 * HBAR2_OVER_TWO), 8.0), grid, reduced_mass=5.0)
+    assert not rovib._contracts(ds, "X0", grid, 10)
+    assert _solved_span(ds, "X0", 200, grid, 10) == slice(49, 301)
+    solves = []
+    eigensolve = rovib._eigensolve
+
+    def counting(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
+        solves.append(span)
+        return eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top)
+
+    monkeypatch.setattr(rovib, "_eigensolve", counting)
+    levels = solve_radial(ds, "X0", 200, grid, 10)
+    assert solves == [slice(0, grid.n)] and len(levels) == 10
 
 
 def test_convergence_check_certifies_a_trimmed_block(monkeypatch):
@@ -270,7 +302,7 @@ def test_contracted_block_matches_the_direct_solve(state, J, monkeypatch, direct
     # the state's J = omega basis is the only direct solve: nothing fell back
     assert [(s, j) for s, j, _ in direct_solves] == [(state, ds.state(state).omega)]
     monkeypatch.undo()
-    ref = direct_levels(ds, state, J, grid, 64, trim=True)
+    ref = direct_levels(ds, state, J, grid, 64)
     assert len(levels) == len(ref) == 64
     np.testing.assert_allclose([l.energy for l in levels], [l.energy for l in ref], rtol=0, atol=1e-10)
     np.testing.assert_allclose(wavefunction_matrix(levels), wavefunction_matrix(ref), rtol=0, atol=1e-9)
@@ -284,7 +316,7 @@ def test_a_contraction_that_fails_its_certificate_falls_back(J, monkeypatch, dir
     levels = solve_radial(ds, "X0", J, grid, 4)
     assert [(s, j) for s, j, _ in direct_solves] == [("X0", 0), ("X0", J)]
     monkeypatch.undo()
-    ref = direct_levels(ds, "X0", J, grid, 4, trim=True)
+    ref = direct_levels(ds, "X0", J, grid, 4)
     assert [l.energy for l in levels] == [l.energy for l in ref]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
 
@@ -310,7 +342,7 @@ def test_a_contracted_level_that_fails_the_edge_check_falls_back(monkeypatch, di
     assert contracted == [None]
     assert [(s, j) for s, j, _ in direct_solves] == [("X0", 0), ("X0", 1)]
     monkeypatch.undo()
-    ref = direct_levels(ds, "X0", 1, grid, 64, trim=True)
+    ref = direct_levels(ds, "X0", 1, grid, 64)
     assert [l.energy for l in levels] == [l.energy for l in ref]
     np.testing.assert_array_equal(wavefunction_matrix(levels), wavefunction_matrix(ref))
 
@@ -789,6 +821,23 @@ def test_unclaimed_solves_are_dropped_on_exit(monkeypatch):
     assert threading.active_count() == threads
     store = rovib._store(ds)
     assert store.ahead == {} and store.bases == {}
+
+
+def test_with_one_cpu_nothing_is_queued_and_the_caller_solves_every_basis(monkeypatch, direct_solves, worker_starts):
+    # two bases to queue but no CPU to spare: no worker starts and no job is
+    # registered, so solve_radial waits for none and solves all three itself
+    blas_thread_calls()
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 1)
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    states = ["X0", "A0", "B1"]
+    with rovib.solving_ahead(ds, states, grid, 64):
+        assert rovib._store(ds).ahead == {} and worker_starts == []
+        for state in states:
+            solve_radial(ds, state, ds.state(state).omega, grid, 64)
+    assert worker_starts == []
+    assert direct_solves == [(state, ds.state(state).omega, threading.main_thread()) for state in states]
+    assert list(rovib._store(ds).bases) == [(state, grid, 64) for state in states]
 
 
 # ------------------------------------------------------- in-place dsyevd

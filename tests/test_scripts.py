@@ -9,11 +9,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-def _run(name, out):
-    """Load scripts/<name>.py by path, point its OUT at `out` and run its main."""
+def _load(name):
+    """scripts/<name>.py, loaded by path."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _run(name, out):
+    """Load scripts/<name>.py, point its OUT at `out` and run its main."""
+    script = _load(name)
     script.OUT = out
     script.main()
 
@@ -54,3 +60,14 @@ def test_microwave_magic_scan(tmp_path, capsys):
     assert len(tables) == 2
     for table in tables:
         _assert_matches_committed(table, ROOT / "out" / "microwave" / table.name)
+
+
+def test_output_digest_repeats_itself():
+    # the rotor plan and dress requests, run twice in one interpreter: one
+    # line per request and one per written file, the same both times
+    script = _load("output_digest")
+    requests = script.REQUESTS[-2:]
+    lines = script.digest(requests)
+    assert script.digest(requests) == lines
+    assert [line.split(" ", 3)[::3] for line in lines if not line.startswith(" ")] == [["0", r] for r in requests]
+    assert [line.split()[1] for line in lines if line.startswith(" ")] == ["plan.json", "dress.json"]
