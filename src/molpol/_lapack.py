@@ -35,6 +35,12 @@ Both lookups run once, at import, through one handle on numpy's LAPACK
 extension module: it searches the libraries that module was linked against,
 the OpenBLAS numpy loaded and not another one in the process. BLAS_THREADS
 and DSYEVD are each None when no name of theirs is found.
+
+SOLVER names what fixes a pinned dense solve's bits: numpy's version, that
+module's file, the DSYEVD symbol and OpenBLAS's build string (its
+*_get_config call, which names the core it runs on). It is None when DSYEVD
+or that call is missing. molpol._bases shares solves between processes only
+under SOLVER, the pin and DSYEVD together.
 """
 
 from __future__ import annotations
@@ -59,16 +65,25 @@ _DSYEVD_NAMES = (
     ("dsyevd_64_", ctypes.c_int64),
     ("scipy_dsyevd_", ctypes.c_int32),
 )
+# OpenBLAS's build string in the builds numpy ships
+_CONFIG_NAMES = (
+    "scipy_openblas_get_config64_",
+    "scipy_openblas_get_config",
+    "openblas_get_config64_",
+    "openblas_get_config",
+)
 
 
 def _lookup():
-    """(BLAS_THREADS, DSYEVD): (set, get) of numpy's OpenBLAS thread count and
-    (dsyevd, its integer type), each None when not found."""
+    """(BLAS_THREADS, DSYEVD, SOLVER): (set, get) of numpy's OpenBLAS thread
+    count, (dsyevd, its integer type) and the solver's identity, each None
+    when not found."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        path = np.linalg._umath_linalg.__file__
+        lib = ctypes.CDLL(path)
     except (AttributeError, OSError):
-        return None, None
-    threads = dsyevd = None
+        return None, None, None
+    threads = dsyevd = solver = None
     for set_name, get_name in _THREAD_CALL_NAMES:
         set_threads, get_threads = getattr(lib, set_name, None), getattr(lib, get_name, None)
         if set_threads is not None and get_threads is not None:
@@ -86,10 +101,18 @@ def _lookup():
             call.restype = None
             dsyevd = call, integer
             break
-    return threads, dsyevd
+    for name in _CONFIG_NAMES:
+        config = getattr(lib, name, None)
+        if config is not None:
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            build = config()
+            if build and dsyevd is not None:
+                solver = "\n".join([np.__version__, path, dsyevd[0].__name__, build.decode(errors="replace")])
+            break
+    return threads, dsyevd, solver
 
 
-BLAS_THREADS, DSYEVD = _lookup()
+BLAS_THREADS, DSYEVD, SOLVER = _lookup()
 
 
 def eigh_in_place(ham: np.ndarray):

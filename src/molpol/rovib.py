@@ -70,7 +70,8 @@ the threshold, where the basis holds the other J only to about 3e-8 cm^-1.
 
 J0 is always omega. There is one solve path. _solve is the direct solve of
 one block: it returns the _Basis it solved (span, diagonal, eigenpairs, kept
-count), writes nothing, and alone decides whether the block is trimmed.
+count), writes nothing to the dataset, and alone decides whether the block is
+trimmed.
 _contract returns a contracted block as a _Basis on the same span, and
 _levels alone turns a basis into RovibLevels. _contracts alone decides
 whether a state contracts. solve_radial checks the request once
@@ -92,7 +93,8 @@ symbols it finds and what runs without them.
 
 The pin frees the second CPU for a second solve. solving_ahead, which
 polarizability.build_line_list wraps around a line list, takes the states the
-line list will solve that contract and have no stored basis, in order. The
+line list will solve that contract and have no basis in the dataset's store,
+in order. The
 caller solves the first of these J = omega bases itself, in solve_radial,
 since it needs that one first (the initial state's, when it is one of them);
 the others are queued, and min(#queued, #usable CPUs - 1) worker threads take
@@ -108,6 +110,25 @@ caller goes on: a LAPACK call still running at interpreter shutdown can crash
 the process. Unclaimed bases are dropped. On 2 vCPUs the three optical J0
 solves take 62-90 ms two at a time (median 75 ms), against 73-111 ms (median
 85 ms) one after another on two BLAS threads.
+
+Every direct solve (J = omega bases, contraction fallbacks, states that do not
+contract and convergence_check's probe grids; not rotor blocks) goes through
+an on-disk store kept across processes (_bases), so a dense solve is made
+once per machine and solver. _solve looks the block up after its inputs and
+its trim proposal are known and before any eigensolve, under the exact bytes
+of T's row, v_eff on the whole grid, the cutoff, max_levels and the proposed
+span and e_top, beside the solver's identity and the crc32s of the solver's
+sources.
+An entry is used only once it certifies itself (_stored) as a contraction
+does: its span is the proposed one or the full grid, its K columns are
+orthonormal to ORTHO_TOL, kept and edges are recomputed from its values
+(with a trimmed span's check), and every kept level's residual against the
+explicit span Hamiltonian is at most RESIDUAL_TOL, with none within its
+residual of the cutoff (_residuals_hold). Anything else is a miss, solved as
+with no store and then written. A hit returns the stored bits, so every
+output keeps its bytes. On the optical stand-in's default grid the stored
+bases read residuals of 3e-11 cm^-1 and |X^T X - I| of 2e-15, and a hit takes
+3-5 ms where its dense solve takes 24-31 ms.
 
 Each potential and dipole curve is sampled on a grid once per loaded dataset
 (sampled_curve): the store holds the read-only samples beside the blocks and
@@ -193,7 +214,8 @@ EDGE_AMP = 1e-12     # largest |psi| sqrt(h) a kept level may have at a trimmed 
 AGMON_DEPTH = math.log(1.0 / EDGE_AMP)
 MAX_GRID_POINTS = 5000   # a dense n x n Hamiltonian of at most 200 MB
 BASIS_PER_LEVEL = 2      # J0 eigenvectors a contraction keeps per requested level
-RESIDUAL_TOL = 1e-8      # cm^-1, largest ||H x - E x|| a contracted level may have
+RESIDUAL_TOL = 1e-8      # cm^-1, largest ||H x - E x|| a contracted or stored level may have
+ORTHO_TOL = 1e-12        # largest |X^T X - I| a stored basis may have
 CHECK_TOL = 1e-3         # cm^-1, largest shift convergence_check accepts
 MAX_LEVELS = 64          # bound levels a block keeps when the caller names no cap
 
@@ -400,36 +422,63 @@ def _trim_span(v_eff: np.ndarray, h: float, reduced_mass: float, max_levels: int
     return slice(start, stop), hi
 
 
+def _kept_and_edges(energies, vectors, grid, max_levels, cutoff, span, e_top):
+    """(kept, edges) of a span's ascending eigenpairs: the first
+    min(max_levels, #E < cutoff) are the block's levels, and edges are the
+    span's ends that are not the grid's own. None when a trimmed span (finite
+    e_top) fails its check: no kept level, a kept level above e_top, or one
+    with |vec| > EDGE_AMP at an edge."""
+    k = min(max_levels, int(np.count_nonzero(energies < cutoff)))   # energies ascend
+    edges = [i for i, cut in ((0, span.start > 0), (-1, span.stop < grid.n)) if cut]
+    if math.isfinite(e_top):
+        if not k or energies[k - 1] > e_top or np.abs(vectors[edges, :k]).max(initial=0.0) > EDGE_AMP:
+            return None
+    return k, edges
+
+
 def _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
     """The span's principal submatrix solved: its lowest
-    K = min(BASIS_PER_LEVEL * max_levels, m) eigenpairs as a _Basis, whose first
-    min(max_levels, #E < cutoff) are the block's levels; None when a trimmed
-    span (finite e_top) fails its check: no kept level, a kept level above
-    e_top, or one with |vec| > EDGE_AMP at an edge that is not the grid's own.
+    K = min(BASIS_PER_LEVEL * max_levels, m) eigenpairs as a _Basis, or None
+    when a trimmed span fails its check (_kept_and_edges).
     """
     v = v_eff[span]
     ham = _toeplitz(row[: len(v)])
     ham[np.diag_indices_from(ham)] += v
     with _lapack.one_blas_thread:
         energies, vectors = _lapack.eigh_in_place(ham)
-    k = min(max_levels, int(np.count_nonzero(energies < cutoff)))   # energies ascend
-    edges = [i for i, cut in ((0, span.start > 0), (-1, span.stop < grid.n)) if cut]
-    if math.isfinite(e_top):
-        if not k or energies[k - 1] > e_top or np.abs(vectors[edges, :k]).max(initial=0.0) > EDGE_AMP:
-            return None
+    held = _kept_and_edges(energies, vectors, grid, max_levels, cutoff, span, e_top)
+    if held is None:
+        return None
     n_basis = min(BASIS_PER_LEVEL * max_levels, len(v))
     # keep only the K columns, not the m x m eigenvector matrix they view
-    return _Basis(span, v, energies[:n_basis], vectors[:, :n_basis].copy(), k, edges)
+    return _Basis(span, v, energies[:n_basis], vectors[:, :n_basis].copy(), *held)
+
+
+def _residuals_hold(row, v, e, x, k, cutoff, edges) -> bool:
+    """Whether the pairs (e_j, x_j) on a span certify its k kept levels: x holds
+    the first k + 1 unit vectors (all of them when there are no more), every
+    kept residual ||(T + diag(v)) x - e x|| is at most RESIDUAL_TOL, no pair
+    lies within its residual of the cutoff, where the kept count could differ,
+    and no kept x has |x| > EDGE_AMP at an edge.
+
+    T is applied in row slabs (_toeplitz_times); a residual past the float
+    range is inf, which fails. The caller holds the one-BLAS-thread pin.
+    """
+    with np.errstate(over="ignore"):
+        r = _toeplitz_times(row[: len(v)], x)
+        r += (v[:, None] - e[: x.shape[1]]) * x
+        res = np.linalg.norm(r, axis=0)
+    if (res[:k] > RESIDUAL_TOL).any() or (np.abs(e[: len(res)] - cutoff) <= res).any():
+        return False
+    return np.abs(x[edges, :k]).max(initial=0.0) <= EDGE_AMP
 
 
 def _contract(row, v_eff, cutoff, basis, max_levels):
     """One J's kept levels in a J0 basis, as a _Basis on its span, or None.
 
     With B = basis.vectors, diag(E0) + B^T diag(v_J - v_J0) B = c diag(e) c^T
-    gives x = B c. None unless every kept level's residual ||H_J x - e x||
-    is at most RESIDUAL_TOL, every kept x passes the span's edge check, and
-    neither a kept level nor the first one past them lies within its residual
-    of the cutoff, where the kept count could differ from a direct solve's.
+    gives x = B c, and the kept pairs must certify themselves
+    (_residuals_hold) against the explicit span Hamiltonian T + diag(v_J).
     """
     b, v = basis.vectors, v_eff[basis.span]
     with _lapack.one_blas_thread:
@@ -438,17 +487,8 @@ def _contract(row, v_eff, cutoff, basis, max_levels):
         e, c = np.linalg.eigh(a)
         k = min(max_levels, int(np.count_nonzero(e < cutoff)))
         x = b @ c[:, : k + 1]
-        # residuals against the explicit span Hamiltonian T + diag(v_J), T
-        # applied in row slabs; one past the float range is inf, which fails
-        # the certificate below
-        with np.errstate(over="ignore"):
-            r = _toeplitz_times(row[: len(v)], x)
-            r += (v[:, None] - e[: x.shape[1]]) * x
-            res = np.linalg.norm(r, axis=0)
-    if (res[:k] > RESIDUAL_TOL).any() or (np.abs(e[: len(res)] - cutoff) <= res).any():
-        return None
-    if np.abs(x[basis.edges, :k]).max(initial=0.0) > EDGE_AMP:
-        return None
+        if not _residuals_hold(row, v, e, x, k, cutoff, basis.edges):
+            return None
     return _Basis(basis.span, v, e[:k], x[:, :k], k, basis.edges)
 
 
@@ -489,14 +529,60 @@ def _block_inputs(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid):
     return row, v_eff, asym - BOUND_GUARD if math.isfinite(asym) else math.inf
 
 
+def _stored(entry, row, v_eff, grid, max_levels, cutoff, span, e_top):
+    """The stored basis `entry` (_bases.read) as a _Basis once it certifies
+    itself as a contraction does; None for no entry or one that fails.
+
+    Its span is the proposed one (span and e_top) or the full grid, and it
+    holds K = min(BASIS_PER_LEVEL * max_levels, m) ascending energies and
+    (m, K) vectors with |X^T X - I| at most ORTHO_TOL: a residual bounds an
+    eigenvalue's distance only for a unit vector, and a contraction takes the
+    columns as an orthonormal basis. kept and edges are recomputed from the
+    stored values (_kept_and_edges, with the trimmed span's check), and the
+    kept pairs and the first past them pass _residuals_hold.
+    """
+    if entry is None:
+        return None
+    start, stop, energies, vectors = entry
+    full = slice(0, grid.n)
+    stored = slice(start, stop)
+    if stored not in (span, full):
+        return None
+    e_top = e_top if stored == span else math.inf
+    m = stop - start
+    n_basis = min(BASIS_PER_LEVEL * max_levels, m)
+    if (energies.dtype, energies.shape, vectors.dtype, vectors.shape) != (np.float64, (n_basis,), np.float64, (m, n_basis)):
+        return None
+    if not (np.all(np.isfinite(energies)) and np.all(np.diff(energies) >= 0.0)):
+        return None
+    held = _kept_and_edges(energies, vectors, grid, max_levels, cutoff, stored, e_top)
+    if held is None:
+        return None
+    k, edges = held
+    v = v_eff[stored]
+    with _lapack.one_blas_thread, np.errstate(over="ignore", invalid="ignore"):
+        gram = vectors.T @ vectors
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if not np.abs(gram).max() <= ORTHO_TOL:   # NaN fails
+            return None
+        if not _residuals_hold(row, v, energies, vectors[:, : k + 1], k, cutoff, edges):
+            return None
+    return _Basis(stored, v, energies, vectors, k, edges)
+
+
 def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels: int) -> _Basis:
-    """The direct solve of one block, as the _Basis it solved; writes nothing.
+    """The direct solve of one block, as the _Basis it solved; writes nothing
+    but the on-disk store's entry.
 
     A block of a state that contracts (_contracts) is trimmed, and solved on
     the full grid when its span fails the check; any other block is solved
-    on the full grid alone, even where _trim_span proposes a span. A rotor's
-    block is a one-node basis: the grid node nearest the rotor radius, a unit
-    vector, and E = V + B J(J+1) with B = hbar^2/(2 mu R_node^2).
+    on the full grid alone, even where _trim_span proposes a span. Before any
+    eigensolve the block is looked up in the on-disk store (_bases) under the
+    exact bytes of its inputs (T's row, v_eff on the whole grid, the cutoff,
+    max_levels, the proposed span and e_top); a certified entry (_stored) is
+    the solve, and a miss is solved and then stored. A rotor's block is a
+    one-node basis: the grid node nearest the rotor radius, a unit vector,
+    and E = V + B J(J+1) with B = hbar^2/(2 mu R_node^2).
     """
     if _is_rotor(ds, state):
         pts = grid.points
@@ -508,11 +594,22 @@ def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels
         if not np.isfinite(energy[0]):
             raise DataError(f"state {state!r} at J = {J}: the rotor level's energy is not finite")
         return _Basis(slice(i, i + 1), energy, energy, np.ones((1, 1)), 1, [])
+    # imported at the first direct solve, not with rovib, so that set-up
+    # (import molpol.cli) compiles and loads nothing more than it did
+    from . import _bases
+
     row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     asym = ds.state(state).asymptote_energy
     trimmed = _contracts(ds, state, grid, max_levels) and _trim_span(v_eff, grid.h, ds.reduced_mass, max_levels, asym)
-    basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, *trimmed) if trimmed else None
-    return basis or _eigensolve(row, v_eff, grid, max_levels, cutoff, slice(0, grid.n))
+    span, e_top = trimmed or (slice(0, grid.n), math.inf)
+    entry_key = _bases.key(row, v_eff, cutoff, max_levels, span.start, span.stop, e_top)
+    basis = _stored(_bases.read(entry_key), row, v_eff, grid, max_levels, cutoff, span, e_top)
+    if basis is None:
+        basis = _eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top) or _eigensolve(
+            row, v_eff, grid, max_levels, cutoff, slice(0, grid.n)
+        )
+        _bases.write(entry_key, basis.span.start, basis.span.stop, basis.energies, basis.vectors)
+    return basis
 
 
 def _check_max_levels(max_levels: int) -> None:

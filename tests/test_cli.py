@@ -1020,8 +1020,9 @@ def test_consecutive_requests_share_solved_blocks(tmp_path, solves):
     assert len(solves.dense) == 3
 
 
-def test_block_bits_do_not_depend_on_request_order(tmp_path):
-    # each run starts from a fresh load; the second solves X0 J1 before X0 J0
+def test_block_bits_do_not_depend_on_request_order(tmp_path, monkeypatch):
+    # each run starts from a fresh load and an empty store of solved bases;
+    # the second solves X0 J1 before X0 J0
     requests = {
         "alpha": ["alpha", "--nu", "9000:9400:1"],
         "windows": ["windows", "--nu", "9000:9400:1", "--min-width", "5"],
@@ -1029,6 +1030,7 @@ def test_block_bits_do_not_depend_on_request_order(tmp_path):
     }
     for run, order in (("forward", list(requests)), ("reverse", list(requests)[::-1])):
         dataset_module._LOADED.clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"{run}-store"))
         for name in order:
             argv = requests[name]
             assert run_cli([argv[0], OPTICAL_STANDIN, *argv[1:], "--out", tmp_path / run / name]) == 0
@@ -1055,7 +1057,9 @@ def test_rewritten_curve_file_forces_a_reload(tmp_path, solves):
     pot.write_text("\n".join(rows) + "\n")
     assert run_cli([*argv, "--out", tmp_path / "edited"]) == 0
     assert load_dataset(ds_dir) is not held
-    assert len(solves.blocks) == 10 and len(solves.dense) == 10
+    # every block is solved again, but only A0's basis densely: X0's and B1's
+    # inputs kept their bytes, so the on-disk store serves the first run's
+    assert len(solves.blocks) == 10 and len(solves.dense) == 6
     assert (tmp_path / "same" / "alpha.csv").read_bytes() == (tmp_path / "first" / "alpha.csv").read_bytes()
     assert (tmp_path / "edited" / "alpha.csv").read_bytes() != (tmp_path / "first" / "alpha.csv").read_bytes()
 
@@ -1305,7 +1309,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             f"assert main({[*map(str, argv), '--out', str(tmp_path / threads / argv[0])]!r}) == 0\n"
             for argv in requests
         )
-        run = _molpol_process("-c", script, OPENBLAS_NUM_THREADS=threads)
+        # each thread count solves for itself, into its own store of bases
+        run = _molpol_process("-c", script, OPENBLAS_NUM_THREADS=threads, XDG_CACHE_HOME=str(tmp_path / f"store-{threads}"))
         assert run.returncode == 0, run.stderr
     files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
     assert len(files) == 9
@@ -1313,12 +1318,31 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (tmp_path / "2" / rel).read_bytes() == (tmp_path / "1" / rel).read_bytes(), rel
 
 
+def test_an_unusable_store_of_bases_changes_no_byte(tmp_path):
+    # XDG_CACHE_HOME a regular file: no entry can be read or written (a
+    # read-only mode would not stop root), and the request runs as with no
+    # store, with every warning an error and nothing on stderr
+    blocker = tmp_path / "cache-file"
+    blocker.write_bytes(b"")
+    argv = ["-W", "error", "-m", "molpol.cli", "magic", str(OPTICAL_STANDIN), "--Ja", "0", "--Jb", "1", "--nu", "8800:9000:1"]
+    usable = _molpol_process(*argv, "--out", str(tmp_path / "usable"))
+    blocked = _molpol_process(*argv, "--out", str(tmp_path / "blocked"), XDG_CACHE_HOME=str(blocker))
+    assert usable.returncode == blocked.returncode == 0, blocked.stderr
+    assert blocked.stderr == "" and usable.stderr == ""
+    assert blocker.is_file() and blocker.read_bytes() == b""
+    names = sorted(p.name for p in (tmp_path / "usable").iterdir())
+    assert names and sorted(p.name for p in (tmp_path / "blocked").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "usable" / name).read_bytes(), name
+
+
 def test_a_failing_request_with_solves_in_flight_exits_cleanly_every_time(tmp_path):
-    # interpreter shutdown under a running eigensolve would crash the process
-    for _ in range(10):
+    # interpreter shutdown under a running eigensolve would crash the process;
+    # each run has an empty store of bases, so its solves run
+    for i in range(10):
         run = _molpol_process(
             "-m", "molpol.cli", "alpha", str(OPTICAL_STANDIN), "--v", "500", "--nu", "9000:9005:1",
-            "--out", str(tmp_path / "out"),
+            "--out", str(tmp_path / "out"), XDG_CACHE_HOME=str(tmp_path / f"store-{i}"),
         )
         assert run.returncode == 3, run.stderr
         assert run.stderr.startswith("molpol: data:") and run.stderr.count("\n") == 1

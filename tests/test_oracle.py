@@ -19,6 +19,8 @@ line's d^2 z / (z^2 - nu^2).
 
 import functools
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -224,10 +226,12 @@ def test_line_list_and_alpha_match_the_brute_force_oracle(drawn, max_levels, v, 
         return basis
 
     opts = LineListOptions(grid=grid, max_levels=max_levels, gamma="computed", d_floor=0.0)
-    with mock.patch.object(rovib, "_contract", counting_contract), mock.patch.object(
-        rovib, "_eigensolve", counting_eigensolve
-    ):
-        got = build_line_list(ds, initial, Polarization.parse(pol), opts)
+    # each example solves into an empty store of bases: one drawn twice solves again
+    with tempfile.TemporaryDirectory() as store, mock.patch.dict(os.environ, {"XDG_CACHE_HOME": store}):
+        with mock.patch.object(rovib, "_contract", counting_contract), mock.patch.object(
+            rovib, "_eigensolve", counting_eigensolve
+        ):
+            got = build_line_list(ds, initial, Polarization.parse(pol), opts)
     # every example takes both shortcuts the oracle leaves out
     assert any(contracted) and any(trimmed)
 

@@ -595,6 +595,25 @@ def test_capture_near_complete_for_deep_wells(optical):
     assert spec.capture["E"] <= 1.0 + 1e-8
 
 
+def test_capture_is_the_smallest_branch_fraction():
+    # X0 v0 J1 reaches A0 on J' = 0 and J' = 2, whose bound sums differ in the
+    # 11th digit beside the one closure both share; the largest would be reported
+    # if the branches were combined by max
+    ds = load_dataset(OPTICAL_STANDIN)
+    spec = scan_spectrum(ds, LevelId("X0", 0, 1, 0), SZ, np.array([9000.0]))
+    grid = default_grid(ds)
+    psi = solve_radial(ds, "X0", 1, grid)[0].wavefunction
+    closure = float(np.sum(ds.dipole_between("X0", "A0")(grid.points) ** 2 * psi**2 * grid.h))
+    branches = {}
+    for ln in spec.lines:
+        if ln.state == "A0":
+            branches.setdefault(ln.J, {})[ln.v] = ln.d_vib**2
+    assert sorted(branches) == [0, 2]
+    fractions = [sum(d2.values()) / closure for d2 in branches.values()]
+    assert abs(fractions[0] - fractions[1]) > 1e-12
+    assert spec.capture["A0"] == pytest.approx(min(fractions), rel=1e-14, abs=0)
+
+
 def test_scan_records_options(optical):
     opts = LineListOptions(gamma="default", d_floor=1e-6, v_max=5)
     spec = scan_spectrum(optical, LevelId("X", 0, 0, 0), SZ, np.array([9000.0]), opts)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -21,7 +23,7 @@ from molpol import (
     solve_radial,
     synthesize,
 )
-from molpol import _lapack
+from molpol import _bases, _lapack
 from molpol import dataset as dataset_module
 from molpol import rovib
 from molpol.cli import main
@@ -752,7 +754,7 @@ def test_the_blas_pin_holds_under_many_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
-def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(cpus, monkeypatch, direct_solves, worker_starts):
+def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(cpus, tmp_path, monkeypatch, direct_solves, worker_starts):
     # whatever the core count: the caller solves X0's basis, the one it needs
     # first, and min(2, cpus - 1) workers share the queue of A0's and B1's,
     # one solving both on two CPUs and two taking one each on four
@@ -773,6 +775,8 @@ def test_a_basis_solved_ahead_has_the_bits_of_one_solved_in_the_caller(cpus, mon
     assert a0[:2] == ("A0", 0) and b1[:2] == ("B1", 1) and len(direct_solves) == 3
     assert x0 == ("X0", 0, threading.main_thread())
     assert {a0[2], b1[2]} <= set(worker_starts)
+    # the caller solves each basis again, from an empty store
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     for state in states:
         solve_radial(lazy, state, 1, grid, 64)
         a, b = rovib._store(ahead).bases[(state, grid, 64)], rovib._store(lazy).bases[(state, grid, 64)]
@@ -790,6 +794,7 @@ def test_a_worker_that_cannot_start_leaves_its_solves_to_the_caller(tmp_path, mo
     assert any(thread is not threading.main_thread() for *_, thread in direct_solves)
     started = len(direct_solves)
     dataset_module._LOADED.clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "refused-store"))   # solved again, not read
     start, refused = threading.Thread.start, []
 
     def no_worker(thread):
@@ -932,3 +937,248 @@ def test_without_dsyevd_the_outputs_keep_their_bytes(tmp_path, monkeypatch):
     assert len(files) == 8
     for rel in files:
         assert (tmp_path / "eigh" / rel).read_bytes() == (tmp_path / "in_place" / rel).read_bytes(), rel
+
+
+# ------------------------------------------------------------ the on-disk store of bases
+
+
+def stored_bases():
+    """Skips the test when the store is not used: no solver identity in _lapack."""
+    if None in (_lapack.SOLVER, _lapack.BLAS_THREADS, _lapack.DSYEVD):
+        pytest.skip("_lapack found no solver identity, so no basis is stored")
+
+
+def store_entries() -> list[Path]:
+    """The entries of the store that XDG_CACHE_HOME names (a fresh directory per test)."""
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "molpol").glob("*.npz"))
+
+
+def counting_eigensolves(monkeypatch) -> list[slice]:
+    """The span of every dense eigensolve from here on."""
+    spans, eigensolve = [], rovib._eigensolve
+
+    def counting(row, v_eff, grid, max_levels, cutoff, span, e_top=math.inf):
+        spans.append(span)
+        return eigensolve(row, v_eff, grid, max_levels, cutoff, span, e_top)
+
+    monkeypatch.setattr(rovib, "_eigensolve", counting)
+    return spans
+
+
+def assert_same_basis(a, b):
+    assert (a.span, a.kept, a.edges) == (b.span, b.kept, b.edges)
+    assert np.array_equal(a.v_eff, b.v_eff)
+    assert np.array_equal(a.energies, b.energies) and np.array_equal(a.vectors, b.vectors)
+
+
+def rewrite_entry(entry: Path, **fields):
+    """Store the entry again with some of its arrays replaced."""
+    with np.load(entry, allow_pickle=False) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    arrays.update(fields)
+    with open(entry, "wb") as out:
+        np.savez(out, **arrays)
+
+
+def test_a_second_process_solves_nothing_dense_and_writes_the_same_bytes(tmp_path):
+    # two fresh interpreters on one store: the first solves X0's, A0's and
+    # B1's J = omega bases in place, the second reads all three
+    stored_bases()
+    argv = ["magic", str(OPTICAL_STANDIN), "--Ja", "0", "--Jb", "1", "--nu", "8800:9000:1"]
+    code = (
+        "import sys, molpol.cli\n"
+        "from molpol import _lapack\n"
+        "in_place, sizes = _lapack.eigh_in_place, []\n"
+        "def counting(ham):\n"
+        "    sizes.append(len(ham))\n"
+        "    return in_place(ham)\n"
+        "_lapack.eigh_in_place = counting\n"
+        "assert molpol.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(sizes))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    printed = []
+    for run in ("first", "second"):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path / run)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        printed.append(out.stdout.splitlines()[-1])
+    assert printed == ["[448, 457, 472]", "[]"]
+    assert len(store_entries()) == 3
+    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert names and sorted(p.name for p in (tmp_path / "second").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", ["empty", "truncated", "garbage", "directory", "foreign key", "bare array"])
+def test_a_damaged_entry_is_solved_again_to_the_same_bits(damage, monkeypatch):
+    # each is a miss: the block is solved as with no store, and its entry is
+    # written whole again, so the next solve reads it
+    stored_bases()
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    spans = counting_eigensolves(monkeypatch)
+    first = rovib._solve(ds, "X0", 0, grid, 64)
+    (entry,) = store_entries()
+    data = entry.read_bytes()
+    if damage == "empty":
+        entry.write_bytes(b"")
+    elif damage == "truncated":
+        entry.write_bytes(data[: len(data) // 2])
+    elif damage == "garbage":
+        entry.write_bytes(bytes(range(256)) * 64)
+    elif damage == "directory":
+        entry.unlink()
+        entry.mkdir()
+    elif damage == "bare array":
+        with open(entry, "wb") as out:
+            np.save(out, first.vectors)
+    else:   # another key stored under this key's name
+        with np.load(entry, allow_pickle=False) as stored:
+            rewrite_entry(entry, key=np.append(stored["key"], np.uint8(0)))
+    assert_same_basis(rovib._solve(ds, "X0", 0, grid, 64), first)
+    assert len(spans) == 2
+    assert store_entries() == [entry] and entry.is_file()
+    assert_same_basis(rovib._solve(ds, "X0", 0, grid, 64), first)
+    assert len(spans) == 2
+
+
+@pytest.mark.parametrize("fault", ["level moved by 0.01 cm^-1", "vectors halved"])
+def test_an_entry_that_fails_its_certificate_is_solved_again_and_overwritten(fault, monkeypatch):
+    # a moved level keeps its order and its unit vector: only its residual
+    # sees it; halved vectors shrink every residual: only X^T X = I sees them
+    stored_bases()
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    spans = counting_eigensolves(monkeypatch)
+    first = rovib._solve(ds, "X0", 0, grid, 64)
+    (entry,) = store_entries()
+    if fault == "vectors halved":
+        rewrite_entry(entry, vectors=0.5 * first.vectors)
+    else:
+        moved = first.energies.copy()
+        moved[3] += 0.01
+        rewrite_entry(entry, energies=moved)
+        row, v_eff, cutoff = rovib._block_inputs(ds, "X0", 0, grid)
+        x = first.vectors[:, : first.kept + 1]
+        v = v_eff[first.span]
+        assert rovib._residuals_hold(row, v, first.energies, x, first.kept, cutoff, first.edges)
+        assert not rovib._residuals_hold(row, v, moved, x, first.kept, cutoff, first.edges)
+    assert_same_basis(rovib._solve(ds, "X0", 0, grid, 64), first)
+    assert len(spans) == 2
+    with np.load(entry, allow_pickle=False) as stored:
+        assert np.array_equal(stored["energies"], first.energies)
+        assert np.array_equal(stored["vectors"], first.vectors)
+
+
+@pytest.mark.parametrize("change", ["max_levels", "max_levels on the full grid", "grid", "one ulp outside the span"])
+def test_a_block_whose_inputs_differ_is_a_miss(change, monkeypatch):
+    # on a trimmed span max_levels moves e_top too; with every bound level
+    # kept (the full grid, no e_top) only the key tells 200 from 199
+    stored_bases()
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = default_grid(ds)
+    spans = counting_eigensolves(monkeypatch)
+    max_levels = 200 if change == "max_levels on the full grid" else 64
+    first = rovib._solve(ds, "X0", 0, grid, max_levels)
+    if change.startswith("max_levels"):
+        rovib._solve(ds, "X0", 0, grid, max_levels - 1)
+    elif change == "grid":
+        rovib._solve(ds, "X0", 0, RadialGrid(grid.r_min, grid.r_max, grid.n + 2), 64)
+    else:
+        # v_eff's last point lies past the span, yet the whole grid is keyed
+        assert first.span.stop < grid.n
+        potential = rovib._effective_potential
+
+        def nudged(*args):
+            v = potential(*args).copy()
+            v[-1] = np.nextafter(v[-1], math.inf)
+            return v
+
+        monkeypatch.setattr(rovib, "_effective_potential", nudged)
+        rovib._solve(ds, "X0", 0, grid, 64)
+    assert len(spans) == 2 and len(store_entries()) == 2
+
+
+def test_the_cap_drops_the_oldest_entries(monkeypatch):
+    stored_bases()
+    ds = load_dataset(OPTICAL_STANDIN)
+    grid = RadialGrid(5.0, 20.0, 301)
+    for max_levels in (12, 11):
+        rovib._solve(ds, "X0", 0, grid, max_levels)
+    by_cap = {}
+    for entry in store_entries():
+        with np.load(entry, allow_pickle=False) as stored:
+            by_cap[len(stored["energies"]) // 2] = entry
+    os.utime(by_cap[12], ns=(10**18, 10**18))
+    os.utime(by_cap[11], ns=(2 * 10**18, 2 * 10**18))
+    # room for the two entries there are; the next, smaller one pushes the oldest out
+    monkeypatch.setattr(_bases, "MAX_BYTES", by_cap[12].stat().st_size + by_cap[11].stat().st_size)
+    rovib._solve(ds, "X0", 0, grid, 10)
+    kept = store_entries()
+    assert by_cap[12] not in kept and by_cap[11] in kept and len(kept) == 2
+
+
+def test_writers_and_readers_of_one_entry_see_it_whole():
+    # solve-ahead workers write beside the caller: each write goes to a name
+    # of its own and replaces the entry whole, so no read, from any thread,
+    # finds a part of one; more threads than CPUs, switching every microsecond
+    stored_bases()
+    entry_key = _bases.key(np.arange(5.0), 64)
+    energies, vectors = np.linspace(0.0, 1.0, 8), np.eye(16)[:, :8]
+    reads, errors = [], []
+
+    def work():
+        try:
+            for _ in range(25):
+                _bases.write(entry_key, 0, 16, energies, vectors)
+                reads.append(_bases.read(entry_key))
+        except Exception as exc:   # raised in the test's thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(2 * _lapack.usable_cpus() + 2)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(reads) == 25 * len(threads) and all(entry is not None for entry in reads)
+    for start, stop, e, v in reads:
+        assert (start, stop) == (0, 16) and np.array_equal(e, energies) and np.array_equal(v, vectors)
+    folder = Path(os.environ["XDG_CACHE_HOME"]) / "molpol"
+    assert [p.name for p in folder.iterdir()] == [p.name for p in store_entries()] and len(store_entries()) == 1
+
+
+@pytest.mark.parametrize("missing", ["SOLVER", "BLAS_THREADS", "DSYEVD"])
+def test_without_a_solver_identity_no_basis_is_stored(missing, monkeypatch):
+    stored_bases()
+    monkeypatch.setattr(_lapack, missing, None)
+    ds = load_dataset(OPTICAL_STANDIN)
+    spans = counting_eigensolves(monkeypatch)
+    for _ in range(2):
+        rovib._solve(ds, "X0", 0, RadialGrid(5.0, 20.0, 301), 12)
+    assert len(spans) == 2 and store_entries() == []
+
+
+def test_a_level_cap_past_int64_is_solved_but_not_stored(monkeypatch):
+    # as an array it holds a pointer, which no other process would key alike
+    stored_bases()
+    spans = counting_eigensolves(monkeypatch)
+    basis = rovib._solve(load_dataset(OPTICAL_STANDIN), "X0", 0, RadialGrid(5.0, 20.0, 301), 10**20)
+    assert len(spans) == 1 and basis.kept > 0 and store_entries() == []
+    assert _bases.key(10**20) is None and _bases.key(2**62) is not None
+
+
+def test_the_solver_identity_names_numpy_the_symbol_and_the_blas_build():
+    stored_bases()
+    version, module, symbol, build = _lapack.SOLVER.split("\n")
+    assert version == np.__version__ and module == np.linalg._umath_linalg.__file__
+    assert symbol == _lapack.DSYEVD[0].__name__ and build

@@ -1,6 +1,9 @@
 """The report scripts run end to end on the shipped stand-in datasets."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +74,13 @@ def test_output_digest_repeats_itself():
     assert script.digest(requests) == lines
     assert [line.split(" ", 3)[::3] for line in lines if not line.startswith(" ")] == [["0", r] for r in requests]
     assert [line.split()[1] for line in lines if line.startswith(" ")] == ["plan.json", "dress.json"]
+
+
+def test_output_digest_is_the_same_on_an_empty_and_a_filled_store(tmp_path):
+    # two fresh interpreters on one store of solved bases that starts empty:
+    # the second reads what the first solved, and no written byte moves
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    script = [sys.executable, str(SCRIPTS / "output_digest.py")]
+    runs = [subprocess.run(script, capture_output=True, text=True, env=env, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0].count("\n") >= len(_load("output_digest").REQUESTS)
+    assert list((tmp_path / "molpol").glob("*.npz"))
