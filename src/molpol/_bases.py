@@ -1,11 +1,13 @@
 """Dense bases kept on disk, so that no process repeats a solve another made.
 
 rovib._solve looks a block up here before it solves it and writes what it
-solved after. An entry is one np.savez file (no pickle; read with
-allow_pickle=False) in $XDG_CACHE_HOME/molpol, or ~/.cache/molpol when that
-variable is unset or not an absolute path. It holds the entry's key, the
-span's (start, stop), the K energies and the (m, K) vectors, and is named
-after the crc32 and adler32 of the key.
+solved after. An entry is one file in $XDG_CACHE_HOME/molpol, or
+~/.cache/molpol when that variable is unset or not an absolute path, named
+after the crc32 and adler32 of its key. It holds four arrays one after
+another in numpy's .npy format (numpy.lib.format; written without pickle,
+read with allow_pickle=False): the entry's key, the span's (start, stop),
+the K energies and the (m, K) vectors. Each array goes straight between the
+file and its own memory, with no archive layer and no copy.
 
 The key (key) is the exact bytes of the solver's identity and of every input
 rovib passes: _lapack.SOLVER (numpy's version, its LAPACK module, the dsyevd
@@ -29,7 +31,6 @@ import contextlib
 import functools
 import os
 import threading
-import zipfile
 import zlib
 
 import numpy as np
@@ -38,9 +39,14 @@ from . import _lapack
 
 MAX_BYTES = 256 * 2**20   # the directory's cap; the oldest files go first
 _SOURCES = ("rovib.py", "_lapack.py", "_bases.py")
-# what an entry that cannot be read raises: no such file, a directory, a
-# truncated or foreign zip, a member that is not an array or is missing
-_UNREADABLE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
+# what an entry that cannot be read raises: no such file or a directory
+# (OSError), a record that is not a whole .npy array (ValueError), and a
+# header that claims more elements than memory holds (MemoryError)
+_UNREADABLE = (OSError, ValueError, MemoryError)
+# numpy parses each .npy header with ast.literal_eval, which CPython 3.11
+# does not make safe in two threads at once (SystemError: AST constructor
+# recursion depth mismatch): one thread reads an entry at a time
+_READING = threading.Lock()
 
 
 @functools.cache
@@ -74,6 +80,11 @@ def key(*inputs) -> bytes | None:
     return b"".join(parts)
 
 
+def _read_array(file) -> np.ndarray:
+    """The next array of an entry, read straight into its own memory."""
+    return np.lib.format.read_array(file, allow_pickle=False)
+
+
 def _path(entry_key: bytes | None) -> str | None:
     """The file of a key, or None for no key or without an absolute cache directory."""
     if entry_key is None:
@@ -83,7 +94,7 @@ def _path(entry_key: bytes | None) -> str | None:
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
-    name = f"{zlib.crc32(entry_key):08x}{zlib.adler32(entry_key):08x}.npz"
+    name = f"{zlib.crc32(entry_key):08x}{zlib.adler32(entry_key):08x}.basis"
     return os.path.join(base, "molpol", name)
 
 
@@ -94,19 +105,13 @@ def read(entry_key: bytes | None):
     if path is None:
         return None
     try:
-        # opened here, not by np.load, which leaves its own file open when the
-        # zip cannot be read
-        with open(path, "rb") as file:
-            entry = np.load(file, allow_pickle=False)
-            if not isinstance(entry, np.lib.npyio.NpzFile):   # one bare array
+        with _READING, open(path, "rb") as file:
+            if _read_array(file).tobytes() != entry_key:
                 return None
-            with entry:
-                if entry["key"].tobytes() != entry_key:
-                    return None
-                span = entry["span"]
-                if span.dtype != np.int64 or span.shape != (2,):
-                    return None
-                return int(span[0]), int(span[1]), entry["energies"], entry["vectors"]
+            span = _read_array(file)
+            if span.dtype != np.int64 or span.shape != (2,):
+                return None
+            return int(span[0]), int(span[1]), _read_array(file), _read_array(file)
     except _UNREADABLE:
         return None
 
@@ -123,10 +128,8 @@ def write(entry_key: bytes | None, start: int, stop: int, energies: np.ndarray, 
         os.makedirs(folder, exist_ok=True)
         try:
             with open(tmp, "wb") as out:
-                np.savez(
-                    out, key=np.frombuffer(entry_key, np.uint8), span=np.array([start, stop], np.int64),
-                    energies=energies, vectors=vectors,
-                )
+                for array in (np.frombuffer(entry_key, np.uint8), np.array([start, stop], np.int64), energies, vectors):
+                    np.lib.format.write_array(out, array, allow_pickle=False)
             try:
                 os.replace(tmp, path)
             except IsADirectoryError:   # an empty directory under the entry's name
@@ -145,7 +148,7 @@ def _prune(folder: str) -> None:
     files = []
     with os.scandir(folder) as listing:
         for item in listing:
-            if item.name.endswith((".npz", ".tmp")) and item.is_file(follow_symlinks=False):
+            if item.name.endswith((".basis", ".tmp")) and item.is_file(follow_symlinks=False):
                 stat = item.stat(follow_symlinks=False)
                 files.append((stat.st_mtime_ns, item.name, stat.st_size))
     total = sum(size for *_, size in files)

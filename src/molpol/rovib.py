@@ -187,7 +187,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _lapack
+from . import _bases, _lapack
 from .constants import HBAR2_OVER_TWO
 from .dataset import MoleculeDataset, _real
 from .errors import DataError, GridError, QuantumNumberError
@@ -594,10 +594,6 @@ def _solve(ds: MoleculeDataset, state: str, J: int, grid: RadialGrid, max_levels
         if not np.isfinite(energy[0]):
             raise DataError(f"state {state!r} at J = {J}: the rotor level's energy is not finite")
         return _Basis(slice(i, i + 1), energy, energy, np.ones((1, 1)), 1, [])
-    # imported at the first direct solve, not with rovib, so that set-up
-    # (import molpol.cli) compiles and loads nothing more than it did
-    from . import _bases
-
     row, v_eff, cutoff = _block_inputs(ds, state, J, grid)
     asym = ds.state(state).asymptote_energy
     trimmed = _contracts(ds, state, grid, max_levels) and _trim_span(v_eff, grid.h, ds.reduced_mass, max_levels, asym)

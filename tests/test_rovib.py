@@ -950,7 +950,7 @@ def stored_bases():
 
 def store_entries() -> list[Path]:
     """The entries of the store that XDG_CACHE_HOME names (a fresh directory per test)."""
-    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "molpol").glob("*.npz"))
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "molpol").glob("*.basis"))
 
 
 def counting_eigensolves(monkeypatch) -> list[slice]:
@@ -971,13 +971,21 @@ def assert_same_basis(a, b):
     assert np.array_equal(a.energies, b.energies) and np.array_equal(a.vectors, b.vectors)
 
 
+ENTRY_ARRAYS = ("key", "span", "energies", "vectors")   # in the order an entry holds them
+
+
+def read_entry(entry: Path) -> dict[str, np.ndarray]:
+    """The arrays of a stored entry, by name."""
+    with open(entry, "rb") as file:
+        return {name: np.lib.format.read_array(file, allow_pickle=False) for name in ENTRY_ARRAYS}
+
+
 def rewrite_entry(entry: Path, **fields):
     """Store the entry again with some of its arrays replaced."""
-    with np.load(entry, allow_pickle=False) as stored:
-        arrays = {name: stored[name] for name in stored.files}
-    arrays.update(fields)
+    arrays = read_entry(entry) | fields
     with open(entry, "wb") as out:
-        np.savez(out, **arrays)
+        for name in ENTRY_ARRAYS:
+            np.lib.format.write_array(out, arrays[name], allow_pickle=False)
 
 
 def test_a_second_process_solves_nothing_dense_and_writes_the_same_bytes(tmp_path):
@@ -1013,7 +1021,9 @@ def test_a_second_process_solves_nothing_dense_and_writes_the_same_bytes(tmp_pat
         assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("damage", ["empty", "truncated", "garbage", "directory", "foreign key", "bare array"])
+@pytest.mark.parametrize(
+    "damage", ["empty", "truncated", "garbage", "directory", "foreign key", "bare array", "header past memory"]
+)
 def test_a_damaged_entry_is_solved_again_to_the_same_bits(damage, monkeypatch):
     # each is a miss: the block is solved as with no store, and its entry is
     # written whole again, so the next solve reads it
@@ -1036,9 +1046,11 @@ def test_a_damaged_entry_is_solved_again_to_the_same_bits(damage, monkeypatch):
     elif damage == "bare array":
         with open(entry, "wb") as out:
             np.save(out, first.vectors)
+    elif damage == "header past memory":   # reading it would allocate 8 PiB
+        with open(entry, "wb") as out:
+            np.lib.format.write_array_header_1_0(out, {"descr": "<f8", "fortran_order": False, "shape": (2**50,)})
     else:   # another key stored under this key's name
-        with np.load(entry, allow_pickle=False) as stored:
-            rewrite_entry(entry, key=np.append(stored["key"], np.uint8(0)))
+        rewrite_entry(entry, key=np.append(read_entry(entry)["key"], np.uint8(0)))
     assert_same_basis(rovib._solve(ds, "X0", 0, grid, 64), first)
     assert len(spans) == 2
     assert store_entries() == [entry] and entry.is_file()
@@ -1069,9 +1081,9 @@ def test_an_entry_that_fails_its_certificate_is_solved_again_and_overwritten(fau
         assert not rovib._residuals_hold(row, v, moved, x, first.kept, cutoff, first.edges)
     assert_same_basis(rovib._solve(ds, "X0", 0, grid, 64), first)
     assert len(spans) == 2
-    with np.load(entry, allow_pickle=False) as stored:
-        assert np.array_equal(stored["energies"], first.energies)
-        assert np.array_equal(stored["vectors"], first.vectors)
+    stored = read_entry(entry)
+    assert np.array_equal(stored["energies"], first.energies)
+    assert np.array_equal(stored["vectors"], first.vectors)
 
 
 @pytest.mark.parametrize("change", ["max_levels", "max_levels on the full grid", "grid", "one ulp outside the span"])
@@ -1111,8 +1123,7 @@ def test_the_cap_drops_the_oldest_entries(monkeypatch):
         rovib._solve(ds, "X0", 0, grid, max_levels)
     by_cap = {}
     for entry in store_entries():
-        with np.load(entry, allow_pickle=False) as stored:
-            by_cap[len(stored["energies"]) // 2] = entry
+        by_cap[len(read_entry(entry)["energies"]) // 2] = entry
     os.utime(by_cap[12], ns=(10**18, 10**18))
     os.utime(by_cap[11], ns=(2 * 10**18, 2 * 10**18))
     # room for the two entries there are; the next, smaller one pushes the oldest out

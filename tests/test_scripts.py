@@ -83,4 +83,4 @@ def test_output_digest_is_the_same_on_an_empty_and_a_filled_store(tmp_path):
     script = [sys.executable, str(SCRIPTS / "output_digest.py")]
     runs = [subprocess.run(script, capture_output=True, text=True, env=env, check=True).stdout for _ in range(2)]
     assert runs[0] == runs[1] and runs[0].count("\n") >= len(_load("output_digest").REQUESTS)
-    assert list((tmp_path / "molpol").glob("*.npz"))
+    assert list((tmp_path / "molpol").glob("*.basis"))
